@@ -103,6 +103,14 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _json_text(obj, sort_keys: bool = False) -> str:
+    """Strict JSON: a NaN or infinity in a report is a numerical failure, not output."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"report holds a non-finite number: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -216,7 +224,7 @@ def cmd_generate(args) -> int:
             "fidelity_e": fidelity(outcome.projected_e, target_e),
             "amplitudes": _complex_pairs(outcome.projected_g.amplitudes),
         }
-    _write_text(opts.get("out"), json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_text(opts.get("out"), _json_text(report, sort_keys=True))
     return 0
 
 
@@ -230,12 +238,12 @@ def cmd_verify(args) -> int:
         # negative control: bounds tightened far beyond attainability, the
         # suite must report failures and exit nonzero
         scale = 1e-8
-    if scale <= 0.0:
-        raise ConfigError(f"tolerance scale must be > 0, got {scale}")
+    if not (0.0 < scale < math.inf):
+        raise ConfigError(f"tolerance scale must be finite and > 0, got {scale}")
     results = verification.run_suite(tol_scale=scale,
                                      seed=opts.get("seed", verification.DEFAULT_SEED))
     if getattr(args, "json", False):
-        text = json.dumps(verification.results_to_json(results), indent=2) + "\n"
+        text = _json_text(verification.results_to_json(results))
     else:
         text = verification.render_report(results)
     _write_text(opts.get("out"), text)

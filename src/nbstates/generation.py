@@ -28,14 +28,21 @@ from .nbs_states import NBSParams, nbs, phase_factor, required_dimension
 NORM_SLACK = 1e-9
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class KerrParams:
-    """Kerr strength g1 > 0 and evolution time t >= 0."""
+    """Kerr strength g1 > 0 and evolution time t >= 0, both finite."""
 
     g1: float
     t: float
 
     def __post_init__(self):
+        _check_finite(g1=self.g1, t=self.t)
         if not (self.g1 > 0.0):
             raise DomainError(f"g1 must be > 0, got {self.g1}")
         if self.t < 0.0:
@@ -44,13 +51,14 @@ class KerrParams:
 
 @dataclass(frozen=True)
 class DispersiveParams:
-    """Atom phase phi, coupling g2 > 0, and interaction time t >= 0."""
+    """Atom phase phi, coupling g2 > 0, and interaction time t >= 0, all finite."""
 
     phi: float
     g2: float
     t: float
 
     def __post_init__(self):
+        _check_finite(g2=self.g2, t=self.t)
         if not (0.0 <= self.phi <= 2.0 * math.pi):
             raise DomainError(f"phi must lie in [0, 2*pi], got {self.phi}")
         if not (self.g2 > 0.0):

@@ -19,6 +19,7 @@ tail bound rather than a floating cumulative sum, which stalls at large M.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,11 +30,18 @@ from .errors import DomainError, TruncationError, ZeroNormError
 from .fock_core import FockVector, TruncationPolicy
 
 TWO_PI = 2.0 * math.pi
+# smallest eta whose square is still a normal float
+ETA_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
 class NBSParams:
-    """Magnitude eta in (0,1), phase theta in [0, 2*pi), integer index M >= 1."""
+    """Magnitude eta in (0,1), phase theta in [0, 2*pi), integer index M >= 1.
+
+    eta**2 must be a normal float (eta >= ~1.5e-154): below that it loses
+    precision and then underflows to 0, where log(eta**2) and the parity
+    normalization are undefined, so such an eta raises DomainError.
+    """
 
     M: int
     eta: float
@@ -44,6 +52,8 @@ class NBSParams:
             raise DomainError(f"M must be an integer >= 1, got {self.M}")
         if not (0.0 < self.eta < 1.0):
             raise DomainError(f"eta must lie strictly inside (0, 1), got {self.eta}")
+        if self.eta * self.eta < sys.float_info.min:
+            raise DomainError(f"eta**2 underflows for eta = {self.eta}; need eta >= {ETA_MIN!r}")
         if not (0.0 <= self.theta < TWO_PI):
             raise DomainError(f"theta must lie in [0, 2*pi), got {self.theta}")
 

@@ -14,7 +14,11 @@ O(M x).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from typing import Optional, Tuple
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .fock_core import PhotonStats, TruncationPolicy
@@ -148,54 +152,124 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
 # annihilation-operator moments and quadratures
 # ---------------------------------------------------------------------------
 
+class _LgammaTables:
+    """Rows math.lgamma(base + j), j = 0, 1, ..., kept for the few latest bases.
+
+    A row grows on demand (at least doubling) and its entries never change,
+    so a value read from it is the same float whichever call computed it.
+    Rows cost O(length) memory, never O(base), and only ``MAX_BASES`` of them
+    are kept, least recently used dropped first: lgamma(n + 1) plus
+    lgamma(M + n) for the three latest M, so that a sweep over eta at fixed M
+    reuses one row for both powers and every grid point.
+    """
+
+    MAX_BASES = 4
+
+    def __init__(self):
+        self._rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def row(self, base: int, length: int) -> np.ndarray:
+        """Read-only lgamma(base + j) for j = 0..length-1."""
+        with self._lock:
+            row = self._rows.pop(base, None)
+            have = 0 if row is None else row.size
+            if have < length:
+                size = max(length, 2 * have)
+                grown = np.array([math.lgamma(base + j) for j in range(have, size)])
+                row = grown if row is None else np.concatenate((row, grown))
+                row.setflags(write=False)
+            self._rows[base] = row
+            while len(self._rows) > self.MAX_BASES:
+                self._rows.popitem(last=False)
+        return row[:length]
+
+
+_LGAMMA = _LgammaTables()
+
+# a series term counts as negligible once it is this small against the partial sum
+_SERIES_RTOL = 1e-16
+
+
+def _series_n_hi(M: int, x: float) -> int:
+    # first guess at the last index the sum needs: the terms behave like a
+    # negative binomial pmf (mean M x/(1-x), sd sqrt(M x)/(1-x)) whose far
+    # tail falls by a factor x a step
+    mean = M * x / (1.0 - x)
+    sd = math.sqrt(M * x) / (1.0 - x)
+    return int(mean + 9.0 * sd - math.log(_SERIES_RTOL) / -math.log(x)) + 4
+
+
+def _parity_sums(terms: np.ndarray, stop: int) -> Tuple[float, float]:
+    # sums of terms[n] over even and over odd n <= stop
+    return (float(np.add.reduce(terms[0:stop + 1:2])),
+            float(np.add.reduce(terms[1:stop + 1:2])))
+
+
 def a_pow_expectation(k: int, phi: float, params: NBSParams,
                       policy: Optional[TruncationPolicy] = None) -> complex:
-    """<a^k> on the superposition via its binomial cross series.
+    """<a^k> on the superposition as a ratio of two sums over one weight series.
 
-    The series has positive terms with ratio -> eta^2, so partial sums are
-    monotone; summation stops once terms fall below 1e-16 of the running
-    total and raises ConvergenceError if policy.hard_cap terms are not
-    enough (the ratio test guarantees convergence for any eta < 1, but the
-    term budget is finite).
+    With w_n = C(M+n-1, n) x^n (the negative binomial weights, up to a
+    constant), F_n = prod_{j<k} eta sqrt(M+n+j), and sums E, O over even and
+    odd n,
+
+        <a^k> = e^{ik theta} ((1+c) E[wF] + (1-c) O[wF]) / D    for even k,
+        <a^k> = e^{ik theta} (-i s) (E[wF] - O[wF]) / D         for odd k,
+
+    where D = (1+c) E[w] + (1-c) O[w] = 1 + c r up to the same constant and
+    c + i s = e^{i phi}. Dividing by D summed from the same terms cancels the
+    constant, its rounding and the truncation.
+
+    All terms up to n_hi are evaluated at once from reused ``math.lgamma``
+    rows, with w scaled by its largest term: no term exceeds 1, and the
+    terms near the peak cannot underflow at large M, however small the early
+    ones get. The sums stop at the first n past the peak of t_n = w_n F_n
+    where t_n <= 1e-16 (t_0 + ... + t_n). If n_hi holds no such n, it is
+    doubled up to policy.hard_cap, and then ConvergenceError is raised (the
+    ratio test guarantees convergence for any eta < 1, but the term budget
+    is finite).
     """
     if int(k) != k or k < 1:
         raise DomainError(f"power k must be a positive integer, got {k}")
+    k = int(k)
     _check_phi(phi)
     policy = policy or TruncationPolicy()
     M, eta = params.M, params.eta
     x = eta * eta
     unit = phase_factor(phi)
     c, s = unit.real, unit.imag
-    n2 = 0.5 / _one_plus_c_exp(c, 2.0 * M * math.atanh(x))
 
-    lg_m = math.lgamma(M)
-    lg_mk = math.lgamma(M + k)
-    a_plus = 0.0
-    a_minus = 0.0
-    prev = math.inf
-    converged = False
-    for n in range(policy.hard_cap + 1):
-        log_t = (0.5 * (math.lgamma(M + n) - math.lgamma(n + 1) - lg_m)
-                 + 0.5 * (math.lgamma(M + n + k) - math.lgamma(n + 1) - lg_mk)
-                 + n * math.log(x) + (M + 0.5 * k) * math.log1p(-x))
-        t = math.exp(log_t)
-        a_plus += t
-        a_minus += t if n % 2 == 0 else -t
-        if n >= 1 and t <= prev and t <= 1e-16 * a_plus:
-            converged = True
+    n_hi = min(_series_n_hi(M, x), policy.hard_cap)
+    while True:
+        n = np.arange(n_hi + 1, dtype=np.float64)
+        log_w = _LGAMMA.row(M, n_hi + 1) - _LGAMMA.row(1, n_hi + 1) + n * math.log(x)
+        w = np.exp(log_w - log_w.max())
+        # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time so that no
+        # partial product overflows before the result would
+        m = n + M
+        t = w * np.sqrt(x * m)
+        for j in range(1, k):
+            t *= np.sqrt(x * (m + j))
+        peak = int(t.argmax())
+        done = t[peak + 1:] <= _SERIES_RTOL * t.cumsum()[peak + 1:]
+        if done.any():
+            stop = peak + 1 + int(done.argmax())
             break
-        prev = t
-    if not converged:
-        raise ConvergenceError(
-            f"<a^{k}> series needed more than {policy.hard_cap} terms at eta={eta}, M={M}"
-        )
+        if n_hi == policy.hard_cap:
+            raise ConvergenceError(
+                f"<a^{k}> series needed more than {policy.hard_cap} terms at eta={eta}, M={M}"
+            )
+        n_hi = min(2 * n_hi, policy.hard_cap)
 
-    prefactor = math.exp(0.5 * (lg_mk - lg_m) + k * math.log(eta)
-                         - 0.5 * k * math.log1p(-x))
-    even_k = 1.0 + (-1.0) ** k
-    odd_k = 1.0 - (-1.0) ** k
-    bracket = a_plus * even_k + a_minus * complex(c * even_k, -s * odd_k)
-    return n2 * prefactor * bracket * phase_factor(params.theta) ** k
+    t_even, t_odd = _parity_sums(t, stop)
+    w_even, w_odd = _parity_sums(w, stop)
+    denom = (1.0 + c) * w_even + (1.0 - c) * w_odd
+    if k % 2 == 0:
+        ratio = complex(((1.0 + c) * t_even + (1.0 - c) * t_odd) / denom)
+    else:
+        ratio = complex(0.0, -s * (t_even - t_odd) / denom)
+    return ratio * phase_factor(params.theta) ** k
 
 
 def quadrature_variances(phi: float, params: NBSParams,

@@ -23,6 +23,8 @@ FIG2_PHIS = FIG1_PHIS
 DEFAULT_ETA_START = 0.02
 DEFAULT_ETA_STOP = 0.95
 DEFAULT_GRID_STEP = 0.01
+# largest eta grid a sweep may ask for
+MAX_GRID_POINTS = 10 ** 5
 
 
 def format_value(x: Optional[float]) -> str:
@@ -62,11 +64,18 @@ class SweepConfig:
     grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self):
+        for name, value in (("eta_start", self.eta_start), ("eta_stop", self.eta_stop),
+                            ("grid_step", self.grid_step)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.grid_step <= 0.0:
             raise DomainError(f"grid_step must be > 0, got {self.grid_step}")
         if not (0.0 < self.eta_start <= self.eta_stop < 1.0):
             raise DomainError(
                 f"need 0 < eta_start <= eta_stop < 1, got [{self.eta_start}, {self.eta_stop}]")
+        if (self.eta_stop - self.eta_start) / self.grid_step >= MAX_GRID_POINTS:
+            raise DomainError(
+                f"grid_step {self.grid_step} gives more than {MAX_GRID_POINTS} eta points")
         if len(self.phis) == 0:
             raise DomainError("at least one phi value is required")
 

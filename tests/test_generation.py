@@ -22,6 +22,11 @@ def test_kerr_params_validated():
         KerrParams(g1=-2.0, t=1.0)
     with pytest.raises(DomainError):
         KerrParams(g1=1.0, t=-0.1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            KerrParams(g1=bad, t=1.0)
+        with pytest.raises(DomainError):
+            KerrParams(g1=1.0, t=bad)
 
 
 def test_dispersive_params_validated():
@@ -32,6 +37,11 @@ def test_dispersive_params_validated():
         DispersiveParams(phi=0.0, g2=0.0, t=1.0)
     with pytest.raises(DomainError):
         DispersiveParams(phi=0.0, g2=1.0, t=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            DispersiveParams(phi=0.0, g2=bad, t=1.0)
+        with pytest.raises(DomainError):
+            DispersiveParams(phi=0.0, g2=1.0, t=bad)
 
 
 def test_kerr_evolve_zero_time_is_identity():

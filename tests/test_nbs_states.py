@@ -6,7 +6,9 @@ import pytest
 
 from nbstates.errors import DomainError, TruncationError
 from nbstates.fock_core import TruncationPolicy, inner, oracle_stats, tail_mass
+from nbstates.statistics import mean_closed, quadrature_variances
 from nbstates.nbs_states import (
+    ETA_MIN,
     NBSParams,
     cat_state,
     coherent,
@@ -36,6 +38,23 @@ def test_params_validation():
         NBSParams(M=3, eta=0.5, theta=2.0 * math.pi)
     with pytest.raises(DomainError):
         NBSParams(M=3, eta=0.5, theta=-0.1)
+
+
+def test_eta_whose_square_underflows_is_rejected():
+    for eta in (1e-200, 1e-160, math.nextafter(ETA_MIN, 0.0)):
+        with pytest.raises(DomainError):
+            NBSParams(M=3, eta=eta)
+
+
+def test_smallest_eta_stays_finite():
+    # these raised ValueError or ZeroDivisionError once eta**2 reached 0
+    for M in (1, 50):
+        p = NBSParams(M=M, eta=ETA_MIN)
+        assert required_dimension(p, math.pi) >= 2
+        assert mean_closed(math.pi, p) == 1.0
+        assert quadrature_variances(math.pi, p) == (0.75, 0.75)
+        assert quadrature_variances(0.0, p) == (0.25, 0.25)
+        assert superposition(math.pi, p).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_factor_axis_exactness():

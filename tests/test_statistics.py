@@ -6,6 +6,7 @@ in x = eta**2, and for phi in {0, pi} the parity overlap is rho**M with
 rho = (1 - x)/(1 + x), still rational.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,3 +201,94 @@ def test_quadratures_match_oracle():
         got1, got2 = quadrature_variances(phi, p)
         assert got1 == pytest.approx(want1, rel=1e-10, abs=1e-12)
         assert got2 == pytest.approx(want2, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# large M: the series terms far below the peak underflow a plain sum
+# ---------------------------------------------------------------------------
+
+def _fock_quadratures(M, eta, phi, theta=0.0):
+    """(Var X1, Var X2) summed over a Fock vector built without nbstates.
+
+    log|c_n| is a running sum of 0.5*log((M+n-1)/n) + log(eta), so no gamma
+    function enters, and the vector runs 40 standard deviations past the mean.
+    """
+    x = eta * eta
+    n_max = int(M * x / (1.0 - x) + 40.0 * math.sqrt(M * x) / (1.0 - x) + 60.0)
+    n = np.arange(n_max + 1, dtype=np.float64)
+    steps = 0.5 * np.log((M + n[1:] - 1.0) / n[1:]) + math.log(eta)
+    logmag = np.concatenate(([0.0], np.cumsum(steps)))
+    amps = np.exp(logmag - logmag.max() + 1j * theta * n) \
+        * (1.0 + complex(math.cos(phi), math.sin(phi)) * (-1.0) ** n)
+    amps /= np.linalg.norm(amps)
+    assert np.abs(amps[-3:]).max() < 1e-15
+    mean = float(np.sum(n * np.abs(amps) ** 2))
+    ea = np.vdot(amps[:-1], np.sqrt(n[1:]) * amps[1:])
+    ea2 = np.vdot(amps[:-2], np.sqrt(n[1:-1] * n[2:]) * amps[2:])
+    return (0.25 + 0.5 * (mean + ea2.real - 2.0 * ea.real ** 2),
+            0.25 + 0.5 * (mean - ea2.real - 2.0 * ea.imag ** 2))
+
+
+@pytest.mark.parametrize("M, eta, phi, theta", [
+    (1000, 0.9, 0.0, 0.0),  # once printed var_x2 = 2131.83 instead of 0.0475
+    # a plain sum of exp(log t_n) first went wrong at M = 455 (eta 0.9) and
+    # M = 325 (eta 0.95)
+    (450, 0.9, 0.0, 0.0),
+    (455, 0.9, 0.0, 0.0),
+    (455, 0.9, math.pi, 0.0),
+    (455, 0.9, 2.0, 1.1),
+    (320, 0.95, 0.0, 0.0),
+    (325, 0.95, 0.0, 0.0),
+    (325, 0.95, math.pi, 0.0),
+    (325, 0.95, 3.0 * math.pi / 4.0, 0.0),
+])
+def test_quadratures_past_term_underflow_match_fock(M, eta, phi, theta):
+    got = quadrature_variances(phi, NBSParams(M=M, eta=eta, theta=theta))
+    want = _fock_quadratures(M, eta, phi, theta)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1e-2])
+def test_quadratures_huge_m_small_eta_in_bounded_memory(eta):
+    M = 10 ** 6
+    for phi in (0.0, math.pi / 2.0, math.pi):
+        tracemalloc.start()
+        try:
+            got = quadrature_variances(phi, NBSParams(M=M, eta=eta))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # nothing may scale with M: a table over 0..M alone would be 8 MB
+        assert peak < 1_000_000
+        want = _fock_quadratures(M, eta, phi)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+
+
+def _mpmath_var_x2_odd(M, eta, mp):
+    """Var X2 of the phi = pi superposition at theta = 0 from a 45-digit Fock sum."""
+    with mp.workdps(45):
+        e = mp.mpf(eta)
+        peak_n = M * eta * eta / (1.0 - eta * eta)
+        b, top, cut = mp.mpf(1), mp.mpf(1), mp.mpf(10) ** -30
+        bare = [b]
+        while len(bare) < peak_n or b > cut * top:
+            n = len(bare) - 1
+            b = b * e * mp.sqrt(mp.mpf(M + n) / (n + 1))
+            top = max(top, b)
+            bare.append(b)
+        odd = [(n, bare[n]) for n in range(1, len(bare), 2)]
+        total = mp.fsum(c * c for _, c in odd)
+        mean = mp.fsum(n * c * c for n, c in odd) / total
+        ea2 = mp.fsum(bare[n] * mp.sqrt((n + 1) * (n + 2)) * bare[n + 2]
+                      for n, _ in odd if n + 2 < len(bare)) / total
+        return float(mp.mpf(1) / 4 + (mean - ea2) / 2)
+
+
+@pytest.mark.parametrize("M, eta", [(300, 0.9122), (300, 0.9422), (300, 0.9495), (1000, 0.93)])
+def test_var_x2_against_mpmath_fock_sum(M, eta):
+    mp = pytest.importorskip("mpmath").mp
+    want = _mpmath_var_x2_odd(M, eta, mp)
+    got = quadrature_variances(math.pi, NBSParams(M=M, eta=eta))[1]
+    assert abs(got - want) <= 5e-10

@@ -1,12 +1,14 @@
 """Sweep grids, CSV rendering, and the command line driver (run in process)."""
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from nbstates.cli import load_config, main
-from nbstates.errors import ConfigError, DomainError
+from nbstates.cli import _json_text, load_config, main
+from nbstates.errors import ConfigError, DomainError, NumericsError
 from nbstates.nbs_states import NBSParams
 from nbstates.sweeps import (FIG1_PHIS, SweepConfig, fig1_config, fig1_records,
                              fig2_config, fig2_records, format_value,
@@ -69,6 +71,23 @@ def test_sweep_config_validation():
         SweepConfig(M=30, eta_stop=1.0)
     with pytest.raises(DomainError):
         SweepConfig(M=30, phis=())
+
+
+# these configs would make grid_etas loop forever or exhaust memory, so only
+# their construction is exercised
+@pytest.mark.parametrize("bad", [
+    dict(eta_start=math.nan), dict(eta_stop=math.nan), dict(grid_step=math.nan),
+    dict(eta_start=-math.inf), dict(eta_stop=math.inf), dict(grid_step=math.inf),
+    dict(grid_step=1e-300), dict(eta_start=0.01, eta_stop=0.99, grid_step=9.8e-6),
+])
+def test_sweep_config_rejects_non_finite_and_huge_grids(bad):
+    with pytest.raises(DomainError):
+        SweepConfig(M=30, **bad)
+
+
+def test_sweep_config_accepts_grid_at_point_cap():
+    # (0.99 - 0.01) / 9.8e-6 = 99999.99..., i.e. 10**5 points
+    SweepConfig(M=30, eta_start=0.01, eta_stop=0.99, grid_step=9.80001e-6)
 
 
 def test_pn_table_and_rendering():
@@ -217,6 +236,43 @@ def test_unknown_config_key_fails(tmp_path, capsys):
 def test_domain_error_exit_code(capsys):
     assert main(["pn", "--M", "0", "--eta", "0.4"]) == 1
     assert "domain error" in capsys.readouterr().err
+
+
+def test_non_finite_grid_step_exit_code(capsys):
+    assert main(["fig2", "--grid-step", "nan"]) == 1
+    assert "grid_step must be finite" in capsys.readouterr().err
+    assert main(["fig1", "--grid-step", "1e-300"]) == 1
+    assert "eta points" in capsys.readouterr().err
+
+
+def test_non_finite_generation_rates_exit_code(capsys):
+    assert main(["generate", "--protocol", "kerr", "--M", "2", "--eta", "0.3",
+                 "--g1", "inf"]) == 1
+    assert "g1 must be finite" in capsys.readouterr().err
+    assert main(["generate", "--protocol", "dispersive", "--M", "2", "--eta", "0.3",
+                 "--g2t", "nan"]) == 1
+    assert "t must be finite" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_finite_tolerance(capsys):
+    for bad in ("nan", "inf"):
+        assert main(["verify", "--tolerance", bad]) == 1
+        assert "tolerance scale must be finite" in capsys.readouterr().err
+
+
+def test_json_reports_reject_non_finite_numbers():
+    with pytest.raises(NumericsError):
+        _json_text({"fidelity": math.nan})
+    assert json.loads(_json_text({"fidelity": 1.0})) == {"fidelity": 1.0}
+
+
+def test_underflowing_eta_exits_cleanly():
+    # fresh interpreter, so a traceback on stderr would be seen
+    proc = subprocess.run([sys.executable, "-m", "nbstates.cli", "pn", "--M", "3",
+                           "--eta", "1e-200"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("domain error: eta**2 underflows")
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code(capsys):
