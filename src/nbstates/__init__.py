@@ -41,6 +41,7 @@ from .nbs_states import (
     normalization_constant,
     odd_coherent,
     odd_nbs,
+    partner_phase,
     phase_factor,
     photon_distribution,
     required_dimension,

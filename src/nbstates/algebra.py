@@ -7,10 +7,13 @@ p0 in {0, 1}, satisfies an exact componentwise identity
     odd:   (N-1)|psi> = f(N) a^dag^2 |psi>, f(N) = sqrt((N-1)/N) C((N-1)/2)/C((N-3)/2)
 
 so the pair operators A+ = f(N) a^dag^2 and A- = (A+)^dag close a deformed
-algebra with structure function S(N) = f(N)^2 N (N-1).  The checks in this
-module realize A+/-, the ladder-site number operator and S explicitly as
-matrices on the parity subspace and measure how well the product and
-commutator relations hold.
+algebra with structure function S(N) = f(N)^2 N (N-1).  The coefficients
+C(m) are not built here: a ParitySequence is the slice amplitudes[p0::2] of
+a vector made by a constructor in ``nbs_states`` (``even_nbs``, ``odd_nbs``,
+``even_coherent``, ...), so the truncation of that vector fixes how many
+ladder sites every check below covers.  The checks realize A+/-, the
+ladder-site number operator and S on those sites and measure how well the
+product and commutator relations hold.
 
 Conventions that matter:
 
@@ -28,173 +31,131 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, PoleError
 from .fock_core import FockVector, TruncationPolicy
-from .nbs_states import NBSParams, phase_factor, required_dimension
+from .nbs_states import NBSParams, superposition
 
 _PARITIES = ("even", "odd")
 
 
 @dataclass(frozen=True)
 class ParitySequence:
-    """Coefficients C(m) of a state supported on photon numbers p0 + 2m."""
+    """Coefficients C(m) of a state supported on photon numbers p0 + 2m.
 
-    parity: str
-    coeff: Callable[[int], complex]
+    Build it with ``ParitySequence.of(vector)``: ``coeffs`` is the read-only
+    view ``vector.amplitudes[p0::2]``, and its length fixes n_max.
+    """
 
-    def __post_init__(self):
-        if self.parity not in _PARITIES:
-            raise DomainError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+    offset: int
+    coeffs: np.ndarray
+
+    @classmethod
+    def of(cls, v: FockVector) -> "ParitySequence":
+        """The parity is the class whose amplitudes are not all exactly zero.
+
+        Raises DomainError unless exactly one class carries amplitude, or if
+        any amplitude is not finite.
+        """
+        amps = v.amplitudes
+        if not np.all(np.isfinite(amps)):
+            raise DomainError("amplitudes must be finite")
+        carried = [p0 for p0 in (0, 1) if np.any(amps[p0::2])]
+        if len(carried) != 1:
+            raise DomainError("vector must be supported on exactly one parity class, "
+                              f"found support on {[_PARITIES[p] for p in carried]}")
+        p0 = carried[0]
+        return cls(offset=p0, coeffs=amps[p0::2])
 
     @property
-    def offset(self) -> int:
-        return 0 if self.parity == "even" else 1
+    def parity(self) -> str:
+        return _PARITIES[self.offset]
 
-    def photon_index(self, m: int) -> int:
-        if m < 0:
-            raise DomainError(f"pair index must be >= 0, got {m}")
-        return self.offset + 2 * m
+    @property
+    def photon_numbers(self) -> np.ndarray:
+        """p0 + 2m for every pair index m held."""
+        return self.offset + 2 * np.arange(self.coeffs.size)
 
-    def realize(self, n_max: int) -> FockVector:
-        amps = np.zeros(n_max + 1, dtype=np.complex128)
-        m = 0
-        while self.photon_index(m) <= n_max:
-            amps[self.photon_index(m)] = self.coeff(m)
-            m += 1
+    @property
+    def n_max(self) -> int:
+        return self.offset + 2 * (self.coeffs.size - 1)
+
+    def realize(self) -> FockVector:
+        amps = np.zeros(self.n_max + 1, dtype=np.complex128)
+        amps[self.offset::2] = self.coeffs
         return FockVector(amps)
 
 
 @dataclass(frozen=True)
 class StructureFunction:
-    """Deformation profile: f on parity-matching photon numbers, S(N) = f(N)^2 N (N-1)."""
+    """Deformation profile: f on parity-matching photon numbers, S(N) = f(N)^2 N (N-1).
+
+    ``values[m - 1]`` is f(p0 + 2m) for the pair indices m = 1, 2, ... of the
+    sequence it was derived from; it is NaN where C(m - 1) vanishes (a pole).
+    """
 
     parity: str
-    f: Callable[[int], complex]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.parity not in _PARITIES:
             raise DomainError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+
+    def f(self, n: int) -> complex:
+        if int(n) != n:
+            raise DomainError(f"photon number must be an integer, got {n}")
+        if self.parity == "even" and (n % 2 != 0 or n < 2):
+            raise DomainError(f"even-parity structure function needs even n >= 2, got {n}")
+        if self.parity == "odd" and (n % 2 != 1 or n < 3):
+            raise DomainError(f"odd-parity structure function needs odd n >= 3, got {n}")
+        m = int(n) // 2
+        if m > self.values.size:
+            raise DomainError(f"f({n}) lies past the last photon number of its sequence")
+        fv = self.values[m - 1]
+        if np.isnan(fv):
+            raise PoleError(f"coefficient at pair index {m - 1} vanishes; f({n}) undefined")
+        return complex(fv)
 
     def s(self, n: int) -> complex:
         fv = self.f(n)
         return fv * fv * n * (n - 1)
 
 
-def _check_parity_index(parity: str, n: int) -> None:
-    if int(n) != n:
-        raise DomainError(f"photon number must be an integer, got {n}")
-    if parity == "even" and (n % 2 != 0 or n < 2):
-        raise DomainError(f"even-parity structure function needs even n >= 2, got {n}")
-    if parity == "odd" and (n % 2 != 1 or n < 3):
-        raise DomainError(f"odd-parity structure function needs odd n >= 3, got {n}")
+def _check_poles(pole: np.ndarray) -> None:
+    # pole[m] marks a vanishing coefficient at pair index m
+    if pole.any():
+        raise PoleError(f"coefficient at pair index {int(np.argmax(pole))} vanishes")
 
 
 def derive_structure_function(seq: ParitySequence) -> StructureFunction:
     """Read f off the coefficient ratios of a parity sequence.
 
-    Raises PoleError (naming the offending pair index) if the coefficient in
-    the denominator vanishes.
+    A vanishing coefficient in the denominator leaves a pole: reading f there
+    raises PoleError naming the offending pair index.
     """
-
-    def f(n: int) -> complex:
-        _check_parity_index(seq.parity, n)
-        if seq.parity == "even":
-            m = n // 2
-            scale = math.sqrt(n / (n - 1))
-        else:
-            m = (n - 1) // 2
-            scale = math.sqrt((n - 1) / n)
-        below = seq.coeff(m - 1)
-        if below == 0:
-            raise PoleError(f"coefficient at pair index {m - 1} vanishes; f({n}) undefined")
-        return scale * seq.coeff(m) / below
-
-    return StructureFunction(parity=seq.parity, f=f)
+    n = seq.photon_numbers[1:].astype(np.float64)
+    scale = np.sqrt(n / (n - 1.0)) if seq.parity == "even" else np.sqrt((n - 1.0) / n)
+    below = seq.coeffs[:-1]
+    values = np.full(n.size, np.nan, dtype=np.complex128)
+    np.divide(scale * seq.coeffs[1:], below, out=values, where=below != 0)
+    values.setflags(write=False)
+    return StructureFunction(parity=seq.parity, values=values)
 
 
-# ---------------------------------------------------------------------------
-# concrete coefficient sequences
-# ---------------------------------------------------------------------------
-
-def even_nbs_sequence(params: NBSParams) -> ParitySequence:
-    M, eta = params.M, params.eta
-    x = eta * eta
-    s_exp = 2.0 * M * math.atanh(x)
-    log_pref = 0.5 * (math.log(2.0) - math.log1p(math.exp(-s_exp))) + 0.5 * M * math.log1p(-x)
-    unit = phase_factor(params.theta)
-
-    def coeff(m: int) -> complex:
-        if m < 0:
-            raise DomainError(f"pair index must be >= 0, got {m}")
-        n = 2 * m
-        logmag = log_pref + 0.5 * (math.lgamma(M + n) - math.lgamma(n + 1) - math.lgamma(M)) \
-            + n * math.log(eta)
-        return math.exp(logmag) * unit ** n
-
-    return ParitySequence(parity="even", coeff=coeff)
-
-
-def odd_nbs_sequence(params: NBSParams) -> ParitySequence:
-    M, eta = params.M, params.eta
-    x = eta * eta
-    # 1 - r computed as -expm1(-s) so small eta keeps full precision
-    one_minus_r = -math.expm1(-2.0 * M * math.atanh(x))
-    log_pref = 0.5 * (math.log(2.0) - math.log(one_minus_r)) + 0.5 * M * math.log1p(-x)
-    unit = phase_factor(params.theta)
-
-    def coeff(m: int) -> complex:
-        if m < 0:
-            raise DomainError(f"pair index must be >= 0, got {m}")
-        n = 2 * m + 1
-        logmag = log_pref + 0.5 * (math.lgamma(M + n) - math.lgamma(n + 1) - math.lgamma(M)) \
-            + n * math.log(eta)
-        return math.exp(logmag) * unit ** n
-
-    return ParitySequence(parity="odd", coeff=coeff)
-
-
-def _log_cosh(a: float) -> float:
-    return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
-
-
-def _log_sinh(a: float) -> float:
-    return a + math.log1p(-math.exp(-2.0 * a)) - math.log(2.0)
-
-
-def even_coherent_sequence(alpha: complex) -> ParitySequence:
-    aa = abs(alpha) ** 2
-    if aa == 0.0:
-        raise DomainError("even coherent sequence requires alpha != 0")
-    unit = alpha / abs(alpha)
-
-    def coeff(m: int) -> complex:
-        if m < 0:
-            raise DomainError(f"pair index must be >= 0, got {m}")
-        n = 2 * m
-        logmag = n * math.log(abs(alpha)) - 0.5 * _log_cosh(aa) - 0.5 * math.lgamma(n + 1)
-        return math.exp(logmag) * unit ** n
-
-    return ParitySequence(parity="even", coeff=coeff)
-
-
-def odd_coherent_sequence(alpha: complex) -> ParitySequence:
-    aa = abs(alpha) ** 2
-    if aa == 0.0:
-        raise DomainError("odd coherent sequence requires alpha != 0")
-    unit = alpha / abs(alpha)
-
-    def coeff(m: int) -> complex:
-        if m < 0:
-            raise DomainError(f"pair index must be >= 0, got {m}")
-        n = 2 * m + 1
-        logmag = n * math.log(abs(alpha)) - 0.5 * _log_sinh(aa) - 0.5 * math.lgamma(n + 1)
-        return math.exp(logmag) * unit ** n
-
-    return ParitySequence(parity="odd", coeff=coeff)
+def _ladder_f(sf: StructureFunction, seq: ParitySequence, read: np.ndarray) -> np.ndarray:
+    # f at the photon numbers of pair indices 1..len(seq)-1; a pole is an
+    # error only where ``read`` is set
+    if sf.parity != seq.parity:
+        raise DomainError(f"parity mismatch: {sf.parity!r} vs {seq.parity!r}")
+    if sf.values.size < seq.coeffs.size - 1:
+        raise DomainError(f"structure function covers {sf.values.size} pair indices, "
+                          f"the sequence needs {seq.coeffs.size - 1}")
+    f = sf.values[:seq.coeffs.size - 1]
+    _check_poles(np.isnan(f) & read)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -216,60 +177,53 @@ class GdoResiduals:
                    self.product_raise, self.product_lower)
 
 
-def gdo_relations_check(sf: StructureFunction, seq: ParitySequence, n_max: int) -> GdoResiduals:
-    """Realize A+ = f(N) a^dag^2, A- = (A+)^dag on the parity subspace and test the algebra.
+def gdo_relations_check(sf: StructureFunction, seq: ParitySequence) -> GdoResiduals:
+    """Realize A+ = f(N) a^dag^2, A- = (A+)^dag on the parity sites and test the algebra.
 
     With N counting ladder sites, the relations are [N, A+] = A+,
     [N, A-] = -A-, (A- A+) diag = |S| one site up, (A+ A-) diag = |S| at the
-    site.  Residuals are max-abs over the matrix block that excludes the top
-    two ladder sites, where truncation bends the products.
+    site.  A+ has one nonzero diagonal, a_j = A+[j+1, j], so each relation is
+    compared entry by entry on it; every other matrix entry is exactly zero
+    on both sides.  Residuals are max-abs over the sites below the top two,
+    where truncation bends the products.
     """
-    if sf.parity != seq.parity:
-        raise DomainError(f"parity mismatch: {sf.parity!r} vs {seq.parity!r}")
-    p0 = seq.offset
-    sites = (n_max - p0) // 2 + 1
+    sites = seq.coeffs.size
     if sites < 4:
-        raise DomainError(f"n_max={n_max} leaves too few ladder sites ({sites}) to check")
+        raise DomainError(f"n_max={seq.n_max} leaves too few ladder sites ({sites}) to check")
+    f = _ladder_f(sf, seq, read=True)
 
-    a_plus = np.zeros((sites, sites), dtype=np.complex128)
-    for j in range(sites - 1):
-        n_to = p0 + 2 * (j + 1)
-        a_plus[j + 1, j] = sf.f(n_to) * math.sqrt((n_to - 1) * n_to)
-    a_minus = a_plus.conj().T
-    n_op = np.diag(np.arange(sites, dtype=np.float64))
-
-    s_site = np.zeros(sites)
-    for j in range(1, sites):
-        s_site[j] = abs(sf.s(p0 + 2 * j))
-
-    trim = slice(0, sites - 2)
-    comm_raise = n_op @ a_plus - a_plus @ n_op - a_plus
-    comm_lower = n_op @ a_minus - a_minus @ n_op + a_minus
-    prod_raise = a_minus @ a_plus - np.diag(np.roll(s_site, -1))
-    prod_lower = a_plus @ a_minus - np.diag(s_site)
+    n = seq.photon_numbers[1:].astype(np.float64)
+    a_plus = f * np.sqrt((n - 1.0) * n)
+    a_minus = a_plus.conj()
+    j = np.arange(a_plus.size, dtype=np.float64)
+    # entries (j+1, j) of N A+ - A+ N - A+ and (j, j+1) of N A- - A- N + A-
+    comm_raise = (j + 1.0) * a_plus - a_plus * j - a_plus
+    comm_lower = j * a_minus - a_minus * (j + 1.0) + a_minus
+    # (A- A+)[j, j] = (A+ A-)[j+1, j+1] = |a_j|^2, against |S| at site j + 1
+    prod = a_plus.real ** 2 + a_plus.imag ** 2 - np.abs(f * f * n * (n - 1.0))
     return GdoResiduals(
-        commutator_raise=float(np.max(np.abs(comm_raise[trim, trim]))),
-        commutator_lower=float(np.max(np.abs(comm_lower[trim, trim]))),
-        product_raise=float(np.max(np.abs(prod_raise[trim, trim]))),
-        product_lower=float(np.max(np.abs(prod_lower[trim, trim]))),
+        commutator_raise=float(np.max(np.abs(comm_raise[:sites - 3]))),
+        commutator_lower=float(np.max(np.abs(comm_lower[:sites - 3]))),
+        product_raise=float(np.max(np.abs(prod[:sites - 2]))),
+        product_lower=float(np.max(np.abs(prod[:sites - 3]))),
     )
 
 
-def creation_identity_residual(sf: StructureFunction, seq: ParitySequence, n_max: int) -> float:
+def creation_identity_residual(sf: StructureFunction, seq: ParitySequence) -> float:
     """Max-abs residual of N|psi> = f(N) a^dag^2 |psi> (even) or (N-1)|psi> = ... (odd).
 
     a^dag^2 only pushes amplitude upward, so this identity is clean on every
-    retained component; no rows are excluded.
+    retained component; no rows are excluded.  Sites whose lower neighbour
+    vanishes get no raised amplitude, so a pole there is not an error.
     """
-    if sf.parity != seq.parity:
-        raise DomainError(f"parity mismatch: {sf.parity!r} vs {seq.parity!r}")
-    v = seq.realize(n_max).amplitudes
-    n = np.arange(n_max + 1, dtype=np.float64)
-    lhs = (n if seq.parity == "even" else n - 1.0) * v
-    rhs = np.zeros_like(v)
-    for idx in range(2, n_max + 1):
-        if v[idx - 2] != 0:
-            rhs[idx] = sf.f(idx) * math.sqrt((idx - 1) * idx) * v[idx - 2]
+    c = seq.coeffs
+    below = c[:-1]
+    live = below != 0
+    f = _ladder_f(sf, seq, read=live)
+    n = seq.photon_numbers.astype(np.float64)
+    lhs = (n - seq.offset) * c
+    rhs = np.zeros_like(c)
+    rhs[1:] = np.where(live, f * np.sqrt((n[1:] - 1.0) * n[1:]) * below, 0.0)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -280,54 +234,47 @@ def _a2(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def lowering_ratio_residual(seq: ParitySequence, n_max: int) -> float:
+def lowering_ratio_residual(seq: ParitySequence) -> float:
     """Componentwise residual of a^2|psi> = sqrt((N+1)(N+2)) (C_up/C) |psi>.
 
     The top two components of a^2 are truncation-corrupted and excluded.
     """
-    v = seq.realize(n_max).amplitudes
-    lowered = _a2(v)
-    expected = np.zeros_like(v)
-    m = 0
-    while seq.photon_index(m) <= n_max - 2:
-        n = seq.photon_index(m)
-        below = seq.coeff(m)
-        if below == 0:
-            raise PoleError(f"coefficient at pair index {m} vanishes")
-        expected[n] = math.sqrt((n + 1) * (n + 2)) * (seq.coeff(m + 1) / below) * v[n]
-        m += 1
-    keep = slice(0, n_max - 1)
-    return float(np.max(np.abs(lowered[keep] - expected[keep])))
+    c = seq.coeffs
+    below = c[:-1]
+    _check_poles(below == 0)
+    n = seq.photon_numbers[:-1].astype(np.float64)
+    root = np.sqrt((n + 1.0) * (n + 2.0))
+    lowered = root * c[1:]
+    expected = root * (c[1:] / below) * below
+    return float(np.max(np.abs(lowered - expected), initial=0.0))
 
 
-def _pair_eigen_residual(v: np.ndarray, scale: np.ndarray) -> float:
-    lowered = _a2(v)
-    keep = slice(0, v.size - 2)
-    return float(np.max(np.abs(lowered[keep] - scale[keep] * v[keep])))
+def _pair_lowering_residual(params: NBSParams, phi: float, policy: Optional[TruncationPolicy],
+                            n_max: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """a^2 psi - lambda_N psi on the phi superposition, and F(N) = ((M+N)(M+N+1))^{-1/2}.
+
+    lambda_N = eta_c^2 / F(N) is the pair eigenvalue; the top two rows are dropped.
+    """
+    v = superposition(phi, params, policy, n_max).amplitudes
+    if v.size < 3:
+        raise DomainError(f"n_max={v.size - 1} leaves no row below the top two to check")
+    n = np.arange(v.size - 2, dtype=np.float64)
+    root = np.sqrt((params.M + n) * (params.M + n + 1.0))
+    return _a2(v)[:-2] - root * params.eta_c ** 2 * v[:-2], 1.0 / root
 
 
 def eigen_residual_even(params: NBSParams, policy: Optional[TruncationPolicy] = None,
                         n_max: Optional[int] = None) -> float:
     """Residual of a^2 |even NBS> = sqrt((M+N)(M+N+1)) eta_c^2 |even NBS>, top two rows excluded."""
-    if n_max is None:
-        n_max = required_dimension(params, 0.0, policy)
-    seq = even_nbs_sequence(params)
-    v = seq.realize(n_max).amplitudes
-    n = np.arange(n_max + 1, dtype=np.float64)
-    scale = np.sqrt((params.M + n) * (params.M + n + 1.0)) * params.eta_c ** 2
-    return _pair_eigen_residual(v, scale)
+    resid, _ = _pair_lowering_residual(params, 0.0, policy, n_max)
+    return float(np.max(np.abs(resid)))
 
 
 def eigen_residual_odd(params: NBSParams, policy: Optional[TruncationPolicy] = None,
                        n_max: Optional[int] = None) -> float:
     """Same two-photon eigenvalue residual for the odd NBS."""
-    if n_max is None:
-        n_max = required_dimension(params, math.pi, policy)
-    seq = odd_nbs_sequence(params)
-    v = seq.realize(n_max).amplitudes
-    n = np.arange(n_max + 1, dtype=np.float64)
-    scale = np.sqrt((params.M + n) * (params.M + n + 1.0)) * params.eta_c ** 2
-    return _pair_eigen_residual(v, scale)
+    resid, _ = _pair_lowering_residual(params, math.pi, policy, n_max)
+    return float(np.max(np.abs(resid)))
 
 
 def nonlinear_coherent_residual(params: NBSParams, policy: Optional[TruncationPolicy] = None,
@@ -336,16 +283,11 @@ def nonlinear_coherent_residual(params: NBSParams, policy: Optional[TruncationPo
 
     Checked for both parity states; returns the worse of the two.  This is
     the sense in which the parity NBS pair behaves as nonlinear coherent
-    states of the pair-lowering operator.
+    states of the pair-lowering operator.  F(N) (a^2 - lambda_N) psi equals
+    F(N) a^2 psi - eta_c^2 psi, so this is the eigen residual weighted by F.
     """
     worst = 0.0
-    for phi, seq_fn in ((0.0, even_nbs_sequence), (math.pi, odd_nbs_sequence)):
-        dim = n_max if n_max is not None else required_dimension(params, phi, policy)
-        v = seq_fn(params).realize(dim).amplitudes
-        n = np.arange(dim + 1, dtype=np.float64)
-        f_of_n = 1.0 / np.sqrt((params.M + n) * (params.M + n + 1.0))
-        lowered = _a2(v) * f_of_n
-        keep = slice(0, dim - 1)
-        resid = float(np.max(np.abs(lowered[keep] - params.eta_c ** 2 * v[keep])))
-        worst = max(worst, resid)
+    for phi in (0.0, math.pi):
+        resid, f_of_n = _pair_lowering_residual(params, phi, policy, n_max)
+        worst = max(worst, float(np.max(np.abs(f_of_n * resid))))
     return worst

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from .errors import ConfigError, DomainError, NumericsError
 from .generation import DispersiveParams, dispersive_protocol, fidelity, kerr_generate
-from .nbs_states import NBSParams, required_dimension, superposition
+from .nbs_states import NBSParams, partner_phase, superposition
 from . import sweeps, verification
 
 
@@ -208,8 +208,7 @@ def cmd_generate(args) -> int:
         disp = DispersiveParams(phi=phi, g2=g2, t=g2t / g2)
         outcome = dispersive_protocol(params, disp)
         target_g = superposition(phi, params, n_max=outcome.projected_g.n_max)
-        phi_opp = phi + math.pi if phi <= math.pi else phi - math.pi
-        target_e = superposition(phi_opp, params, n_max=outcome.projected_e.n_max)
+        target_e = superposition(partner_phase(phi), params, n_max=outcome.projected_e.n_max)
         report = {
             "protocol": "dispersive",
             "M": params.M,

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ZeroNormError
 from .fock_core import FockVector, TruncationPolicy, inner
-from .nbs_states import NBSParams, nbs, phase_factor, required_dimension
+from .nbs_states import (NBSParams, _check_phi, nbs, partner_phase, phase_factor,
+                         required_dimension)
 
 # how far ||g||^2 + ||e||^2 may drift from 1 before the joint state is rejected
 NORM_SLACK = 1e-9
@@ -59,8 +60,7 @@ class DispersiveParams:
 
     def __post_init__(self):
         _check_finite(g2=self.g2, t=self.t)
-        if not (0.0 <= self.phi <= 2.0 * math.pi):
-            raise DomainError(f"phi must lie in [0, 2*pi], got {self.phi}")
+        _check_phi(self.phi)
         if not (self.g2 > 0.0):
             raise DomainError(f"g2 must be > 0, got {self.g2}")
         if self.t < 0.0:
@@ -131,8 +131,7 @@ def dispersive_protocol(params: NBSParams, disp: DispersiveParams,
         # the conditional states are parity superpositions; size for the
         # widest of the two so either projection is representable
         d_g = required_dimension(params, disp.phi, policy)
-        phi_opp = disp.phi + math.pi if disp.phi <= math.pi else disp.phi - math.pi
-        n_max = max(d_g, required_dimension(params, phi_opp, policy))
+        n_max = max(d_g, required_dimension(params, partner_phase(disp.phi), policy))
     base = nbs(params, n_max=n_max).amplitudes
     n = np.arange(n_max + 1)
     rotated = base * phase_factor(-disp.g2 * disp.t) ** n

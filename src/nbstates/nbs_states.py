@@ -12,19 +12,22 @@ and thermal-like statistics.  The two-component superposition
 
 keeps only even photon numbers at phi = 0 and only odd ones at phi = pi.
 
-All amplitudes are assembled in log space (gammaln) so the constructors stay
-accurate up to M ~ 1e4, and truncation dimensions are chosen from a geometric
-tail bound rather than a floating cumulative sum, which stalls at large M.
+All amplitudes are assembled in log space from one shared table of
+``math.lgamma`` rows (also used by the <a^k> series in ``statistics``), so the
+constructors stay accurate up to M ~ 1e4, and truncation dimensions are chosen
+from a geometric tail bound rather than a floating cumulative sum, which
+stalls at large M.
 """
 from __future__ import annotations
 
 import math
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError, ZeroNormError
 from .fock_core import FockVector, TruncationPolicy
@@ -83,6 +86,12 @@ def _check_phi(phi: float) -> None:
         raise DomainError(f"phi must lie in [0, 2*pi], got {phi}")
 
 
+def partner_phase(phi: float) -> float:
+    """phi + pi wrapped back into [0, 2*pi]: the phase of the opposite-parity partner."""
+    _check_phi(phi)
+    return phi + math.pi if phi <= math.pi else phi - math.pi
+
+
 def _one_plus_c_exp(c: float, minus_exponent: float) -> float:
     # 1 + c*exp(-minus_exponent), written to survive c near -1 with a small exponent:
     # 1 + c e^{-s} = (1 + c) + c (e^{-s} - 1), both addends free of cancellation.
@@ -102,16 +111,28 @@ def _log_parity_overlap_exponent(params: NBSParams) -> float:
     return 2.0 * params.M * math.atanh(params.eta * params.eta)
 
 
-def normalization_constant(phi: float, params: NBSParams) -> float:
-    """N with |phi;eta_c,M> = N (|eta_c,M> + e^{i phi} |-eta_c,M>); N = (2(1+cos(phi) r))^{-1/2}."""
-    _check_phi(phi)
-    c = phase_factor(phi).real
-    denom = 2.0 * _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
+def _parity_norm(phi: float, minus_exponent: float) -> float:
+    # (2 (1 + cos(phi) e^{-s}))^{-1/2} for two components with overlap e^{-s}
+    denom = 2.0 * _one_plus_c_exp(phase_factor(phi).real, minus_exponent)
     if denom <= 0.0:
-        raise ZeroNormError(f"superposition norm vanished at phi={phi}, eta={params.eta}, M={params.M}")
+        raise ZeroNormError(
+            f"superposition norm vanished at phi={phi}, component overlap exp(-{minus_exponent})")
     # sqrt of the reciprocal is correctly rounded where 1/sqrt is an ulp off
     # (phi = pi/2 must give exactly 2**-0.5)
     return math.sqrt(1.0 / denom)
+
+
+def _parity_superposition(base: np.ndarray, phi: float, minus_exponent: float) -> FockVector:
+    """Normalized amplitudes of |b> + e^{i phi} |b'>, where b'_n = (-1)^n b_n."""
+    sign = np.where(np.arange(base.size) % 2 == 0, 1.0, -1.0)
+    factor = 1.0 + phase_factor(phi) * sign
+    return FockVector(_parity_norm(phi, minus_exponent) * base * factor)
+
+
+def normalization_constant(phi: float, params: NBSParams) -> float:
+    """N with |phi;eta_c,M> = N (|eta_c,M> + e^{i phi} |-eta_c,M>); N = (2(1+cos(phi) r))^{-1/2}."""
+    _check_phi(phi)
+    return _parity_norm(phi, _log_parity_overlap_exponent(params))
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +209,49 @@ def required_dimension_cat(alpha: complex, phi: Optional[float] = None,
 # constructors
 # ---------------------------------------------------------------------------
 
+class _LgammaTables:
+    """Rows math.lgamma(base + j), j = 0, 1, ..., kept for the few latest bases.
+
+    A row grows on demand (at least doubling) and its entries never change,
+    so a value read from it is the same float whichever call computed it.
+    Rows cost O(length) memory, never O(base), and only ``MAX_BASES`` of them
+    are kept, least recently used dropped first: lgamma(n + 1) plus
+    lgamma(M + n) for the three latest M, so that a sweep over eta at fixed M
+    reuses one row for both powers and every grid point.
+    """
+
+    MAX_BASES = 4
+
+    def __init__(self):
+        self._rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def row(self, base: int, length: int) -> np.ndarray:
+        """Read-only lgamma(base + j) for j = 0..length-1."""
+        with self._lock:
+            row = self._rows.pop(base, None)
+            have = 0 if row is None else row.size
+            if have < length:
+                size = max(length, 2 * have)
+                grown = np.fromiter(map(math.lgamma, range(base + have, base + size)),
+                                    dtype=np.float64, count=size - have)
+                row = grown if row is None else np.concatenate((row, grown))
+                row.setflags(write=False)
+            self._rows[base] = row
+            while len(self._rows) > self.MAX_BASES:
+                self._rows.popitem(last=False)
+        return row[:length]
+
+
+_LGAMMA = _LgammaTables()
+
+
 def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
     """Amplitudes (1-x)^{M/2} C(M+n-1,n)^{1/2} eta_c^n for n = 0..n_max."""
     M, eta = params.M, params.eta
     x = eta * eta
     n = np.arange(n_max + 1)
-    logmag = 0.5 * (gammaln(M + n) - gammaln(n + 1) - math.lgamma(M)) \
+    logmag = 0.5 * (_LGAMMA.row(M, n_max + 1) - _LGAMMA.row(1, n_max + 1) - math.lgamma(M)) \
         + n * math.log(eta) + 0.5 * M * math.log1p(-x)
     amps = np.exp(logmag).astype(np.complex128)
     if params.theta != 0.0:
@@ -220,10 +278,8 @@ def superposition(phi: float, params: NBSParams,
     _check_phi(phi)
     if n_max is None:
         n_max = required_dimension(params, phi, policy)
-    base = _nbs_base(params, n_max)
-    sign = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0)
-    factor = 1.0 + phase_factor(phi) * sign
-    return FockVector(normalization_constant(phi, params) * base * factor)
+    return _parity_superposition(_nbs_base(params, n_max), phi,
+                                 _log_parity_overlap_exponent(params))
 
 
 def even_nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
@@ -245,7 +301,7 @@ def _coherent_base(alpha: complex, n_max: int) -> np.ndarray:
         amps[0] = 1.0
         return amps
     aa = abs(alpha) ** 2
-    logmag = n * math.log(abs(alpha)) - 0.5 * aa - 0.5 * gammaln(n + 1)
+    logmag = n * math.log(abs(alpha)) - 0.5 * aa - 0.5 * _LGAMMA.row(1, n_max + 1)
     unit = alpha / abs(alpha)
     return np.exp(logmag) * unit ** n
 
@@ -266,15 +322,7 @@ def cat_state(alpha: complex, phi: float,
         raise DomainError("cat state requires alpha != 0")
     if n_max is None:
         n_max = required_dimension_cat(alpha, phi, policy)
-    aa = abs(alpha) ** 2
-    c = phase_factor(phi).real
-    denom = 2.0 * _one_plus_c_exp(c, 2.0 * aa)
-    if denom <= 0.0:
-        raise ZeroNormError(f"cat state norm vanished at phi={phi}, |alpha|^2={aa}")
-    base = _coherent_base(alpha, n_max)
-    sign = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0)
-    factor = 1.0 + phase_factor(phi) * sign
-    return FockVector(base * factor / math.sqrt(denom))
+    return _parity_superposition(_coherent_base(alpha, n_max), phi, 2.0 * abs(alpha) ** 2)
 
 
 def even_coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,

@@ -14,8 +14,6 @@ O(M x).
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from typing import Optional, Tuple
 
 import numpy as np
@@ -23,6 +21,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .fock_core import PhotonStats, TruncationPolicy
 from .nbs_states import (
+    _LGAMMA,
     NBSParams,
     _check_phi,
     _nb_log_weight,
@@ -151,41 +150,6 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
 # ---------------------------------------------------------------------------
 # annihilation-operator moments and quadratures
 # ---------------------------------------------------------------------------
-
-class _LgammaTables:
-    """Rows math.lgamma(base + j), j = 0, 1, ..., kept for the few latest bases.
-
-    A row grows on demand (at least doubling) and its entries never change,
-    so a value read from it is the same float whichever call computed it.
-    Rows cost O(length) memory, never O(base), and only ``MAX_BASES`` of them
-    are kept, least recently used dropped first: lgamma(n + 1) plus
-    lgamma(M + n) for the three latest M, so that a sweep over eta at fixed M
-    reuses one row for both powers and every grid point.
-    """
-
-    MAX_BASES = 4
-
-    def __init__(self):
-        self._rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def row(self, base: int, length: int) -> np.ndarray:
-        """Read-only lgamma(base + j) for j = 0..length-1."""
-        with self._lock:
-            row = self._rows.pop(base, None)
-            have = 0 if row is None else row.size
-            if have < length:
-                size = max(length, 2 * have)
-                grown = np.array([math.lgamma(base + j) for j in range(have, size)])
-                row = grown if row is None else np.concatenate((row, grown))
-                row.setflags(write=False)
-            self._rows[base] = row
-            while len(self._rows) > self.MAX_BASES:
-                self._rows.popitem(last=False)
-        return row[:length]
-
-
-_LGAMMA = _LgammaTables()
 
 # a series term counts as negligible once it is this small against the partial sum
 _SERIES_RTOL = 1e-16

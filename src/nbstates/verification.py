@@ -40,6 +40,10 @@ GRID_PHIS = (0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
 GRID_ETAS = tuple(0.05 * k for k in range(1, 19))
 GRID_MS = (1, 5, 30)
 GRID_THETA = 0.7
+# (M, etas) added to the oracle grid: at M = 1000, eta = 0.9 the <a^k> terms
+# near n = 0 are ~e^-1660 in absolute scale, so a series that does not sum
+# relative to its peak (near n = 4300) underflows there
+GRID_CORNERS = ((1000, (0.9,)),)
 
 LADDER_TRIPLES = ((1, 0.3, 0.0), (5, 0.6, 1.0), (30, 0.2, math.pi))
 LADDER_N_MAX = 200
@@ -236,9 +240,9 @@ def check_cat_limit(scale: float) -> CheckResult:
 def check_oracle_grid(scale: float) -> CheckResult:
     worst = 0.0
     where = ""
-    for M in GRID_MS:
+    for M, etas in [(M, GRID_ETAS) for M in GRID_MS] + list(GRID_CORNERS):
         for phi in GRID_PHIS:
-            for eta in GRID_ETAS:
+            for eta in etas:
                 params = NBSParams(M=M, eta=eta, theta=GRID_THETA)
                 v = nbs_states.superposition(phi, params, ORACLE_POLICY)
                 ref = oracle_stats(v)
@@ -360,12 +364,12 @@ def check_fig2_shape(scale: float) -> CheckResult:
 def _ladder_worst(params: NBSParams) -> float:
     n_max = LADDER_N_MAX
     worst = 0.0
-    for seq_fn in (algebra.even_nbs_sequence, algebra.odd_nbs_sequence):
-        seq = seq_fn(params)
+    for build in (nbs_states.even_nbs, nbs_states.odd_nbs):
+        seq = algebra.ParitySequence.of(build(params, n_max=n_max))
         sf = algebra.derive_structure_function(seq)
-        worst = max(worst, algebra.creation_identity_residual(sf, seq, n_max))
-        worst = max(worst, algebra.gdo_relations_check(sf, seq, n_max).max_residual)
-        worst = max(worst, algebra.lowering_ratio_residual(seq, n_max))
+        worst = max(worst, algebra.creation_identity_residual(sf, seq))
+        worst = max(worst, algebra.gdo_relations_check(sf, seq).max_residual)
+        worst = max(worst, algebra.lowering_ratio_residual(seq))
     worst = max(worst, algebra.eigen_residual_even(params, n_max=n_max))
     worst = max(worst, algebra.eigen_residual_odd(params, n_max=n_max))
     worst = max(worst, algebra.nonlinear_coherent_residual(params, n_max=n_max))
@@ -396,7 +400,8 @@ def check_structure_function_formula(scale: float) -> CheckResult:
     worst = 0.0
     for M, eta, theta in LADDER_TRIPLES:
         params = NBSParams(M=M, eta=eta, theta=theta)
-        sf = algebra.derive_structure_function(algebra.even_nbs_sequence(params))
+        even = nbs_states.even_nbs(params, n_max=40)
+        sf = algebra.derive_structure_function(algebra.ParitySequence.of(even))
         eta_c4 = params.eta_c ** 4
         for n in range(2, 41, 2):
             reference = n * (M + n - 1) * (M + n - 2) * eta_c4 / (n - 1)
@@ -435,8 +440,8 @@ def check_dispersive_generation(scale: float) -> CheckResult:
         disp = generation.DispersiveParams(phi=phi, g2=1.0, t=math.pi)
         out = generation.dispersive_protocol(params, disp)
         target_g = nbs_states.superposition(phi, params, n_max=out.projected_g.n_max)
-        phi_opp = phi + math.pi
-        target_e = nbs_states.superposition(phi_opp, params, n_max=out.projected_e.n_max)
+        target_e = nbs_states.superposition(nbs_states.partner_phase(phi), params,
+                                            n_max=out.projected_e.n_max)
         worst = max(worst, 1.0 - generation.fidelity(out.projected_g, target_g))
         worst = max(worst, 1.0 - generation.fidelity(out.projected_e, target_e))
         worst = max(worst, abs(out.prob_g - 0.5 * (1.0 + math.cos(phi) * r)))

@@ -6,55 +6,64 @@ import pytest
 
 from nbstates.algebra import (ParitySequence, creation_identity_residual,
                               derive_structure_function, eigen_residual_even,
-                              eigen_residual_odd, even_coherent_sequence,
-                              even_nbs_sequence, gdo_relations_check,
+                              eigen_residual_odd, gdo_relations_check,
                               lowering_ratio_residual,
-                              nonlinear_coherent_residual, odd_coherent_sequence,
-                              odd_nbs_sequence)
+                              nonlinear_coherent_residual)
 from nbstates.errors import DomainError, PoleError
-from nbstates.nbs_states import NBSParams, even_coherent, even_nbs, odd_coherent, odd_nbs
+from nbstates.fock_core import FockVector
+from nbstates.nbs_states import (NBSParams, even_coherent, even_nbs, odd_coherent, odd_nbs,
+                                 superposition)
 
 N_MAX = 160
 
 
 def test_sequences_realize_the_parity_states():
     p = NBSParams(M=6, eta=0.5, theta=0.8)
-    np.testing.assert_allclose(even_nbs_sequence(p).realize(N_MAX).amplitudes,
-                               even_nbs(p, n_max=N_MAX).amplitudes, rtol=5e-13, atol=1e-300)
-    np.testing.assert_allclose(odd_nbs_sequence(p).realize(N_MAX).amplitudes,
-                               odd_nbs(p, n_max=N_MAX).amplitudes, rtol=5e-13, atol=1e-300)
     alpha = 1.4 * complex(math.cos(0.3), math.sin(0.3))
-    np.testing.assert_allclose(even_coherent_sequence(alpha).realize(N_MAX).amplitudes,
-                               even_coherent(alpha, n_max=N_MAX).amplitudes,
-                               rtol=5e-13, atol=1e-300)
-    np.testing.assert_allclose(odd_coherent_sequence(alpha).realize(N_MAX).amplitudes,
-                               odd_coherent(alpha, n_max=N_MAX).amplitudes,
-                               rtol=5e-13, atol=1e-300)
+    for v in (even_nbs(p, n_max=N_MAX), odd_nbs(p, n_max=N_MAX),
+              even_coherent(alpha, n_max=N_MAX), odd_coherent(alpha, n_max=N_MAX)):
+        seq = ParitySequence.of(v)
+        np.testing.assert_array_equal(seq.realize().amplitudes,
+                                      v.amplitudes[:seq.n_max + 1])
+        assert np.all(v.amplitudes[seq.n_max + 1:] == 0)
 
 
 def test_parity_sequence_bookkeeping():
-    seq = even_nbs_sequence(NBSParams(M=2, eta=0.4))
+    seq = ParitySequence.of(even_nbs(NBSParams(M=2, eta=0.4), n_max=9))
     assert seq.offset == 0
-    assert seq.photon_index(3) == 6
-    odd = odd_nbs_sequence(NBSParams(M=2, eta=0.4))
+    assert seq.parity == "even"
+    assert seq.photon_numbers[3] == 6
+    assert seq.n_max == 8
+    odd = ParitySequence.of(odd_nbs(NBSParams(M=2, eta=0.4), n_max=9))
     assert odd.offset == 1
-    assert odd.photon_index(3) == 7
-    with pytest.raises(DomainError):
-        seq.photon_index(-1)
-    with pytest.raises(DomainError):
-        ParitySequence(parity="mixed", coeff=lambda m: 1.0)
-    v = odd.realize(9).amplitudes
+    assert odd.parity == "odd"
+    assert odd.photon_numbers[3] == 7
+    assert odd.n_max == 9
+    with pytest.raises(ValueError):
+        odd.coeffs[0] = 1.0
+    v = odd.realize().amplitudes
     assert np.all(v[0::2] == 0)
+
+
+def test_parity_is_inferred_from_exact_zeros():
+    # phi = pi/2 keeps both parity classes, so no single-parity sequence exists
+    with pytest.raises(DomainError):
+        ParitySequence.of(superposition(math.pi / 2.0, NBSParams(M=3, eta=0.5), n_max=30))
+    with pytest.raises(DomainError):
+        ParitySequence.of(FockVector(np.zeros(6)))
+    with pytest.raises(DomainError):
+        ParitySequence.of(FockVector(np.array([1.0, 0.0, np.nan])))
 
 
 def test_structure_function_hand_values():
     # even NBS: f(n) = sqrt((M+n-1)(M+n-2)) / (n-1) * eta^2
     M, eta = 4, 0.6
-    sf = derive_structure_function(even_nbs_sequence(NBSParams(M=M, eta=eta)))
+    even = even_nbs(NBSParams(M=M, eta=eta), n_max=N_MAX)
+    sf = derive_structure_function(ParitySequence.of(even))
     want = math.sqrt((M + 3) * (M + 2)) / 3.0 * eta * eta
     assert sf.f(4) == pytest.approx(want, rel=1e-12)
     # even coherent: f(n) = alpha^2 / (n - 1), so S(n) = alpha^4 n/(n-1)
-    sfc = derive_structure_function(even_coherent_sequence(1.3))
+    sfc = derive_structure_function(ParitySequence.of(even_coherent(1.3, n_max=N_MAX)))
     assert sfc.f(6) == pytest.approx(1.3 ** 2 / 5.0, rel=1e-12)
     assert sfc.s(6) == pytest.approx(1.3 ** 4 * 6.0 / 5.0, rel=1e-12)
 
@@ -62,7 +71,7 @@ def test_structure_function_hand_values():
 def test_even_nbs_s_formula():
     # S(N) = N (M+N-1)(M+N-2) eta_c^4 / (N-1), complex for theta != 0
     p = NBSParams(M=5, eta=0.45, theta=1.1)
-    sf = derive_structure_function(even_nbs_sequence(p))
+    sf = derive_structure_function(ParitySequence.of(even_nbs(p, n_max=N_MAX)))
     for n in (2, 4, 10, 40):
         want = n * (p.M + n - 1) * (p.M + n - 2) * p.eta_c ** 4 / (n - 1)
         got = sf.s(n)
@@ -70,49 +79,54 @@ def test_even_nbs_s_formula():
 
 
 def test_structure_function_domain_checks():
-    sf = derive_structure_function(even_nbs_sequence(NBSParams(M=2, eta=0.3)))
-    for bad in (3, 0, -2, 2.5):
+    sf = derive_structure_function(ParitySequence.of(even_nbs(NBSParams(M=2, eta=0.3), n_max=20)))
+    for bad in (3, 0, -2, 2.5, 22):
         with pytest.raises(DomainError):
             sf.f(bad)
-    sfo = derive_structure_function(odd_nbs_sequence(NBSParams(M=2, eta=0.3)))
-    for bad in (2, 1, -3):
+    sfo = derive_structure_function(ParitySequence.of(odd_nbs(NBSParams(M=2, eta=0.3), n_max=20)))
+    for bad in (2, 1, -3, 21):
         with pytest.raises(DomainError):
             sfo.f(bad)
 
 
 def test_pole_on_vanishing_coefficient():
-    seq = ParitySequence(parity="even", coeff=lambda m: 0.0 if m == 0 else 1.0)
+    # even coefficients C = (0, 1, 1): the pole sits at pair index 0, i.e. f(2)
+    seq = ParitySequence.of(FockVector(np.array([0.0, 0.0, 1.0, 0.0, 1.0])))
     sf = derive_structure_function(seq)
-    with pytest.raises(PoleError):
+    assert sf.f(4) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
+    with pytest.raises(PoleError, match="pair index 0"):
         sf.f(2)
+    with pytest.raises(PoleError, match="pair index 0"):
+        lowering_ratio_residual(seq)
 
 
 def test_gdo_relations_hold_for_all_sequences():
     p = NBSParams(M=7, eta=0.5, theta=0.0)
     pc = NBSParams(M=7, eta=0.5, theta=2.1)
     alpha = complex(0.9, 0.7)
-    cases = [even_nbs_sequence(p), odd_nbs_sequence(p),
-             even_nbs_sequence(pc), odd_nbs_sequence(pc),
-             even_coherent_sequence(alpha), odd_coherent_sequence(alpha)]
-    for seq in cases:
+    cases = [even_nbs(p, n_max=80), odd_nbs(p, n_max=80),
+             even_nbs(pc, n_max=80), odd_nbs(pc, n_max=80),
+             even_coherent(alpha, n_max=80), odd_coherent(alpha, n_max=80)]
+    for v in cases:
+        seq = ParitySequence.of(v)
         sf = derive_structure_function(seq)
-        res = gdo_relations_check(sf, seq, n_max=80)
+        res = gdo_relations_check(sf, seq)
         assert res.max_residual < 1e-9
 
 
 def test_gdo_parity_mismatch_rejected():
     p = NBSParams(M=3, eta=0.4)
-    sf = derive_structure_function(even_nbs_sequence(p))
+    sf = derive_structure_function(ParitySequence.of(even_nbs(p, n_max=40)))
     with pytest.raises(DomainError):
-        gdo_relations_check(sf, odd_nbs_sequence(p), n_max=40)
+        gdo_relations_check(sf, ParitySequence.of(odd_nbs(p, n_max=40)))
 
 
 def test_gdo_needs_enough_sites():
     p = NBSParams(M=3, eta=0.4)
-    seq = even_nbs_sequence(p)
+    seq = ParitySequence.of(even_nbs(p, n_max=4))
     sf = derive_structure_function(seq)
     with pytest.raises(DomainError):
-        gdo_relations_check(sf, seq, n_max=4)
+        gdo_relations_check(sf, seq)
 
 
 def test_creation_identity_clean_to_top_row():
@@ -121,17 +135,17 @@ def test_creation_identity_clean_to_top_row():
         p = NBSParams(M=int(rng.integers(1, 15)),
                       eta=float(rng.uniform(0.1, 0.7)),
                       theta=float(rng.uniform(0.0, 2.0 * math.pi)))
-        for seq_fn in (even_nbs_sequence, odd_nbs_sequence):
-            seq = seq_fn(p)
+        for build in (even_nbs, odd_nbs):
+            seq = ParitySequence.of(build(p, n_max=N_MAX))
             sf = derive_structure_function(seq)
-            assert creation_identity_residual(sf, seq, N_MAX) < 1e-10
+            assert creation_identity_residual(sf, seq) < 1e-10
 
 
 def test_lowering_ratio_residual_small():
     p = NBSParams(M=9, eta=0.55, theta=0.4)
-    assert lowering_ratio_residual(even_nbs_sequence(p), N_MAX) < 1e-10
-    assert lowering_ratio_residual(odd_nbs_sequence(p), N_MAX) < 1e-10
-    assert lowering_ratio_residual(even_coherent_sequence(1.1), N_MAX) < 1e-10
+    assert lowering_ratio_residual(ParitySequence.of(even_nbs(p, n_max=N_MAX))) < 1e-10
+    assert lowering_ratio_residual(ParitySequence.of(odd_nbs(p, n_max=N_MAX))) < 1e-10
+    assert lowering_ratio_residual(ParitySequence.of(even_coherent(1.1, n_max=N_MAX))) < 1e-10
 
 
 def test_pair_eigenvalue_residuals():
@@ -140,13 +154,15 @@ def test_pair_eigenvalue_residuals():
         assert eigen_residual_even(p) < 1e-10
         assert eigen_residual_odd(p) < 1e-10
         assert nonlinear_coherent_residual(p) < 1e-10
+    for residual in (eigen_residual_even, eigen_residual_odd, nonlinear_coherent_residual):
+        with pytest.raises(DomainError):
+            residual(NBSParams(M=1, eta=0.3), n_max=1)
 
 
 def test_eigen_residual_detects_wrong_state():
     # same amplitudes but M bumped in the scale: residual must be visible
     p = NBSParams(M=4, eta=0.5)
-    seq = even_nbs_sequence(p)
-    v = seq.realize(120).amplitudes
+    v = ParitySequence.of(even_nbs(p, n_max=120)).realize().amplitudes
     n = np.arange(121, dtype=np.float64)
     wrong = np.sqrt((p.M + 1 + n) * (p.M + 1 + n + 1.0)) * p.eta_c ** 2
     lowered = np.zeros_like(v)

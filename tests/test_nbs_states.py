@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nbstates.errors import DomainError, TruncationError
+from nbstates.errors import DomainError, TruncationError, ZeroNormError
 from nbstates.fock_core import TruncationPolicy, inner, oracle_stats, tail_mass
 from nbstates.statistics import mean_closed, quadrature_variances
 from nbstates.nbs_states import (
@@ -18,6 +18,7 @@ from nbstates.nbs_states import (
     nbs_parity_overlap,
     normalization_constant,
     odd_nbs,
+    partner_phase,
     phase_factor,
     photon_distribution,
     required_dimension,
@@ -216,3 +217,18 @@ def test_phi_outside_range_rejected():
     params = NBSParams(M=2, eta=0.4)
     with pytest.raises(DomainError):
         superposition(2.0 * math.pi + 0.2, params)
+
+
+def test_partner_phase_wraps_into_range():
+    assert partner_phase(0.0) == math.pi
+    assert partner_phase(math.pi) == 2.0 * math.pi
+    assert partner_phase(2.0 * math.pi) == math.pi
+    assert partner_phase(4.0) == 4.0 - math.pi
+    with pytest.raises(DomainError):
+        partner_phase(-0.1)
+
+
+def test_cat_state_vanishing_norm_raises():
+    # |alpha|^2 underflows to 0, so the odd cat's two components cancel exactly
+    with pytest.raises(ZeroNormError):
+        cat_state(1e-200, math.pi)

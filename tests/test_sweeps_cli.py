@@ -275,6 +275,14 @@ def test_underflowing_eta_exits_cleanly():
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only dependency; a fresh interpreter shows what the import pulls in
+    code = "import sys, nbstates.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     assert "config error" in capsys.readouterr().err
