@@ -54,6 +54,7 @@ from .statistics import (
     generating_function,
     mean_closed,
     pn_closed,
+    pn_closed_upto,
     q_closed,
     q_limit,
     q_recursion_residual,

@@ -14,15 +14,17 @@ keeps only even photon numbers at phi = 0 and only odd ones at phi = pi.
 
 All amplitudes are assembled in log space from one shared table of
 ``math.lgamma`` rows (also used by the <a^k> series in ``statistics``), so the
-constructors stay accurate up to M ~ 1e4, and truncation dimensions are chosen
+constructors stay accurate up to M ~ 1e4.  Truncation dimensions are chosen
 from a geometric tail bound rather than a floating cumulative sum, which
-stalls at large M.
+stalls at large M; the bound is monotone past the mode, so the dimension is
+found by bisection in O(log hard_cap) steps instead of a scan from n = 0.
 """
 from __future__ import annotations
 
 import math
 import sys
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -154,19 +156,27 @@ def _grown_n_max(weight_log, ratio, boost: float, policy: TruncationPolicy) -> i
     """Smallest index with a provable tail bound below tolerance, plus 2 padding.
 
     ``ratio(n)`` must give w(n+1)/w(n) and be non-increasing, so once it drops
-    below 1 the tail is dominated by a geometric series:
-    sum_{k>n} w(k) <= w(n) * rho / (1 - rho).
+    below 1 (at the mode) the tail is dominated by a geometric series:
+    sum_{k>n} w(k) <= w(n) * rho / (1 - rho).  Past the mode both w(n) and
+    rho shrink, so this bound is monotone too, and the index is found by two
+    bisections over [0, hard_cap]: one for the mode, one from there for the
+    bound.  That is O(log hard_cap) evaluations of ``ratio`` and
+    ``weight_log``, and the same index a scan from n = 0 would stop at.
     """
     tol = policy.tail_tolerance / boost
-    for n in range(policy.hard_cap + 1):
+
+    def tail_bound(n: int) -> float:
         rho = ratio(n)
-        if rho < 1.0:
-            bound = math.exp(weight_log(n)) * rho / (1.0 - rho)
-            if bound < tol:
-                return min(n + 2, policy.hard_cap)
-    raise TruncationError(
-        f"needed more than hard_cap={policy.hard_cap} components to reach tail {policy.tail_tolerance}"
-    )
+        return math.exp(weight_log(n)) * rho / (1.0 - rho)
+
+    candidates = range(policy.hard_cap + 1)
+    mode = bisect_left(candidates, True, key=lambda n: ratio(n) < 1.0)
+    n = bisect_left(candidates, True, lo=mode, key=lambda n: tail_bound(n) < tol)
+    if n > policy.hard_cap:
+        raise TruncationError(
+            f"needed more than hard_cap={policy.hard_cap} components to reach tail {policy.tail_tolerance}"
+        )
+    return min(n + 2, policy.hard_cap)
 
 
 def required_dimension(params: NBSParams, phi: Optional[float] = None,
@@ -246,6 +256,24 @@ class _LgammaTables:
 _LGAMMA = _LgammaTables()
 
 
+_AXIS_UNITS = (1, 1j, -1, -1j)
+
+
+def _label_phases(theta: float, n: np.ndarray) -> np.ndarray:
+    """exp(i theta n) for integer n, each of modulus 1 to within an ulp.
+
+    Labels that ``phase_factor`` snaps onto an axis get exact powers of
+    +-1 and +-i, so parity cancellations stay exact; any other label takes
+    cos and sin of theta * n, which, unlike a complex power, does not let the
+    modulus drift from 1 as n grows.
+    """
+    unit = phase_factor(theta)
+    if unit in _AXIS_UNITS:
+        return np.array(_AXIS_UNITS, dtype=np.complex128)[(_AXIS_UNITS.index(unit) * n) % 4]
+    angle = theta * n
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
 def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
     """Amplitudes (1-x)^{M/2} C(M+n-1,n)^{1/2} eta_c^n for n = 0..n_max."""
     M, eta = params.M, params.eta
@@ -255,7 +283,7 @@ def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
         + n * math.log(eta) + 0.5 * M * math.log1p(-x)
     amps = np.exp(logmag).astype(np.complex128)
     if params.theta != 0.0:
-        amps *= phase_factor(params.theta) ** n
+        amps *= _label_phases(params.theta, n)
     return amps
 
 
@@ -302,8 +330,7 @@ def _coherent_base(alpha: complex, n_max: int) -> np.ndarray:
         return amps
     aa = abs(alpha) ** 2
     logmag = n * math.log(abs(alpha)) - 0.5 * aa - 0.5 * _LGAMMA.row(1, n_max + 1)
-    unit = alpha / abs(alpha)
-    return np.exp(logmag) * unit ** n
+    return np.exp(logmag) * _label_phases(math.atan2(alpha.imag, alpha.real), n)
 
 
 def coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,

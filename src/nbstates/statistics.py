@@ -59,6 +59,32 @@ def pn_closed(n: int, phi: float, params: NBSParams) -> float:
     return math.exp(_nb_log_weight(params.M, n, x)) * parity / denom
 
 
+def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
+    """P(0), ..., P(n_max) in one pass, each bit for bit equal to ``pn_closed``.
+
+    The log weights take ``_nb_log_weight``'s operations in the same order,
+    with the lgamma values from the shared rows, and are exponentiated by
+    ``math.exp`` (``np.exp`` rounds differently in the last bit for some
+    inputs).  Parity-forbidden entries are exactly 0.
+    """
+    if not (n_max >= 0 and float(n_max).is_integer()):
+        raise DomainError(f"n_max must be a non-negative integer, got {n_max}")
+    _check_phi(phi)
+    c = phase_factor(phi).real
+    M = params.M
+    x = params.eta * params.eta
+    size = int(n_max) + 1
+    log_w = (_LGAMMA.row(M, size) - _LGAMMA.row(1, size) - math.lgamma(M)
+             + np.arange(size) * math.log(x) + M * math.log1p(-x))
+    denom = _one_plus_c_exp(c, 2.0 * M * math.atanh(x))
+    p = np.zeros(size)
+    for start, parity in ((0, 1.0 + c), (1, 1.0 - c)):
+        if parity != 0.0:
+            lw = log_w[start::2].tolist()
+            p[start::2] = np.fromiter(map(math.exp, lw), np.float64, len(lw)) * parity / denom
+    return p
+
+
 def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     """G(lambda) = sum_n lambda^n P(n), defined for |lambda| * eta^2 < 1."""
     _check_phi(phi)

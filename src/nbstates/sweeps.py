@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DomainError
 from .fock_core import TruncationPolicy
 from .nbs_states import NBSParams, required_dimension
-from .statistics import pn_closed, q_closed, quadrature_variances
+from .statistics import pn_closed_upto, q_closed, quadrature_variances
 
 FIG1_PHIS = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
 FIG2_PHIS = FIG1_PHIS
@@ -139,10 +139,10 @@ def pn_table(phi: float, params: NBSParams,
              policy: Optional[TruncationPolicy] = None) -> List[Tuple[int, float]]:
     """(n, P(n)) rows out to the policy-selected truncation for this state."""
     n_max = required_dimension(params, phi, policy)
-    return [(n, pn_closed(n, phi, params)) for n in range(n_max + 1)]
+    return list(enumerate(pn_closed_upto(n_max, phi, params).tolist()))
 
 
 def render_pn_csv(rows: Sequence[Tuple[int, float]]) -> str:
     lines = ["n,pn"]
-    lines.extend(f"{n},{format_value(p)}" for n, p in rows)
+    lines.extend(f"{n},{p:.17g}" for n, p in rows)
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nbstates import nbs_states
 from nbstates.errors import DomainError, TruncationError, ZeroNormError
 from nbstates.fock_core import TruncationPolicy, inner, oracle_stats, tail_mass
 from nbstates.statistics import mean_closed, quadrature_variances
@@ -167,6 +168,64 @@ def test_required_dimension_controls_tail():
 def test_required_dimension_hard_cap():
     with pytest.raises(TruncationError):
         required_dimension(NBSParams(M=30, eta=0.9), None, TruncationPolicy(hard_cap=40))
+
+
+def _scan_n_max(weight_log, ratio, boost, policy):
+    # reference: the linear scan from n = 0 that the bisection in
+    # nbs_states._grown_n_max replaced
+    tol = policy.tail_tolerance / boost
+    for n in range(policy.hard_cap + 1):
+        rho = ratio(n)
+        if rho < 1.0 and math.exp(weight_log(n)) * rho / (1.0 - rho) < tol:
+            return min(n + 2, policy.hard_cap)
+    raise TruncationError(f"hard_cap={policy.hard_cap} reached")
+
+
+def _sizes(fn, cases, policies):
+    out = []
+    for args in cases:
+        for pol in policies:
+            try:
+                out.append(fn(*args, pol))
+            except TruncationError:
+                out.append("TruncationError")
+    return out
+
+
+def test_bisected_sizing_matches_linear_scan(monkeypatch):
+    policies = (None, TruncationPolicy(tail_tolerance=1e-6), TruncationPolicy(hard_cap=300))
+    phis = (None, 0.0, math.pi / 2.0, math.pi, 2.0)
+    nbs_cases = [(NBSParams(M=M, eta=eta), phi)
+                 for M in (1, 2, 7, 30, 300, 1000, 10 ** 4)
+                 for eta in (1e-6, 0.05, 0.3, 0.6, 0.9, 0.95, 0.99, 0.995)
+                 for phi in phis]
+    cat_cases = [(alpha, phi) for alpha in (1e-4, 0.5, 1.0, 3.0, 2.0 - 1.5j, 10.0, 40.0)
+                 for phi in phis]
+    bisected = (_sizes(required_dimension, nbs_cases, policies),
+                _sizes(required_dimension_cat, cat_cases, policies))
+    monkeypatch.setattr(nbs_states, "_grown_n_max", _scan_n_max)
+    scanned = (_sizes(required_dimension, nbs_cases, policies),
+               _sizes(required_dimension_cat, cat_cases, policies))
+    assert bisected == scanned
+    # the cap is reached past the mode (M = 1, eta = 0.99, cap 300) and before
+    # it: at M = 1000, eta = 0.9, w(n+1)/w(n) = (M + n) x / (n + 1) >= 1 up to
+    # n ~ 4260
+    capped = nbs_cases.index((NBSParams(M=1000, eta=0.9), 0.0)) * len(policies) + 2
+    geometric = nbs_cases.index((NBSParams(M=1, eta=0.99), 0.0)) * len(policies) + 2
+    assert bisected[0][capped] == bisected[0][geometric] == "TruncationError"
+
+
+def test_label_phase_has_unit_modulus_and_exact_axes():
+    mag = nbs_states._nbs_base(NBSParams(M=50, eta=0.99), 3000).real
+    amps = nbs_states._nbs_base(NBSParams(M=50, eta=0.99, theta=0.3), 3000)
+    assert np.abs(np.abs(amps) / mag - 1.0).max() < 1e-15
+    assert np.angle(amps[1000]) == pytest.approx(math.remainder(300.0, 2.0 * math.pi), abs=1e-12)
+    for theta, unit in ((math.pi / 2.0, 1j), (math.pi, -1.0), (1.5 * math.pi, -1j)):
+        amps = nbs_states._nbs_base(NBSParams(M=3, eta=0.5, theta=theta), 12)
+        expected = np.abs(amps) * np.array([unit ** k for k in range(13)])
+        assert np.array_equal(amps, expected)
+    alpha = coherent(-1.5).amplitudes
+    assert np.array_equal(alpha, np.abs(alpha) * (-1.0) ** np.arange(alpha.size))
 
 
 def test_large_m_stays_compact_and_normalized():

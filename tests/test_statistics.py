@@ -17,9 +17,10 @@ from nbstates.fock_core import (FockVector, TruncationPolicy, apply_annihilate,
 from nbstates.nbs_states import NBSParams, photon_distribution, superposition
 from nbstates.statistics import (ETA_SERIES_SWITCH, a_pow_expectation,
                                  closed_stats, generating_function,
-                                 mean_closed, pn_closed, q_closed, q_limit,
-                                 q_recursion_residual, quadrature_variances,
-                                 second_moment_closed)
+                                 mean_closed, pn_closed, pn_closed_upto,
+                                 q_closed, q_limit, q_recursion_residual,
+                                 quadrature_variances, second_moment_closed)
+from nbstates.sweeps import pn_table
 
 ORACLE_POLICY = TruncationPolicy(tail_tolerance=1e-14)
 
@@ -69,6 +70,32 @@ def test_pn_parity_zeros_exact():
     assert pn_closed(0, math.pi, p) == 0.0
     assert pn_closed(4, math.pi, p) == 0.0
     assert pn_closed(2, 0.0, p) > 0.0
+
+
+@pytest.mark.parametrize("M", (1, 50, 1000))
+def test_pn_table_is_bit_identical_to_pn_closed(M):
+    # the one-pass table and the per-n closed form must not drift apart
+    wide = TruncationPolicy(hard_cap=10 ** 6)
+    for eta in (0.05, 0.5, 0.9, 0.995):
+        params = NBSParams(M=M, eta=eta)
+        for phi in (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi):
+            rows = pn_table(phi, params, wide)
+            assert [n for n, _ in rows] == list(range(len(rows)))
+            table = np.array([p for _, p in rows])
+            closed = np.array([pn_closed(n, phi, params) for n in range(len(rows))])
+            assert np.array_equal(table.view(np.int64), closed.view(np.int64))
+            forbidden = {0.0: table[1::2], math.pi: table[0::2]}.get(phi, table[:0])
+            assert not forbidden.view(np.int64).any()  # +0.0 exactly
+
+
+def test_pn_closed_upto_rejects_bad_size():
+    p = NBSParams(M=2, eta=0.3)
+    assert pn_closed_upto(0, 0.0, p).tolist() == [pn_closed(0, 0.0, p)]
+    with pytest.raises(DomainError):
+        pn_closed_upto(-1, 0.0, p)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            pn_closed_upto(bad, 0.0, p)
 
 
 def test_pn_rejects_bad_index():
