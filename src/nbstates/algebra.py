@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, check_integer
 from .fock_core import FockVector, TruncationPolicy
 from .nbs_states import NBSParams, superposition
 
@@ -105,13 +105,12 @@ class StructureFunction:
             raise DomainError(f"parity must be 'even' or 'odd', got {self.parity!r}")
 
     def f(self, n: int) -> complex:
-        if int(n) != n:
-            raise DomainError(f"photon number must be an integer, got {n}")
+        n = check_integer("photon number", n, 0)
         if self.parity == "even" and (n % 2 != 0 or n < 2):
             raise DomainError(f"even-parity structure function needs even n >= 2, got {n}")
         if self.parity == "odd" and (n % 2 != 1 or n < 3):
             raise DomainError(f"odd-parity structure function needs odd n >= 3, got {n}")
-        m = int(n) // 2
+        m = n // 2
         if m > self.values.size:
             raise DomainError(f"f({n}) lies past the last photon number of its sequence")
         fv = self.values[m - 1]

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .errors import ConfigError, DomainError, NumericsError
@@ -118,29 +119,15 @@ def _json_text(obj, sort_keys: bool = False) -> str:
 _FIG_KEYS = frozenset({"M", "theta", "phi", "eta_start", "eta_stop", "grid_step", "out"})
 
 
-def _fig_sweep_config(args, default_m: int) -> tuple:
+def cmd_fig(args) -> int:
+    # looked up per call, so a caller that wraps the sweeps functions sees these calls
+    config, records = {"fig1": (sweeps.fig1_config, sweeps.fig1_records),
+                       "fig2": (sweeps.fig2_config, sweeps.fig2_records)}[args.command]
     opts = _merge(args, _FIG_KEYS)
-    cfg_kwargs = {"M": opts.get("M", default_m), "theta": opts.get("theta", 0.0)}
+    out = opts.pop("out", None)
     if "phi" in opts:
-        cfg_kwargs["phis"] = tuple(opts["phi"])
-    for key, name in (("eta_start", "eta_start"), ("eta_stop", "eta_stop"),
-                      ("grid_step", "grid_step")):
-        if key in opts:
-            cfg_kwargs[name] = opts[key]
-    return cfg_kwargs, opts.get("out")
-
-
-def cmd_fig1(args) -> int:
-    cfg_kwargs, out = _fig_sweep_config(args, default_m=30)
-    cfg = sweeps.fig1_config(**cfg_kwargs)
-    _write_text(out, sweeps.render_sweep_csv(sweeps.fig1_records(cfg)))
-    return 0
-
-
-def cmd_fig2(args) -> int:
-    cfg_kwargs, out = _fig_sweep_config(args, default_m=50)
-    cfg = sweeps.fig2_config(**cfg_kwargs)
-    _write_text(out, sweeps.render_sweep_csv(sweeps.fig2_records(cfg)))
+        opts["phis"] = tuple(opts.pop("phi"))
+    _write_text(out, sweeps.render_sweep_csv(records(config(**opts))))
     return 0
 
 
@@ -205,7 +192,8 @@ def cmd_generate(args) -> int:
         phi = phis[0]
         g2 = opts.get("g2", 1.0)
         g2t = opts.get("g2t", math.pi)
-        disp = DispersiveParams(phi=phi, g2=g2, t=g2t / g2)
+        # validate g2 before g2t is divided by it
+        disp = replace(DispersiveParams(phi=phi, g2=g2, t=0.0), t=g2t / g2)
         outcome = dispersive_protocol(params, disp)
         target_g = superposition(phi, params, n_max=outcome.projected_g.n_max)
         target_e = superposition(partner_phase(phi), params, n_max=outcome.projected_e.n_max)
@@ -276,13 +264,11 @@ def build_parser() -> _Parser:
                                  "for NBS parity superpositions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("fig1", help="Mandel Q vs eta sweep (default M=30)")
-    _add_common(p1, "M", "theta", "phi", "grid_step")
-    p1.set_defaults(handler=cmd_fig1)
-
-    p2 = sub.add_parser("fig2", help="X2 variance vs eta sweep (default M=50)")
-    _add_common(p2, "M", "theta", "phi", "grid_step")
-    p2.set_defaults(handler=cmd_fig2)
+    for name, help_text in (("fig1", "Mandel Q vs eta sweep (default M=30)"),
+                            ("fig2", "X2 variance vs eta sweep (default M=50)")):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, "M", "theta", "phi", "grid_step")
+        p.set_defaults(handler=cmd_fig)
 
     p3 = sub.add_parser("pn", help="photon number distribution table")
     _add_common(p3, "M", "eta", "phi")

@@ -7,7 +7,11 @@ Two families matter for callers (and for the CLI exit-code mapping):
 * ``NumericsError`` and subclasses: the inputs were legal but a numerical
   guarantee could not be met (series failed to converge, a truncation cap was
   hit, a projection came out with zero norm).
+
+The two checks at the end turn a bad scalar argument into a ``DomainError``
+before a raw ``ValueError``, ``OverflowError`` or ``IndexError`` can escape.
 """
+import math
 
 
 class DomainError(ValueError):
@@ -40,3 +44,21 @@ class PoleError(NumericsError):
 
 class ZeroNormError(NumericsError):
     """A conditional projection produced a numerically zero branch."""
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int, or DomainError unless it is a finite integer >= minimum."""
+    try:
+        ok = int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_finite(**values: float) -> None:
+    """DomainError naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")

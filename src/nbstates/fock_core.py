@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, check_integer
 
 # Default truncation contract: discarded probability mass below 1e-12,
 # refuse to grow vectors past 20000 components.
@@ -31,8 +31,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (0.0 < self.tail_tolerance < 1.0):
             raise DomainError(f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance}")
-        if int(self.hard_cap) != self.hard_cap or self.hard_cap < 2:
-            raise DomainError(f"hard_cap must be an integer >= 2, got {self.hard_cap}")
+        check_integer("hard_cap", self.hard_cap, 2)
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,9 @@ class PhotonStats:
 
 
 def number_state(n: int, n_max: int) -> FockVector:
-    if n < 0 or n > n_max:
+    n_max = check_integer("n_max", n_max, 0)
+    n = check_integer("number state index", n, 0)
+    if n > n_max:
         raise DomainError(f"number state index {n} outside [0, {n_max}]")
     c = np.zeros(n_max + 1, dtype=np.complex128)
     c[n] = 1.0
@@ -114,8 +115,7 @@ def apply_number(v: FockVector) -> FockVector:
 
 def tail_mass(v: FockVector, start: int) -> float:
     """Probability mass sitting at index >= start (unnormalized)."""
-    if start < 0:
-        raise DomainError(f"start must be >= 0, got {start}")
+    start = check_integer("start", start, 0)
     if start >= len(v):
         return 0.0
     return float(np.sum(np.abs(v.amplitudes[start:]) ** 2))

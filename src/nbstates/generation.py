@@ -15,24 +15,18 @@ partner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, ZeroNormError
+from .errors import DimensionMismatchError, DomainError, ZeroNormError, check_finite
 from .fock_core import FockVector, TruncationPolicy, inner
-from .nbs_states import (NBSParams, _check_phi, nbs, partner_phase, phase_factor,
-                         required_dimension)
+from .nbs_states import (NBSParams, _check_phi, _label_phases, nbs, partner_phase,
+                         phase_factor, required_dimension)
 
 # how far ||g||^2 + ||e||^2 may drift from 1 before the joint state is rejected
 NORM_SLACK = 1e-9
-
-
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,7 @@ class KerrParams:
     t: float
 
     def __post_init__(self):
-        _check_finite(g1=self.g1, t=self.t)
+        check_finite(g1=self.g1, t=self.t)
         if not (self.g1 > 0.0):
             raise DomainError(f"g1 must be > 0, got {self.g1}")
         if self.t < 0.0:
@@ -59,7 +53,7 @@ class DispersiveParams:
     t: float
 
     def __post_init__(self):
-        _check_finite(g2=self.g2, t=self.t)
+        check_finite(g2=self.g2, t=self.t)
         _check_phi(self.phi)
         if not (self.g2 > 0.0):
             raise DomainError(f"g2 must be > 0, got {self.g2}")
@@ -112,11 +106,13 @@ def kerr_generate(params: NBSParams, g1: float = 1.0,
 
     The result equals exp(-i pi/4) * superposition(pi/2, params) exactly.
     """
+    # validate g1 before the quarter period divides by it
+    kerr = KerrParams(g1=g1, t=0.0)
     if n_max is None:
         # size for the superposition the protocol lands on, not the bare NBS
         n_max = required_dimension(params, math.pi / 2.0, policy)
     start = nbs(params, n_max=n_max)
-    return kerr_evolve(start, KerrParams(g1=g1, t=math.pi / (2.0 * g1)))
+    return kerr_evolve(start, replace(kerr, t=math.pi / (2.0 * g1)))
 
 
 def dispersive_protocol(params: NBSParams, disp: DispersiveParams,
@@ -133,8 +129,7 @@ def dispersive_protocol(params: NBSParams, disp: DispersiveParams,
         d_g = required_dimension(params, disp.phi, policy)
         n_max = max(d_g, required_dimension(params, partner_phase(disp.phi), policy))
     base = nbs(params, n_max=n_max).amplitudes
-    n = np.arange(n_max + 1)
-    rotated = base * phase_factor(-disp.g2 * disp.t) ** n
+    rotated = base * _label_phases(-disp.g2 * disp.t, np.arange(n_max + 1))
 
     f_g = base / math.sqrt(2.0)
     f_e = phase_factor(disp.phi) * rotated / math.sqrt(2.0)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, ZeroNormError
+from .errors import DomainError, TruncationError, ZeroNormError, check_integer
 from .fock_core import FockVector, TruncationPolicy
 
 TWO_PI = 2.0 * math.pi
@@ -53,8 +53,7 @@ class NBSParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 1:
-            raise DomainError(f"M must be an integer >= 1, got {self.M}")
+        check_integer("M", self.M, 1)
         if not (0.0 < self.eta < 1.0):
             raise DomainError(f"eta must lie strictly inside (0, 1), got {self.eta}")
         if self.eta * self.eta < sys.float_info.min:
@@ -278,6 +277,7 @@ def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
     """Amplitudes (1-x)^{M/2} C(M+n-1,n)^{1/2} eta_c^n for n = 0..n_max."""
     M, eta = params.M, params.eta
     x = eta * eta
+    n_max = check_integer("n_max", n_max, 0)
     n = np.arange(n_max + 1)
     logmag = 0.5 * (_LGAMMA.row(M, n_max + 1) - _LGAMMA.row(1, n_max + 1) - math.lgamma(M)) \
         + n * math.log(eta) + 0.5 * M * math.log1p(-x)
@@ -323,6 +323,7 @@ def odd_nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
 
 
 def _coherent_base(alpha: complex, n_max: int) -> np.ndarray:
+    n_max = check_integer("n_max", n_max, 0)
     n = np.arange(n_max + 1)
     if alpha == 0:
         amps = np.zeros(n_max + 1, dtype=np.complex128)
@@ -372,8 +373,7 @@ def nbs_inner_closed(alpha: complex, beta: complex, M: int) -> complex:
 
     Evaluated in log space; both labels must satisfy |.| < 1.
     """
-    if int(M) != M or M < 1:
-        raise DomainError(f"M must be an integer >= 1, got {M}")
+    check_integer("M", M, 1)
     if abs(alpha) >= 1.0 or abs(beta) >= 1.0:
         raise DomainError("NBS labels must have modulus < 1")
     import cmath

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_finite, check_integer
 from .fock_core import PhotonStats, TruncationPolicy
 from .nbs_states import (
     _LGAMMA,
@@ -47,8 +47,7 @@ def q_limit(phi: float) -> float:
 
 def pn_closed(n: int, phi: float, params: NBSParams) -> float:
     """P(n) for the superposition; exactly 0 on the parity-forbidden indices."""
-    if int(n) != n or n < 0:
-        raise DomainError(f"photon number must be a non-negative integer, got {n}")
+    n = check_integer("photon number", n, 0)
     _check_phi(phi)
     c = phase_factor(phi).real
     x = params.eta * params.eta
@@ -67,13 +66,11 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
     ``math.exp`` (``np.exp`` rounds differently in the last bit for some
     inputs).  Parity-forbidden entries are exactly 0.
     """
-    if not (n_max >= 0 and float(n_max).is_integer()):
-        raise DomainError(f"n_max must be a non-negative integer, got {n_max}")
+    size = check_integer("n_max", n_max, 0) + 1
     _check_phi(phi)
     c = phase_factor(phi).real
     M = params.M
     x = params.eta * params.eta
-    size = int(n_max) + 1
     log_w = (_LGAMMA.row(M, size) - _LGAMMA.row(1, size) - math.lgamma(M)
              + np.arange(size) * math.log(x) + M * math.log1p(-x))
     denom = _one_plus_c_exp(c, 2.0 * M * math.atanh(x))
@@ -88,6 +85,7 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
 def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     """G(lambda) = sum_n lambda^n P(n), defined for |lambda| * eta^2 < 1."""
     _check_phi(phi)
+    check_finite(lam=lam)
     x = params.eta * params.eta
     if abs(lam) * x >= 1.0:
         raise DomainError(f"generating function diverges: |lambda|*eta^2 = {abs(lam) * x} >= 1")
@@ -220,9 +218,7 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams,
     ratio test guarantees convergence for any eta < 1, but the term budget
     is finite).
     """
-    if int(k) != k or k < 1:
-        raise DomainError(f"power k must be a positive integer, got {k}")
-    k = int(k)
+    k = check_integer("power k", k, 1)
     _check_phi(phi)
     policy = policy or TruncationPolicy()
     M, eta = params.M, params.eta

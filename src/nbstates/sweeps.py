@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .fock_core import TruncationPolicy
 from .nbs_states import NBSParams, required_dimension
 from .statistics import pn_closed_upto, q_closed, quadrature_variances
 
 FIG1_PHIS = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
-FIG2_PHIS = FIG1_PHIS
 DEFAULT_ETA_START = 0.02
 DEFAULT_ETA_STOP = 0.95
 DEFAULT_GRID_STEP = 0.01
@@ -64,10 +63,7 @@ class SweepConfig:
     grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self):
-        for name, value in (("eta_start", self.eta_start), ("eta_stop", self.eta_stop),
-                            ("grid_step", self.grid_step)):
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        check_finite(eta_start=self.eta_start, eta_stop=self.eta_stop, grid_step=self.grid_step)
         if self.grid_step <= 0.0:
             raise DomainError(f"grid_step must be > 0, got {self.grid_step}")
         if not (0.0 < self.eta_start <= self.eta_stop < 1.0):
@@ -94,39 +90,29 @@ def grid_etas(cfg: SweepConfig) -> List[float]:
 
 
 def fig1_config(**overrides) -> SweepConfig:
-    base = dict(M=30, theta=0.0, phis=FIG1_PHIS)
-    base.update(overrides)
-    return SweepConfig(**base)
+    return SweepConfig(**{"M": 30, **overrides})
 
 
 def fig2_config(**overrides) -> SweepConfig:
-    base = dict(M=50, theta=0.0, phis=FIG2_PHIS)
-    base.update(overrides)
-    return SweepConfig(**base)
+    return SweepConfig(**{"M": 50, **overrides})
+
+
+def _figure_records(cfg: SweepConfig, quantity: str,
+                    value: Callable[[float, NBSParams], Optional[float]]) -> List[SweepRecord]:
+    """value(phi, params) over the eta grid, one block of rows per phi."""
+    return [SweepRecord(eta=eta, phi=phi, M=cfg.M, quantity=quantity,
+                        value=value(phi, NBSParams(M=cfg.M, eta=eta, theta=cfg.theta)))
+            for phi in cfg.phis for eta in grid_etas(cfg)]
 
 
 def fig1_records(cfg: SweepConfig) -> List[SweepRecord]:
     """Mandel Q against eta, one block of rows per phi."""
-    records = []
-    for phi in cfg.phis:
-        for eta in grid_etas(cfg):
-            params = NBSParams(M=cfg.M, eta=eta, theta=cfg.theta)
-            records.append(SweepRecord(eta=eta, phi=phi, M=cfg.M,
-                                       quantity="mandel_q",
-                                       value=q_closed(phi, params)))
-    return records
+    return _figure_records(cfg, "mandel_q", q_closed)
 
 
-def fig2_records(cfg: SweepConfig, policy: Optional[TruncationPolicy] = None) -> List[SweepRecord]:
+def fig2_records(cfg: SweepConfig) -> List[SweepRecord]:
     """Variance of X2 against eta, one block of rows per phi."""
-    records = []
-    for phi in cfg.phis:
-        for eta in grid_etas(cfg):
-            params = NBSParams(M=cfg.M, eta=eta, theta=cfg.theta)
-            records.append(SweepRecord(eta=eta, phi=phi, M=cfg.M,
-                                       quantity="var_x2",
-                                       value=quadrature_variances(phi, params, policy)[1]))
-    return records
+    return _figure_records(cfg, "var_x2", lambda phi, params: quadrature_variances(phi, params)[1])
 
 
 def render_sweep_csv(records: Sequence[SweepRecord]) -> str:

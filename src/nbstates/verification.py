@@ -309,10 +309,11 @@ def check_series_switch_seam(scale: float) -> CheckResult:
 
 
 def check_fig1_shape(scale: float) -> CheckResult:
+    # the rows `nbstates fig1` prints, regrouped into one Q curve per phi
     cfg = sweeps.fig1_config()
     etas = sweeps.grid_etas(cfg)
-    q = {phi: [statistics.q_closed(phi, NBSParams(M=cfg.M, eta=e)) for e in etas]
-         for phi in cfg.phis}
+    records = sweeps.fig1_records(cfg)
+    q = {phi: [r.value for r in records if r.phi == phi] for phi in cfg.phis}
     q_pi = q[math.pi]
     q_34 = q[3.0 * math.pi / 4.0]
     sub_small_eta = all(v < 0.0 for e, v in zip(etas, q_pi) if e <= 0.2)

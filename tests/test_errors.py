@@ -1,0 +1,40 @@
+"""Bad scalar arguments raise DomainError at the boundary, never a raw Python error."""
+import math
+
+import numpy as np
+import pytest
+
+from nbstates.algebra import StructureFunction
+from nbstates.errors import DomainError
+from nbstates.fock_core import FockVector, TruncationPolicy, number_state, tail_mass
+from nbstates.nbs_states import NBSParams, cat_state, coherent, nbs, nbs_inner_closed, superposition
+from nbstates.statistics import a_pow_expectation, generating_function, pn_closed
+
+P = NBSParams(M=2, eta=0.3)
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pn_closed(NAN, 0.0, P),
+    lambda: pn_closed(INF, 0.0, P),
+    lambda: a_pow_expectation(NAN, 0.0, P),
+    lambda: number_state(NAN, 4),
+    lambda: number_state(1.5, 4),
+    lambda: number_state(1, NAN),
+    lambda: NBSParams(M=NAN, eta=0.3),
+    lambda: NBSParams(M=INF, eta=0.3),
+    lambda: TruncationPolicy(hard_cap=NAN),
+    lambda: TruncationPolicy(hard_cap=INF),
+    lambda: nbs(P, n_max=-1),
+    lambda: nbs(P, n_max=NAN),
+    lambda: superposition(0.0, P, n_max=2.5),
+    lambda: coherent(0.5, n_max=-1),
+    lambda: cat_state(0.5, 0.0, n_max=INF),
+    lambda: nbs_inner_closed(0.1, 0.2, NAN),
+    lambda: StructureFunction(parity="even", values=np.ones(3)).f(NAN),
+    lambda: tail_mass(FockVector([1.0, 1.0]), NAN),
+    lambda: generating_function(NAN, 0.0, P),
+])
+def test_bad_scalar_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

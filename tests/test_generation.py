@@ -95,6 +95,16 @@ def test_dispersive_projections_are_the_superpositions():
         assert fidelity(out.projected_e, want_e) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dispersive_branches_keep_exact_parity_zeros():
+    # g2 t = pi flips the sign of odd n exactly; a complex power (-1+0j)**n
+    # would leave ~1e-14 on the forbidden class by n ~ 5000
+    out = dispersive_protocol(NBSParams(M=50, eta=0.99),
+                              DispersiveParams(phi=0.0, g2=1.0, t=math.pi))
+    assert out.projected_g.n_max > 5000
+    assert not out.projected_g.amplitudes[1::2].any()
+    assert not out.projected_e.amplitudes[0::2].any()
+
+
 def test_dispersive_frozen_probabilities():
     # phi = 0, x = 0.25, M = 3: parity overlap is 0.6^3, so p_g = 0.608
     p = NBSParams(M=3, eta=0.5)

@@ -226,6 +226,16 @@ def test_flag_overrides_config(tmp_path):
     assert lines[1].split(",")[2] == "7"
 
 
+def test_fig2_config_phi_list_with_flag_override(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("M = 5\neta_start = 0.3\neta_stop = 0.5\nphi = 0.0,3.141592653589793\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["fig2", "--config", str(cfg), "--grid-step", "0.1", "--out", str(out)]) == 0
+    expected = fig2_records(fig2_config(M=5, eta_start=0.3, eta_stop=0.5,
+                                        phis=(0.0, math.pi), grid_step=0.1))
+    assert out.read_text() == render_sweep_csv(expected)
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("protocol = kerr\n")  # valid for generate, not for fig1
@@ -252,6 +262,13 @@ def test_non_finite_generation_rates_exit_code(capsys):
     assert main(["generate", "--protocol", "dispersive", "--M", "2", "--eta", "0.3",
                  "--g2t", "nan"]) == 1
     assert "t must be finite" in capsys.readouterr().err
+    # a zero rate is rejected before anything divides by it
+    assert main(["generate", "--protocol", "kerr", "--M", "4", "--eta", "0.5",
+                 "--g1", "0"]) == 1
+    assert capsys.readouterr().err == "domain error: g1 must be > 0, got 0.0\n"
+    assert main(["generate", "--protocol", "dispersive", "--M", "4", "--eta", "0.5",
+                 "--g2", "0"]) == 1
+    assert capsys.readouterr().err == "domain error: g2 must be > 0, got 0.0\n"
 
 
 def test_verify_rejects_non_finite_tolerance(capsys):
