@@ -21,7 +21,7 @@ from typing import List, Optional
 from .errors import ConfigError, DomainError, NumericsError
 from .generation import DispersiveParams, dispersive_protocol, fidelity, kerr_generate
 from .nbs_states import NBSParams, partner_phase, superposition
-from . import sweeps, verification
+from . import sweeps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,6 +219,8 @@ _VERIFY_KEYS = frozenset({"tolerance", "seed", "out"})
 
 
 def cmd_verify(args) -> int:
+    # imported here so the other subcommands skip loading the suite and algebra
+    from . import verification
     opts = _merge(args, _VERIFY_KEYS)
     scale = opts.get("tolerance", 1.0)
     if getattr(args, "corrupt_tolerances", False):

@@ -103,8 +103,7 @@ def _one_plus_c_exp(c: float, minus_exponent: float) -> float:
 
 def nbs_parity_overlap(params: NBSParams) -> float:
     """Overlap <-eta_c, M | eta_c, M> = ((1-eta^2)/(1+eta^2))^M, always real in (0, 1)."""
-    x = params.eta * params.eta
-    return math.exp(-2.0 * params.M * math.atanh(x))
+    return math.exp(-_log_parity_overlap_exponent(params))
 
 
 def _log_parity_overlap_exponent(params: NBSParams) -> float:

@@ -24,6 +24,7 @@ from .nbs_states import (
     _LGAMMA,
     NBSParams,
     _check_phi,
+    _log_parity_overlap_exponent,
     _nb_log_weight,
     _one_plus_c_exp,
     phase_factor,
@@ -54,7 +55,7 @@ def pn_closed(n: int, phi: float, params: NBSParams) -> float:
     parity = 1.0 + c if n % 2 == 0 else 1.0 - c
     if parity == 0.0:
         return 0.0
-    denom = _one_plus_c_exp(c, 2.0 * params.M * math.atanh(x))
+    denom = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
     return math.exp(_nb_log_weight(params.M, n, x)) * parity / denom
 
 
@@ -73,7 +74,7 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
     x = params.eta * params.eta
     log_w = (_LGAMMA.row(M, size) - _LGAMMA.row(1, size) - math.lgamma(M)
              + np.arange(size) * math.log(x) + M * math.log1p(-x))
-    denom = _one_plus_c_exp(c, 2.0 * M * math.atanh(x))
+    denom = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
     p = np.zeros(size)
     for start, parity in ((0, 1.0 + c), (1, 1.0 - c)):
         if parity != 0.0:
@@ -94,7 +95,7 @@ def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     log_shared = M * math.log1p(-x)
     a_term = math.exp(log_shared - M * math.log1p(-lam * x))
     b_term = math.exp(log_shared - M * math.log1p(lam * x))
-    denom = _one_plus_c_exp(c, 2.0 * M * math.atanh(x))
+    denom = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
     return (a_term + c * b_term) / denom
 
 
@@ -106,7 +107,7 @@ def mean_closed(phi: float, params: NBSParams) -> float:
     c = phase_factor(phi).real
     M = params.M
     num = _one_plus_c_exp(-c, 2.0 * (M + 1) * u)
-    den = _one_plus_c_exp(c, 2.0 * M * u)
+    den = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
     return M * x * num / ((1.0 - x) * den)
 
 
@@ -118,7 +119,7 @@ def second_moment_closed(phi: float, params: NBSParams) -> float:
     c = phase_factor(phi).real
     M = params.M
     num = _one_plus_c_exp(c, 2.0 * (M + 2) * u)
-    den = _one_plus_c_exp(c, 2.0 * M * u)
+    den = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
     extra = M * (M + 1) * x * x * num / ((1.0 - x) ** 2 * den)
     return mean_closed(phi, params) + extra
 

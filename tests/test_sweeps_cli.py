@@ -300,6 +300,15 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_verification_out():
+    # only `verify` needs the check suite and the pair-ladder algebra it checks
+    code = ("import sys, nbstates.cli; "
+            "print([m for m in ('nbstates.verification', 'nbstates.algebra') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     assert "config error" in capsys.readouterr().err
