@@ -57,12 +57,9 @@ class ParitySequence:
     def of(cls, v: FockVector) -> "ParitySequence":
         """The parity is the class whose amplitudes are not all exactly zero.
 
-        Raises DomainError unless exactly one class carries amplitude, or if
-        any amplitude is not finite.
+        Raises DomainError unless exactly one class carries amplitude.
         """
         amps = v.amplitudes
-        if not np.all(np.isfinite(amps)):
-            raise DomainError("amplitudes must be finite")
         carried = [p0 for p0 in (0, 1) if np.any(amps[p0::2])]
         if len(carried) != 1:
             raise DomainError("vector must be supported on exactly one parity class, "

@@ -62,8 +62,11 @@ _VALUE_PARSERS = {
 
 def load_config(path: str, allowed: frozenset) -> dict:
     """Parse `key = value` lines; '#' starts a comment; unknown keys are errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     out = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -229,8 +232,10 @@ def cmd_verify(args) -> int:
         scale = 1e-8
     if not (0.0 < scale < math.inf):
         raise ConfigError(f"tolerance scale must be finite and > 0, got {scale}")
-    results = verification.run_suite(tol_scale=scale,
-                                     seed=opts.get("seed", verification.DEFAULT_SEED))
+    seed = opts.get("seed", verification.DEFAULT_SEED)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    results = verification.run_suite(tol_scale=scale, seed=seed)
     if getattr(args, "json", False):
         text = _json_text(verification.results_to_json(results))
     else:

@@ -11,7 +11,7 @@ Two families matter for callers (and for the CLI exit-code mapping):
 The two checks at the end turn a bad scalar argument into a ``DomainError``
 before a raw ``ValueError``, ``OverflowError`` or ``IndexError`` can escape.
 """
-import math
+import cmath
 
 
 class DomainError(ValueError):
@@ -57,8 +57,8 @@ def check_integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def check_finite(**values: float) -> None:
-    """DomainError naming the first of ``values`` that is NaN or infinite."""
+def check_finite(**values: complex) -> None:
+    """DomainError naming the first of ``values`` with a NaN or infinite part."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not cmath.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")

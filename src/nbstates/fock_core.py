@@ -44,6 +44,8 @@ class FockVector:
         arr = np.asarray(self.amplitudes, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("amplitudes must be a non-empty 1-D array")
+        if not np.isfinite(arr).all():
+            raise DomainError("amplitudes must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)

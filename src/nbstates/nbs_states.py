@@ -27,11 +27,11 @@ import threading
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, ZeroNormError, check_integer
+from .errors import DomainError, TruncationError, ZeroNormError, check_finite, check_integer
 from .fock_core import FockVector, TruncationPolicy
 
 TWO_PI = 2.0 * math.pi
@@ -101,6 +101,13 @@ def _one_plus_c_exp(c: float, minus_exponent: float) -> float:
     return 1.0 + c * math.exp(-minus_exponent)
 
 
+def _parity_denominator(phi: float, minus_exponent: float) -> Tuple[float, float]:
+    # (c, 1 + c e^{-s}), c = cos(phi): the norm factor of two components with overlap e^{-s}
+    _check_phi(phi)
+    c = phase_factor(phi).real
+    return c, _one_plus_c_exp(c, minus_exponent)
+
+
 def nbs_parity_overlap(params: NBSParams) -> float:
     """Overlap <-eta_c, M | eta_c, M> = ((1-eta^2)/(1+eta^2))^M, always real in (0, 1)."""
     return math.exp(-_log_parity_overlap_exponent(params))
@@ -113,7 +120,7 @@ def _log_parity_overlap_exponent(params: NBSParams) -> float:
 
 def _parity_norm(phi: float, minus_exponent: float) -> float:
     # (2 (1 + cos(phi) e^{-s}))^{-1/2} for two components with overlap e^{-s}
-    denom = 2.0 * _one_plus_c_exp(phase_factor(phi).real, minus_exponent)
+    denom = 2.0 * _parity_denominator(phi, minus_exponent)[1]
     if denom <= 0.0:
         raise ZeroNormError(
             f"superposition norm vanished at phi={phi}, component overlap exp(-{minus_exponent})")
@@ -131,7 +138,6 @@ def _parity_superposition(base: np.ndarray, phi: float, minus_exponent: float) -
 
 def normalization_constant(phi: float, params: NBSParams) -> float:
     """N with |phi;eta_c,M> = N (|eta_c,M> + e^{i phi} |-eta_c,M>); N = (2(1+cos(phi) r))^{-1/2}."""
-    _check_phi(phi)
     return _parity_norm(phi, _log_parity_overlap_exponent(params))
 
 
@@ -183,12 +189,9 @@ def required_dimension(params: NBSParams, phi: Optional[float] = None,
     policy = policy or TruncationPolicy()
     x = params.eta * params.eta
     M = params.M
-    boost = 1.0
-    if phi is not None:
-        _check_phi(phi)
-        c = phase_factor(phi).real
-        # |parity factor|^2 <= 4 and the norm divides by 2(1+c r)
-        boost = 2.0 / _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
+    # |parity factor|^2 <= 4 and the norm divides by 2(1+c r)
+    boost = 1.0 if phi is None else \
+        2.0 / _parity_denominator(phi, _log_parity_overlap_exponent(params))[1]
     return _grown_n_max(
         lambda n: _nb_log_weight(M, n, x),
         lambda n: (M + n) * x / (n + 1),
@@ -200,15 +203,12 @@ def required_dimension(params: NBSParams, phi: Optional[float] = None,
 def required_dimension_cat(alpha: complex, phi: Optional[float] = None,
                            policy: Optional[TruncationPolicy] = None) -> int:
     """n_max for a coherent state (phi=None) or a two-component cat."""
+    check_finite(alpha=alpha)
     policy = policy or TruncationPolicy()
     aa = abs(alpha) ** 2
     if aa == 0.0:
         return 2
-    boost = 1.0
-    if phi is not None:
-        _check_phi(phi)
-        c = phase_factor(phi).real
-        boost = 2.0 / _one_plus_c_exp(c, 2.0 * aa)
+    boost = 1.0 if phi is None else 2.0 / _parity_denominator(phi, 2.0 * aa)[1]
     log_poisson = lambda n: n * math.log(aa) - aa - math.lgamma(n + 1)
     return _grown_n_max(log_poisson, lambda n: aa / (n + 1), boost, policy)
 
@@ -322,6 +322,7 @@ def odd_nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
 
 
 def _coherent_base(alpha: complex, n_max: int) -> np.ndarray:
+    check_finite(alpha=alpha)
     n_max = check_integer("n_max", n_max, 0)
     n = np.arange(n_max + 1)
     if alpha == 0:
@@ -373,6 +374,7 @@ def nbs_inner_closed(alpha: complex, beta: complex, M: int) -> complex:
     Evaluated in log space; both labels must satisfy |.| < 1.
     """
     check_integer("M", M, 1)
+    check_finite(alpha=alpha, beta=beta)
     if abs(alpha) >= 1.0 or abs(beta) >= 1.0:
         raise DomainError("NBS labels must have modulus < 1")
     import cmath

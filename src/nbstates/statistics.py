@@ -10,6 +10,8 @@ factors (1 +- c r), (1 -+ c r rho) with rho = (1-x)/(1+x) all have the shape
 1 + c' exp(-a) with a > 0, so they are evaluated with expm1 instead of raw
 subtraction; this keeps phi = pi accurate at small eta, where 1 - r is
 O(M x).
+
+The Mandel parameter comes from the recursion <N>(pi - phi, M + 1) - <N>(phi, M).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_finite, check_integer
+from .errors import ConvergenceError, DomainError, NumericsError, check_finite, check_integer
 from .fock_core import PhotonStats, TruncationPolicy
 from .nbs_states import (
     _LGAMMA,
@@ -27,35 +29,26 @@ from .nbs_states import (
     _log_parity_overlap_exponent,
     _nb_log_weight,
     _one_plus_c_exp,
+    _parity_denominator,
     phase_factor,
 )
-
-# Below this eta the phi in {0, pi} Mandel parameter is replaced by its
-# quadratic small-eta expansion; the closed form is kept exact elsewhere.
-ETA_SERIES_SWITCH = 1e-4
 
 
 def q_limit(phi: float) -> float:
     """Limit of the Mandel parameter as eta -> 0: +1, -1, or 0 by parity of the superposition."""
     _check_phi(phi)
     c = phase_factor(phi).real
-    if c == 1.0:
-        return 1.0
-    if c == -1.0:
-        return -1.0
-    return 0.0
+    return c if abs(c) == 1.0 else 0.0
 
 
 def pn_closed(n: int, phi: float, params: NBSParams) -> float:
     """P(n) for the superposition; exactly 0 on the parity-forbidden indices."""
     n = check_integer("photon number", n, 0)
-    _check_phi(phi)
-    c = phase_factor(phi).real
-    x = params.eta * params.eta
+    c, denom = _parity_denominator(phi, _log_parity_overlap_exponent(params))
     parity = 1.0 + c if n % 2 == 0 else 1.0 - c
     if parity == 0.0:
         return 0.0
-    denom = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
+    x = params.eta * params.eta
     return math.exp(_nb_log_weight(params.M, n, x)) * parity / denom
 
 
@@ -68,13 +61,11 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
     inputs).  Parity-forbidden entries are exactly 0.
     """
     size = check_integer("n_max", n_max, 0) + 1
-    _check_phi(phi)
-    c = phase_factor(phi).real
+    c, denom = _parity_denominator(phi, _log_parity_overlap_exponent(params))
     M = params.M
     x = params.eta * params.eta
     log_w = (_LGAMMA.row(M, size) - _LGAMMA.row(1, size) - math.lgamma(M)
              + np.arange(size) * math.log(x) + M * math.log1p(-x))
-    denom = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
     p = np.zeros(size)
     for start, parity in ((0, 1.0 + c), (1, 1.0 - c)):
         if parity != 0.0:
@@ -85,69 +76,55 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
 
 def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     """G(lambda) = sum_n lambda^n P(n), defined for |lambda| * eta^2 < 1."""
-    _check_phi(phi)
+    c, denom = _parity_denominator(phi, _log_parity_overlap_exponent(params))
     check_finite(lam=lam)
     x = params.eta * params.eta
     if abs(lam) * x >= 1.0:
         raise DomainError(f"generating function diverges: |lambda|*eta^2 = {abs(lam) * x} >= 1")
     M = params.M
-    c = phase_factor(phi).real
     log_shared = M * math.log1p(-x)
-    a_term = math.exp(log_shared - M * math.log1p(-lam * x))
-    b_term = math.exp(log_shared - M * math.log1p(lam * x))
-    denom = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
-    return (a_term + c * b_term) / denom
+    try:
+        g = (math.exp(log_shared - M * math.log1p(-lam * x))
+             + c * math.exp(log_shared - M * math.log1p(lam * x))) / denom
+    except OverflowError:
+        g = math.inf
+    if not math.isfinite(g):
+        raise NumericsError(f"G({lam}) exceeds the float range at eta={params.eta}, M={M}")
+    return g
+
+
+def _mean(c: float, M: int, x: float) -> float:
+    # <N> at cos(phi) = c; 2.0 * M * u is _log_parity_overlap_exponent bit for bit
+    u = math.atanh(x)
+    return M * x * _one_plus_c_exp(-c, 2.0 * (M + 1) * u) \
+        / ((1.0 - x) * _one_plus_c_exp(c, 2.0 * M * u))
 
 
 def mean_closed(phi: float, params: NBSParams) -> float:
     """<N> = M x (1 - c exp(-2(M+1)u)) / ((1-x)(1 + c exp(-2Mu)))."""
     _check_phi(phi)
-    x = params.eta * params.eta
-    u = math.atanh(x)
-    c = phase_factor(phi).real
-    M = params.M
-    num = _one_plus_c_exp(-c, 2.0 * (M + 1) * u)
-    den = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
-    return M * x * num / ((1.0 - x) * den)
+    return _mean(phase_factor(phi).real, params.M, params.eta * params.eta)
 
 
 def second_moment_closed(phi: float, params: NBSParams) -> float:
     """<N^2> = <N> + M(M+1) x^2 (1 + c exp(-2(M+2)u)) / ((1-x)^2 (1 + c exp(-2Mu)))."""
-    _check_phi(phi)
+    c, den = _parity_denominator(phi, _log_parity_overlap_exponent(params))
     x = params.eta * params.eta
-    u = math.atanh(x)
-    c = phase_factor(phi).real
     M = params.M
-    num = _one_plus_c_exp(c, 2.0 * (M + 2) * u)
-    den = _one_plus_c_exp(c, _log_parity_overlap_exponent(params))
+    num = _one_plus_c_exp(c, 2.0 * (M + 2) * math.atanh(x))
     extra = M * (M + 1) * x * x * num / ((1.0 - x) ** 2 * den)
-    return mean_closed(phi, params) + extra
-
-
-def _q_series_small_eta(c: float, x: float, M: int) -> float:
-    # quadratic expansions around eta = 0 for the two parity states
-    if c == 1.0:
-        return 1.0 + ((M + 2) * (M + 3) / 3.0 - M * (M + 1)) * x * x
-    return -1.0 + (2.0 / 3.0) * (M + 1) * (M + 2) * x * x
+    return _mean(c, M, x) + extra
 
 
 def q_closed(phi: float, params: NBSParams) -> float:
-    """Mandel Q = <N^2>/<N> - <N> - 1 in a cancellation-free two-term arrangement.
+    """Mandel Q = <N^2>/<N> - <N> - 1 as <N>(pi - phi, M + 1) - <N>(phi, M).
 
-    For cos(phi) = +-1 and eta below ETA_SERIES_SWITCH the quadratic
-    small-eta expansion is used instead; both branches agree to ~1e-12 at the
-    switch point.
+    cos(pi - phi) is taken as -cos(phi) exactly; no eta needs a special case.
     """
     _check_phi(phi)
-    x = params.eta * params.eta
     c = phase_factor(phi).real
-    M = params.M
-    if abs(c) == 1.0 and params.eta < ETA_SERIES_SWITCH:
-        return _q_series_small_eta(c, x, M)
-    u = math.atanh(x)
-    t1 = (M + 1) * x * _one_plus_c_exp(c, 2.0 * (M + 2) * u) \
-        / ((1.0 - x) * _one_plus_c_exp(-c, 2.0 * (M + 1) * u))
-    return t1 - mean_closed(phi, params)
+    x = params.eta * params.eta
+    return _mean(-c, params.M + 1, x) - _mean(c, params.M, x)
 
 
 def closed_stats(phi: float, params: NBSParams) -> PhotonStats:

@@ -340,19 +340,16 @@ def check_q_limit_consistency():
                for phi in GRID_PHIS for M in (1, 30))
 
 
-@check("series-switch-seam", 1e-9)
-def check_series_switch_seam():
-    # just above the switch the exact arrangement is used; it must meet the
-    # quadratic expansion used just below it
-    eta = 1.0000001 * statistics.ETA_SERIES_SWITCH
-    worst = 0.0
-    for M in (1, 30, 1000):
-        x = eta * eta
-        for phi, c in ((0.0, 1.0), (math.pi, -1.0)):
-            closed = statistics.q_closed(phi, NBSParams(M=M, eta=eta))
-            series = statistics._q_series_small_eta(c, x, M)
-            worst = max(worst, abs(closed - series))
-    return worst
+@check("small-eta-q-expansion", 1e-9)
+def check_small_eta_q_expansion():
+    # Q of the parity states just above eta = 1e-4 against its quadratic
+    # expansion about eta = 0
+    eta = 1.0000001 * 1e-4
+    x = eta * eta
+    expansions = ((0.0, lambda M: 1.0 + ((M + 2) * (M + 3) / 3.0 - M * (M + 1)) * x * x),
+                  (math.pi, lambda M: -1.0 + (2.0 / 3.0) * (M + 1) * (M + 2) * x * x))
+    return max(abs(statistics.q_closed(phi, NBSParams(M=M, eta=eta)) - series(M))
+               for M in (1, 30, 1000) for phi, series in expansions)
 
 
 @check("fig1-q-curve-shape", 0.01)

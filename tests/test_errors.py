@@ -6,8 +6,10 @@ import pytest
 
 from nbstates.algebra import StructureFunction
 from nbstates.errors import DomainError
-from nbstates.fock_core import FockVector, TruncationPolicy, number_state, tail_mass
-from nbstates.nbs_states import NBSParams, cat_state, coherent, nbs, nbs_inner_closed, superposition
+from nbstates.fock_core import FockVector, TruncationPolicy, number_state, oracle_stats, tail_mass
+from nbstates.generation import fidelity
+from nbstates.nbs_states import (NBSParams, cat_state, coherent, nbs, nbs_inner_closed,
+                                 required_dimension_cat, superposition)
 from nbstates.statistics import a_pow_expectation, generating_function, pn_closed
 
 P = NBSParams(M=2, eta=0.3)
@@ -34,6 +36,13 @@ NAN, INF = math.nan, math.inf
     lambda: StructureFunction(parity="even", values=np.ones(3)).f(NAN),
     lambda: tail_mass(FockVector([1.0, 1.0]), NAN),
     lambda: generating_function(NAN, 0.0, P),
+    lambda: nbs_inner_closed(NAN, 0.5, 3),
+    lambda: coherent(NAN),
+    lambda: coherent(complex(0.5, NAN), n_max=4),
+    lambda: cat_state(INF, 0.0),
+    lambda: required_dimension_cat(INF),
+    lambda: oracle_stats(FockVector([NAN, 1.0])),
+    lambda: fidelity(FockVector([NAN, 1.0]), FockVector([1.0, 0.0])),
 ])
 def test_bad_scalar_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):

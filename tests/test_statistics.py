@@ -11,12 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nbstates.errors import ConvergenceError, DomainError
+from nbstates.errors import ConvergenceError, DomainError, NumericsError
 from nbstates.fock_core import (FockVector, TruncationPolicy, apply_annihilate,
                                 inner, oracle_stats)
-from nbstates.nbs_states import NBSParams, photon_distribution, superposition
-from nbstates.statistics import (ETA_SERIES_SWITCH, a_pow_expectation,
-                                 closed_stats, generating_function,
+from nbstates.nbs_states import ETA_MIN, NBSParams, photon_distribution, superposition
+from nbstates.statistics import (a_pow_expectation, closed_stats, generating_function,
                                  mean_closed, pn_closed, pn_closed_upto,
                                  q_closed, q_limit, q_recursion_residual,
                                  quadrature_variances, second_moment_closed)
@@ -116,6 +115,16 @@ def test_generating_function_normalization_and_series():
             assert generating_function(lam, phi, p) == pytest.approx(series, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("lam, M, eta, phi", [
+    (lam, M, eta, phi) for lam, M, eta in ((1.2, 10 ** 6, 0.9), (3.9, 1000, 0.5), (-3.9, 1000, 0.5))
+    for phi in (0.0, math.pi)
+] + [((1.0 - 1e-7) / 1e-10, 43, 1e-5, math.pi)])
+def test_generating_function_overflow_is_numerics_error(lam, M, eta, phi):
+    # the last case overflows only in the division by 1 + c r, which gave inf
+    with pytest.raises(NumericsError):
+        generating_function(lam, phi, NBSParams(M=M, eta=eta))
+
+
 def test_generating_function_pole_rejected():
     p = NBSParams(M=2, eta=0.5)  # x = 0.25, radius 4
     with pytest.raises(DomainError):
@@ -134,8 +143,8 @@ def test_q_limits_by_parity():
 
 def test_q_series_switch_is_seamless():
     # the closed ratio and the small-x series must agree across the handover
-    below = ETA_SERIES_SWITCH * 0.99
-    above = ETA_SERIES_SWITCH * 1.01
+    below = 1e-4 * 0.99
+    above = 1e-4 * 1.01
     for M in (1, 5, 30):
         for phi, limit in ((0.0, 1.0), (math.pi, -1.0)):
             q_lo = q_closed(phi, NBSParams(M=M, eta=below))
@@ -148,6 +157,40 @@ def test_q_approaches_limit_from_series_branch():
     p = NBSParams(M=8, eta=1e-6)
     assert q_closed(0.0, p) == pytest.approx(1.0, abs=1e-10)
     assert q_closed(math.pi, p) == pytest.approx(-1.0, abs=1e-10)
+
+
+def _mpmath_parity_q(phi, M, eta, mp):
+    """Q of the phi = 0 (even) or phi = pi (odd) state from a 700-digit Fock sum.
+
+    The weights are C(M+n-1, n) x^n as a running product, summed at least
+    up to n = 3 so that both parity classes have a nonzero mean.  At eta
+    near ETA_MIN the odd state's variance is ~1e-616 of its second moment,
+    so the precision has to cover that cancellation.
+    """
+    with mp.workdps(700):
+        x = mp.mpf(eta) ** 2
+        keep = 0 if phi == 0.0 else 1
+        w, n, sums = mp.mpf(1), 0, [mp.mpf(0)] * 3
+        while n < 4 or n <= M * x or not w < mp.mpf(10) ** -60 * sums[1]:
+            if n % 2 == keep:
+                sums = [total + n ** k * w for k, total in enumerate(sums)]
+            w *= (M + n) * x / (n + 1)
+            n += 1
+        mean = sums[1] / sums[0]
+        return float((sums[2] / sums[0] - mean * mean) / mean - 1)
+
+
+@pytest.mark.parametrize("M, eta", [(1e7, 9e-5), (1e8, 9e-5), (1e9, 5e-5), (1e9, 9e-5)]
+                         + [(M, eta) for eta in (ETA_MIN, 1e-20, 1e-6) for M in (1, 30, 1e6)])
+def test_q_at_small_eta_matches_mpmath(M, eta):
+    # an earlier quadratic expansion below eta = 1e-4 gave Q = -42.7 at M = 1e9
+    mp = pytest.importorskip("mpmath").mp
+    M = int(M)
+    for phi in (0.0, math.pi):
+        got = q_closed(phi, NBSParams(M=M, eta=eta))
+        ref = _mpmath_parity_q(phi, M, eta, mp)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (phi, got, ref)
+        assert got >= -1.0 - 1e-15
 
 
 def test_recursion_residual_small_on_grid():

@@ -277,6 +277,17 @@ def test_verify_rejects_non_finite_tolerance(capsys):
         assert "tolerance scale must be finite" in capsys.readouterr().err
 
 
+def test_negative_seed_and_non_utf8_config_are_config_errors(tmp_path, capsys):
+    assert main(["verify", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: seed must be >= 0, got -1\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 3\n# \xff\xfe\n")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: not UTF-8 text") and err.count("\n") == 1
+
+
 def test_json_reports_reject_non_finite_numbers():
     with pytest.raises(NumericsError):
         _json_text({"fidelity": math.nan})
