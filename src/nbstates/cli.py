@@ -3,7 +3,9 @@
 Subcommands: fig1 (Mandel Q sweep), fig2 (X2 variance sweep), pn (photon
 distribution dump), generate (Kerr / dispersive protocol report), verify
 (full check suite).  Flags override config-file keys; unknown config keys
-are rejected.
+are rejected.  ``_OPTIONS`` declares every option once and ``_COMMANDS``
+names the options each subcommand takes; eta_start and eta_stop have no
+flag, so only a config file sets them.
 
 Exit codes: 0 success, 1 domain or config error, 2 numerical-contract
 failure, 3 I/O error.  Every error path prints one diagnostic line to
@@ -16,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Collection, List, Optional
 
 from .errors import ConfigError, DomainError, NumericsError
 from .generation import DispersiveParams, dispersive_protocol, fidelity, kerr_generate
@@ -42,25 +44,29 @@ def _parse_phi_list(text: str) -> List[float]:
         raise ConfigError(f"bad phi list {text!r}: {exc}") from None
 
 
-_VALUE_PARSERS = {
-    "M": int,
-    "eta": float,
-    "theta": float,
-    "phi": _parse_phi_list,
-    "eta_start": float,
-    "eta_stop": float,
-    "grid_step": float,
-    "out": str,
-    "protocol": str,
-    "g1": float,
-    "g2": float,
-    "g2t": float,
-    "tolerance": float,
-    "seed": int,
+# Every option once: config key -> (config-file value parser, argparse keywords
+# of its --flag, or None for a key only a config file sets).  A flag's type is
+# its value parser unless the keywords name another.
+_OPTIONS = {
+    "M": (int, dict(help="NBS index M")),
+    "eta": (float, dict(help="NBS magnitude eta in (0,1)")),
+    "theta": (float, dict(help="NBS phase theta")),
+    "phi": (_parse_phi_list, dict(type=float, action="append",
+                                  help="superposition phase; repeatable for sweeps")),
+    "eta_start": (float, None),
+    "eta_stop": (float, None),
+    "grid_step": (float, dict(help="eta grid step")),
+    "out": (str, dict(help="output path (default: stdout)")),
+    "protocol": (str, dict(choices=("kerr", "dispersive"))),
+    "g1": (float, dict(help="Kerr strength")),
+    "g2": (float, dict(help="dispersive coupling")),
+    "g2t": (float, dict(help="dispersive phase g2*t")),
+    "tolerance": (float, dict(help="scale factor applied to every numeric bound")),
+    "seed": (int, dict(help="seed for randomized checks")),
 }
 
 
-def load_config(path: str, allowed: frozenset) -> dict:
+def load_config(path: str, allowed: Collection[str]) -> dict:
     """Parse `key = value` lines; '#' starts a comment; unknown keys are errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,22 +87,32 @@ def load_config(path: str, allowed: frozenset) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
                               f"(allowed: {', '.join(sorted(allowed))})")
         try:
-            out[key] = _VALUE_PARSERS[key](value)
+            out[key] = _OPTIONS[key][0](value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return out
 
 
-def _merge(args: argparse.Namespace, allowed: frozenset) -> dict:
-    """Config file first, explicit flags on top."""
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(load_config(args.config, allowed))
-    for key in allowed:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
+def _merge(args: argparse.Namespace) -> dict:
+    """Config file first, explicit flags on top, both limited to the command's keys."""
+    merged = load_config(args.config, args.keys) if args.config else {}
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in args.keys and value is not None)
     return merged
+
+
+def _nbs_params(opts: dict, command: str) -> NBSParams:
+    for required in ("M", "eta"):
+        if required not in opts:
+            raise ConfigError(f"{command} requires {required} (flag --{required} or config key)")
+    return NBSParams(M=opts["M"], eta=opts["eta"], theta=opts.get("theta", 0.0))
+
+
+def _one_phi(opts: dict, what: str) -> float:
+    phis = opts.get("phi", [0.0])
+    if len(phis) != 1:
+        raise ConfigError(f"{what} takes exactly one phi value")
+    return phis[0]
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -119,14 +135,11 @@ def _json_text(obj, sort_keys: bool = False) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_FIG_KEYS = frozenset({"M", "theta", "phi", "eta_start", "eta_stop", "grid_step", "out"})
-
-
 def cmd_fig(args) -> int:
     # looked up per call, so a caller that wraps the sweeps functions sees these calls
     config, records = {"fig1": (sweeps.fig1_config, sweeps.fig1_records),
                        "fig2": (sweeps.fig2_config, sweeps.fig2_records)}[args.command]
-    opts = _merge(args, _FIG_KEYS)
+    opts = _merge(args)
     out = opts.pop("out", None)
     if "phi" in opts:
         opts["phis"] = tuple(opts.pop("phi"))
@@ -134,24 +147,12 @@ def cmd_fig(args) -> int:
     return 0
 
 
-_PN_KEYS = frozenset({"M", "eta", "phi", "out"})
-
-
 def cmd_pn(args) -> int:
-    opts = _merge(args, _PN_KEYS)
-    for required in ("M", "eta"):
-        if required not in opts:
-            raise ConfigError(f"pn requires {required} (flag --{required} or config key)")
-    phis = opts.get("phi", [0.0])
-    if len(phis) != 1:
-        raise ConfigError("pn takes exactly one phi value")
-    params = NBSParams(M=opts["M"], eta=opts["eta"])
+    opts = _merge(args)
+    params = _nbs_params(opts, "pn")
     _write_text(opts.get("out"),
-                sweeps.render_pn_csv(sweeps.pn_table(phis[0], params)))
+                sweeps.render_pn_csv(sweeps.pn_table(_one_phi(opts, "pn"), params)))
     return 0
-
-
-_GENERATE_KEYS = frozenset({"protocol", "M", "eta", "theta", "phi", "g1", "g2", "g2t", "out"})
 
 
 def _complex_pairs(amps, count: int = 20) -> List[List[float]]:
@@ -159,14 +160,11 @@ def _complex_pairs(amps, count: int = 20) -> List[List[float]]:
 
 
 def cmd_generate(args) -> int:
-    opts = _merge(args, _GENERATE_KEYS)
+    opts = _merge(args)
     protocol = opts.get("protocol")
     if protocol not in ("kerr", "dispersive"):
         raise ConfigError("generate requires protocol = kerr or dispersive")
-    for required in ("M", "eta"):
-        if required not in opts:
-            raise ConfigError(f"generate requires {required}")
-    params = NBSParams(M=opts["M"], eta=opts["eta"], theta=opts.get("theta", 0.0))
+    params = _nbs_params(opts, "generate")
 
     if protocol == "kerr":
         for stray in ("phi", "g2", "g2t"):
@@ -189,10 +187,7 @@ def cmd_generate(args) -> int:
     else:
         if "g1" in opts:
             raise ConfigError("g1 is not used by the dispersive protocol")
-        phis = opts.get("phi", [0.0])
-        if len(phis) != 1:
-            raise ConfigError("dispersive generation takes exactly one phi value")
-        phi = phis[0]
+        phi = _one_phi(opts, "dispersive generation")
         g2 = opts.get("g2", 1.0)
         g2t = opts.get("g2t", math.pi)
         # validate g2 before g2t is divided by it
@@ -218,15 +213,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_VERIFY_KEYS = frozenset({"tolerance", "seed", "out"})
-
-
 def cmd_verify(args) -> int:
     # imported here so the other subcommands skip loading the suite and algebra
     from . import verification
-    opts = _merge(args, _VERIFY_KEYS)
+    opts = _merge(args)
     scale = opts.get("tolerance", 1.0)
-    if getattr(args, "corrupt_tolerances", False):
+    if args.corrupt_tolerances:
         # negative control: bounds tightened far beyond attainability, the
         # suite must report failures and exit nonzero
         scale = 1e-8
@@ -236,7 +228,7 @@ def cmd_verify(args) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     results = verification.run_suite(tol_scale=scale, seed=seed)
-    if getattr(args, "json", False):
+    if args.json:
         text = _json_text(verification.results_to_json(results))
     else:
         text = verification.render_report(results)
@@ -248,21 +240,16 @@ def cmd_verify(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p: _Parser, *names: str) -> None:
-    if "M" in names:
-        p.add_argument("--M", type=int, default=None, help="NBS index M")
-    if "eta" in names:
-        p.add_argument("--eta", type=float, default=None, help="NBS magnitude eta in (0,1)")
-    if "theta" in names:
-        p.add_argument("--theta", type=float, default=None, help="NBS phase theta")
-    if "phi" in names:
-        p.add_argument("--phi", type=float, action="append", default=None,
-                       help="superposition phase; repeatable for sweeps")
-    if "grid_step" in names:
-        p.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                       help="eta grid step")
-    p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-    p.add_argument("--config", type=str, default=None, help="key = value config file")
+_COMMANDS = (
+    ("fig1", "Mandel Q vs eta sweep (default M=30)", cmd_fig,
+     ("M", "theta", "phi", "eta_start", "eta_stop", "grid_step", "out")),
+    ("fig2", "X2 variance vs eta sweep (default M=50)", cmd_fig,
+     ("M", "theta", "phi", "eta_start", "eta_stop", "grid_step", "out")),
+    ("pn", "photon number distribution table", cmd_pn, ("M", "eta", "phi", "out")),
+    ("generate", "run a generation protocol, report JSON", cmd_generate,
+     ("protocol", "M", "eta", "theta", "phi", "g1", "g2", "g2t", "out")),
+    ("verify", "run the full check suite", cmd_verify, ("tolerance", "seed", "out")),
+)
 
 
 def build_parser() -> _Parser:
@@ -270,36 +257,18 @@ def build_parser() -> _Parser:
                      description="Photon statistics and generation protocols "
                                  "for NBS parity superpositions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (("fig1", "Mandel Q vs eta sweep (default M=30)"),
-                            ("fig2", "X2 variance vs eta sweep (default M=50)")):
+    for name, help_text, handler, keys in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, "M", "theta", "phi", "grid_step")
-        p.set_defaults(handler=cmd_fig)
-
-    p3 = sub.add_parser("pn", help="photon number distribution table")
-    _add_common(p3, "M", "eta", "phi")
-    p3.set_defaults(handler=cmd_pn)
-
-    p4 = sub.add_parser("generate", help="run a generation protocol, report JSON")
-    p4.add_argument("--protocol", type=str, choices=("kerr", "dispersive"), default=None)
-    _add_common(p4, "M", "eta", "theta", "phi")
-    p4.add_argument("--g1", type=float, default=None, help="Kerr strength")
-    p4.add_argument("--g2", type=float, default=None, help="dispersive coupling")
-    p4.add_argument("--g2t", type=float, default=None, help="dispersive phase g2*t")
-    p4.set_defaults(handler=cmd_generate)
-
-    p5 = sub.add_parser("verify", help="run the full check suite")
-    p5.add_argument("--tolerance", type=float, default=None,
-                    help="scale factor applied to every numeric bound")
-    p5.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    p5.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p5.add_argument("--corrupt-tolerances", action="store_true",
-                    help="negative control: tighten bounds until the suite must fail")
-    p5.add_argument("--out", type=str, default=None, help="report path (default: stdout)")
-    p5.add_argument("--config", type=str, default=None, help="key = value config file")
-    p5.set_defaults(handler=cmd_verify)
-
+        for key in keys:
+            parse, flag = _OPTIONS[key]
+            if flag is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **{"type": parse, **flag})
+        p.add_argument("--config", type=str, help="key = value config file")
+        p.set_defaults(handler=handler, keys=keys)
+        if name == "verify":
+            p.add_argument("--json", action="store_true", help="emit the report as JSON")
+            p.add_argument("--corrupt-tolerances", action="store_true",
+                           help="negative control: tighten bounds until the suite must fail")
     return parser
 
 

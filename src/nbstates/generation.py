@@ -128,7 +128,10 @@ def dispersive_protocol(params: NBSParams, disp: DispersiveParams,
         # widest of the two so either projection is representable
         d_g = required_dimension(params, disp.phi, policy)
         n_max = max(d_g, required_dimension(params, partner_phase(disp.phi), policy))
-    base = nbs(params, n_max=n_max).amplitudes
+    # the truncated NBS keeps norm^2 = 1 - tail; renormalize so the joint
+    # state is a unit vector whatever the tail tolerance or forced n_max
+    start = nbs(params, n_max=n_max)
+    base = start.amplitudes / start.norm()
     rotated = base * _label_phases(-disp.g2 * disp.t, np.arange(n_max + 1))
 
     f_g = base / math.sqrt(2.0)

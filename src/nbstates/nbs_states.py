@@ -200,12 +200,20 @@ def required_dimension(params: NBSParams, phi: Optional[float] = None,
     )
 
 
+def _label_intensity(alpha: complex) -> float:
+    """|alpha|^2 of a coherent label; DomainError unless it is a finite float."""
+    check_finite(alpha=alpha)
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        raise DomainError(f"|alpha|^2 overflows a float for alpha = {alpha}") from None
+
+
 def required_dimension_cat(alpha: complex, phi: Optional[float] = None,
                            policy: Optional[TruncationPolicy] = None) -> int:
     """n_max for a coherent state (phi=None) or a two-component cat."""
-    check_finite(alpha=alpha)
+    aa = _label_intensity(alpha)
     policy = policy or TruncationPolicy()
-    aa = abs(alpha) ** 2
     if aa == 0.0:
         return 2
     boost = 1.0 if phi is None else 2.0 / _parity_denominator(phi, 2.0 * aa)[1]
@@ -322,14 +330,13 @@ def odd_nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
 
 
 def _coherent_base(alpha: complex, n_max: int) -> np.ndarray:
-    check_finite(alpha=alpha)
+    aa = _label_intensity(alpha)
     n_max = check_integer("n_max", n_max, 0)
     n = np.arange(n_max + 1)
     if alpha == 0:
         amps = np.zeros(n_max + 1, dtype=np.complex128)
         amps[0] = 1.0
         return amps
-    aa = abs(alpha) ** 2
     logmag = n * math.log(abs(alpha)) - 0.5 * aa - 0.5 * _LGAMMA.row(1, n_max + 1)
     return np.exp(logmag) * _label_phases(math.atan2(alpha.imag, alpha.real), n)
 
@@ -350,7 +357,7 @@ def cat_state(alpha: complex, phi: float,
         raise DomainError("cat state requires alpha != 0")
     if n_max is None:
         n_max = required_dimension_cat(alpha, phi, policy)
-    return _parity_superposition(_coherent_base(alpha, n_max), phi, 2.0 * abs(alpha) ** 2)
+    return _parity_superposition(_coherent_base(alpha, n_max), phi, 2.0 * _label_intensity(alpha))
 
 
 def even_coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,

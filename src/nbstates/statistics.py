@@ -137,16 +137,15 @@ def closed_stats(phi: float, params: NBSParams) -> PhotonStats:
 
 
 def q_recursion_residual(phi: float, params: NBSParams) -> float:
-    """|Q(phi, eta, M) - (<N>(pi-phi, eta, M+1) - <N>(phi, eta, M))|.
+    """|Q from the recursion - (<N^2>/<N> - <N> - 1)|, the moments from their closed forms.
 
-    The reflected phase pi - phi is shifted by 2*pi when phi > pi so it stays
-    inside the accepted [0, 2*pi] interval; only cos matters.
+    ``q_closed`` is the recursion <N>(pi - phi, M + 1) - <N>(phi, M); the
+    reference divides ``second_moment_closed`` by ``mean_closed`` instead.
+    A fault in the shared <N> formula enters the two routes differently, so
+    it shows up here.
     """
-    _check_phi(phi)
-    reflected = math.pi - phi if phi <= math.pi else 3.0 * math.pi - phi
-    bumped = NBSParams(M=params.M + 1, eta=params.eta, theta=params.theta)
-    rhs = mean_closed(reflected, bumped) - mean_closed(phi, params)
-    return abs(q_closed(phi, params) - rhs)
+    mean = mean_closed(phi, params)
+    return abs(q_closed(phi, params) - (second_moment_closed(phi, params) / mean - mean - 1.0))
 
 
 # ---------------------------------------------------------------------------

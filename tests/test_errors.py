@@ -43,6 +43,11 @@ NAN, INF = math.nan, math.inf
     lambda: required_dimension_cat(INF),
     lambda: oracle_stats(FockVector([NAN, 1.0])),
     lambda: fidelity(FockVector([NAN, 1.0]), FockVector([1.0, 0.0])),
+    # finite labels whose |alpha|^2 overflows a float
+    lambda: required_dimension_cat(1e200),
+    lambda: coherent(1e160),
+    lambda: cat_state(1e160, 0.0),
+    lambda: coherent(1e160, n_max=5),
 ])
 def test_bad_scalar_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):

@@ -121,6 +121,17 @@ def test_dispersive_probabilities_sum_to_one_off_resonance():
     assert out.projected_e.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("sizing", [dict(policy=TruncationPolicy(tail_tolerance=1e-6)),
+                                    dict(n_max=5)])
+def test_dispersive_coarse_truncation_is_accepted(sizing):
+    # the truncated base misses 2e-8 (tail 1e-6) or 4e-3 (n_max = 5) of its
+    # norm^2, far more than the joint state's 1e-9 slack
+    out = dispersive_protocol(NBSParams(M=3, eta=0.5),
+                              DispersiveParams(phi=0.0, g2=1.0, t=math.pi), **sizing)
+    assert out.prob_g + out.prob_e == pytest.approx(1.0, abs=1e-12)
+    assert out.projected_g.norm() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_dispersive_joint_recombines_projections():
     p = NBSParams(M=2, eta=0.4)
     out = dispersive_protocol(p, DispersiveParams(phi=2.5, g2=1.0, t=math.pi))

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nbstates import statistics, verification
 from nbstates.errors import ConvergenceError, DomainError, NumericsError
 from nbstates.fock_core import (FockVector, TruncationPolicy, apply_annihilate,
                                 inner, oracle_stats)
@@ -199,6 +200,15 @@ def test_recursion_residual_small_on_grid():
             for phi in (0.0, 1.0, math.pi / 2.0, math.pi, 5.0):
                 r = q_recursion_residual(phi, NBSParams(M=M, eta=eta))
                 assert r < 1e-11
+
+
+def test_recursion_residual_sees_a_wrong_mean(monkeypatch):
+    # q_closed and the moments share _mean; shift its M and the residual
+    # and the verify check built on it must notice
+    exact = statistics._mean
+    monkeypatch.setattr(statistics, "_mean", lambda c, M, x: exact(c, M + 1e-3, x))
+    assert q_recursion_residual(1.0, NBSParams(M=4, eta=0.45)) > 1e-6
+    assert not verification.check_recursion_identity(1.0).passed
 
 
 def _a_pow_oracle(v: FockVector, k: int) -> complex:

@@ -1,4 +1,5 @@
 """Sweep grids, CSV rendering, and the command line driver (run in process)."""
+import argparse
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nbstates.cli import _json_text, load_config, main
+from nbstates.cli import _json_text, build_parser, load_config, main
 from nbstates.errors import ConfigError, DomainError, NumericsError
 from nbstates.nbs_states import NBSParams
 from nbstates.sweeps import (FIG1_PHIS, SweepConfig, fig1_config, fig1_records,
@@ -356,3 +357,65 @@ def test_verify_negative_control(tmp_path):
     rc = main(["verify", "--corrupt-tolerances", "--out", str(out)])
     assert rc == 2
     assert "FAIL" in out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# CLI contract: the flags and config keys of every subcommand
+# ---------------------------------------------------------------------------
+
+_M = (("--M",), "M", int, "_StoreAction")
+_ETA = (("--eta",), "eta", float, "_StoreAction")
+_THETA = (("--theta",), "theta", float, "_StoreAction")
+_PHI = (("--phi",), "phi", float, "_AppendAction")
+_OUT = (("--out",), "out", str, "_StoreAction")
+_CONFIG = (("--config",), "config", str, "_StoreAction")
+_FIG_FLAGS = {_M, _THETA, _PHI, (("--grid-step",), "grid_step", float, "_StoreAction"),
+              _OUT, _CONFIG}
+_FIG_CONFIG_KEYS = {"M", "theta", "phi", "eta_start", "eta_stop", "grid_step", "out"}
+
+CLI_CONTRACT = {
+    "fig1": (_FIG_FLAGS, _FIG_CONFIG_KEYS),
+    "fig2": (_FIG_FLAGS, _FIG_CONFIG_KEYS),
+    "pn": ({_M, _ETA, _PHI, _OUT, _CONFIG}, {"M", "eta", "phi", "out"}),
+    "generate": (
+        {(("--protocol",), "protocol", str, "_StoreAction"), _M, _ETA, _THETA, _PHI,
+         (("--g1",), "g1", float, "_StoreAction"), (("--g2",), "g2", float, "_StoreAction"),
+         (("--g2t",), "g2t", float, "_StoreAction"), _OUT, _CONFIG},
+        {"protocol", "M", "eta", "theta", "phi", "g1", "g2", "g2t", "out"}),
+    "verify": (
+        {(("--tolerance",), "tolerance", float, "_StoreAction"),
+         (("--seed",), "seed", int, "_StoreAction"),
+         (("--json",), "json", None, "_StoreTrueAction"),
+         (("--corrupt-tolerances",), "corrupt_tolerances", None, "_StoreTrueAction"),
+         _OUT, _CONFIG},
+        {"tolerance", "seed", "out"}),
+}
+
+
+def _subparsers():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_cli_declares_exactly_the_contract_flags():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(CLI_CONTRACT)
+    for name, (flags, _) in CLI_CONTRACT.items():
+        got = {(tuple(a.option_strings), a.dest, a.type, type(a).__name__)
+               for a in subparsers[name]._actions if a.dest != "help"}
+        assert got == flags, name
+        for action in subparsers[name]._actions:
+            if action.dest != "help":
+                assert action.default in (None, False), (name, action.dest)
+    (protocol,) = [a for a in subparsers["generate"]._actions if a.dest == "protocol"]
+    assert tuple(protocol.choices) == ("kerr", "dispersive")
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CONTRACT))
+def test_config_accepts_exactly_the_contract_keys(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("not_an_option = 1\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    allowed = err[err.index("(allowed: ") + len("(allowed: "):err.rindex(")")]
+    assert set(allowed.split(", ")) == CLI_CONTRACT[command][1]
