@@ -11,33 +11,36 @@ algebra with structure function S(N) = f(N)^2 N (N-1).  The coefficients
 C(m) are not built here: a ParitySequence is the slice amplitudes[p0::2] of
 a vector made by a constructor in ``nbs_states`` (``even_nbs``, ``odd_nbs``,
 ``even_coherent``, ...), so the truncation of that vector fixes how many
-ladder sites every check below covers.  The checks realize A+/-, the
-ladder-site number operator and S on those sites and measure how well the
-product and commutator relations hold.
+ladder sites every check below covers.  The sequence carries its own f and
+S, read off its coefficient ratios, so every check takes the sequence alone;
+the pair-eigenvalue checks also take the NBS parameters whose eigenvalue
+they test.  The checks realize A+/-, the ladder-site number operator and S
+on those sites and measure how well the product and commutator relations
+hold.
 
 Conventions that matter:
 
 * The ladder-site operator counts pairs (j = 0, 1, 2, ...), not photons; the
   relations [N, A+-] = +-A+- only hold in that labeling.
-* For a complex state label the derived f and S are complex.  An operator
-  product A+ A- is positive semidefinite, so its diagonal is compared
-  against |S|, while the literal (possibly complex)S stays available on the
-  StructureFunction for formula-level checks.
+* For a complex state label f and S are complex.  An operator product
+  A+ A- is positive semidefinite, so its diagonal is compared against |S|,
+  while the literal (possibly complex) S stays available as
+  ``ParitySequence.s`` for formula-level checks.
 * a^2 corrupts the top two components of a truncated vector, so every
   residual that involves lowering excludes them; the raising identity above
   is truncation-clean and is checked on all components.
 """
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, PoleError, check_integer
-from .fock_core import FockVector, TruncationPolicy
-from .nbs_states import NBSParams, superposition
+from .fock_core import FockVector
+from .nbs_states import NBSParams
 
 _PARITIES = ("even", "odd")
 
@@ -85,37 +88,37 @@ class ParitySequence:
         amps[self.offset::2] = self.coeffs
         return FockVector(amps)
 
+    @functools.cached_property
+    def f_values(self) -> np.ndarray:
+        """Read-only f(p0 + 2m) at ``[m - 1]`` for the pair indices m = 1, 2, ...
 
-@dataclass(frozen=True)
-class StructureFunction:
-    """Deformation profile: f on parity-matching photon numbers, S(N) = f(N)^2 N (N-1).
-
-    ``values[m - 1]`` is f(p0 + 2m) for the pair indices m = 1, 2, ... of the
-    sequence it was derived from; it is NaN where C(m - 1) vanishes (a pole).
-    """
-
-    parity: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.parity not in _PARITIES:
-            raise DomainError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+        It is NaN where C(m - 1) vanishes (a pole).
+        """
+        n = self.photon_numbers[1:].astype(np.float64)
+        scale = np.sqrt(n / (n - 1.0)) if self.parity == "even" else np.sqrt((n - 1.0) / n)
+        below = self.coeffs[:-1]
+        values = np.full(n.size, np.nan, dtype=np.complex128)
+        np.divide(scale * self.coeffs[1:], below, out=values, where=below != 0)
+        values.setflags(write=False)
+        return values
 
     def f(self, n: int) -> complex:
+        """f(n) for a photon number n of this parity; PoleError where C(n//2 - 1) vanishes."""
         n = check_integer("photon number", n, 0)
         if self.parity == "even" and (n % 2 != 0 or n < 2):
             raise DomainError(f"even-parity structure function needs even n >= 2, got {n}")
         if self.parity == "odd" and (n % 2 != 1 or n < 3):
             raise DomainError(f"odd-parity structure function needs odd n >= 3, got {n}")
         m = n // 2
-        if m > self.values.size:
+        if m > self.f_values.size:
             raise DomainError(f"f({n}) lies past the last photon number of its sequence")
-        fv = self.values[m - 1]
+        fv = self.f_values[m - 1]
         if np.isnan(fv):
             raise PoleError(f"coefficient at pair index {m - 1} vanishes; f({n}) undefined")
         return complex(fv)
 
     def s(self, n: int) -> complex:
+        """S(n) = f(n)^2 n (n - 1)."""
         fv = self.f(n)
         return fv * fv * n * (n - 1)
 
@@ -124,34 +127,6 @@ def _check_poles(pole: np.ndarray) -> None:
     # pole[m] marks a vanishing coefficient at pair index m
     if pole.any():
         raise PoleError(f"coefficient at pair index {int(np.argmax(pole))} vanishes")
-
-
-def derive_structure_function(seq: ParitySequence) -> StructureFunction:
-    """Read f off the coefficient ratios of a parity sequence.
-
-    A vanishing coefficient in the denominator leaves a pole: reading f there
-    raises PoleError naming the offending pair index.
-    """
-    n = seq.photon_numbers[1:].astype(np.float64)
-    scale = np.sqrt(n / (n - 1.0)) if seq.parity == "even" else np.sqrt((n - 1.0) / n)
-    below = seq.coeffs[:-1]
-    values = np.full(n.size, np.nan, dtype=np.complex128)
-    np.divide(scale * seq.coeffs[1:], below, out=values, where=below != 0)
-    values.setflags(write=False)
-    return StructureFunction(parity=seq.parity, values=values)
-
-
-def _ladder_f(sf: StructureFunction, seq: ParitySequence, read: np.ndarray) -> np.ndarray:
-    # f at the photon numbers of pair indices 1..len(seq)-1; a pole is an
-    # error only where ``read`` is set
-    if sf.parity != seq.parity:
-        raise DomainError(f"parity mismatch: {sf.parity!r} vs {seq.parity!r}")
-    if sf.values.size < seq.coeffs.size - 1:
-        raise DomainError(f"structure function covers {sf.values.size} pair indices, "
-                          f"the sequence needs {seq.coeffs.size - 1}")
-    f = sf.values[:seq.coeffs.size - 1]
-    _check_poles(np.isnan(f) & read)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +148,7 @@ class GdoResiduals:
                    self.product_raise, self.product_lower)
 
 
-def gdo_relations_check(sf: StructureFunction, seq: ParitySequence) -> GdoResiduals:
+def gdo_relations_check(seq: ParitySequence) -> GdoResiduals:
     """Realize A+ = f(N) a^dag^2, A- = (A+)^dag on the parity sites and test the algebra.
 
     With N counting ladder sites, the relations are [N, A+] = A+,
@@ -181,12 +156,13 @@ def gdo_relations_check(sf: StructureFunction, seq: ParitySequence) -> GdoResidu
     site.  A+ has one nonzero diagonal, a_j = A+[j+1, j], so each relation is
     compared entry by entry on it; every other matrix entry is exactly zero
     on both sides.  Residuals are max-abs over the sites below the top two,
-    where truncation bends the products.
+    where truncation bends the products.  A pole anywhere raises PoleError.
     """
     sites = seq.coeffs.size
     if sites < 4:
         raise DomainError(f"n_max={seq.n_max} leaves too few ladder sites ({sites}) to check")
-    f = _ladder_f(sf, seq, read=True)
+    f = seq.f_values
+    _check_poles(np.isnan(f))
 
     n = seq.photon_numbers[1:].astype(np.float64)
     a_plus = f * np.sqrt((n - 1.0) * n)
@@ -205,21 +181,19 @@ def gdo_relations_check(sf: StructureFunction, seq: ParitySequence) -> GdoResidu
     )
 
 
-def creation_identity_residual(sf: StructureFunction, seq: ParitySequence) -> float:
+def creation_identity_residual(seq: ParitySequence) -> float:
     """Max-abs residual of N|psi> = f(N) a^dag^2 |psi> (even) or (N-1)|psi> = ... (odd).
 
     a^dag^2 only pushes amplitude upward, so this identity is clean on every
     retained component; no rows are excluded.  Sites whose lower neighbour
-    vanishes get no raised amplitude, so a pole there is not an error.
+    vanishes get no raised amplitude, so the pole of f there is never read.
     """
     c = seq.coeffs
     below = c[:-1]
-    live = below != 0
-    f = _ladder_f(sf, seq, read=live)
     n = seq.photon_numbers.astype(np.float64)
     lhs = (n - seq.offset) * c
     rhs = np.zeros_like(c)
-    rhs[1:] = np.where(live, f * np.sqrt((n[1:] - 1.0) * n[1:]) * below, 0.0)
+    rhs[1:] = np.where(below != 0, seq.f_values * np.sqrt((n[1:] - 1.0) * n[1:]) * below, 0.0)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -245,13 +219,13 @@ def lowering_ratio_residual(seq: ParitySequence) -> float:
     return float(np.max(np.abs(lowered - expected), initial=0.0))
 
 
-def _pair_lowering_residual(params: NBSParams, phi: float, policy: Optional[TruncationPolicy],
-                            n_max: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """a^2 psi - lambda_N psi on the phi superposition, and F(N) = ((M+N)(M+N+1))^{-1/2}.
+def _pair_lowering_residual(seq: ParitySequence,
+                            params: NBSParams) -> Tuple[np.ndarray, np.ndarray]:
+    """a^2 psi - lambda_N psi on the realized sequence, and F(N) = ((M+N)(M+N+1))^{-1/2}.
 
     lambda_N = eta_c^2 / F(N) is the pair eigenvalue; the top two rows are dropped.
     """
-    v = superposition(phi, params, policy, n_max).amplitudes
+    v = seq.realize().amplitudes
     if v.size < 3:
         raise DomainError(f"n_max={v.size - 1} leaves no row below the top two to check")
     n = np.arange(v.size - 2, dtype=np.float64)
@@ -259,31 +233,22 @@ def _pair_lowering_residual(params: NBSParams, phi: float, policy: Optional[Trun
     return _a2(v)[:-2] - root * params.eta_c ** 2 * v[:-2], 1.0 / root
 
 
-def eigen_residual_even(params: NBSParams, policy: Optional[TruncationPolicy] = None,
-                        n_max: Optional[int] = None) -> float:
-    """Residual of a^2 |even NBS> = sqrt((M+N)(M+N+1)) eta_c^2 |even NBS>, top two rows excluded."""
-    resid, _ = _pair_lowering_residual(params, 0.0, policy, n_max)
+def eigen_residual(seq: ParitySequence, params: NBSParams) -> float:
+    """Residual of a^2 |psi> = sqrt((M+N)(M+N+1)) eta_c^2 |psi>, top two rows excluded.
+
+    Both parity NBS of ``params`` satisfy it.
+    """
+    resid, _ = _pair_lowering_residual(seq, params)
     return float(np.max(np.abs(resid)))
 
 
-def eigen_residual_odd(params: NBSParams, policy: Optional[TruncationPolicy] = None,
-                       n_max: Optional[int] = None) -> float:
-    """Same two-photon eigenvalue residual for the odd NBS."""
-    resid, _ = _pair_lowering_residual(params, math.pi, policy, n_max)
-    return float(np.max(np.abs(resid)))
-
-
-def nonlinear_coherent_residual(params: NBSParams, policy: Optional[TruncationPolicy] = None,
-                                n_max: Optional[int] = None) -> float:
+def nonlinear_coherent_residual(seq: ParitySequence, params: NBSParams) -> float:
     """Residual of F(N) a^2 |psi> = eta_c^2 |psi> with F(N) = ((M+N)(M+N+1))^{-1/2}.
 
-    Checked for both parity states; returns the worse of the two.  This is
-    the sense in which the parity NBS pair behaves as nonlinear coherent
-    states of the pair-lowering operator.  F(N) (a^2 - lambda_N) psi equals
-    F(N) a^2 psi - eta_c^2 psi, so this is the eigen residual weighted by F.
+    This is the sense in which the parity NBS pair behaves as nonlinear
+    coherent states of the pair-lowering operator.  F(N) (a^2 - lambda_N) psi
+    equals F(N) a^2 psi - eta_c^2 psi, so this is the eigen residual
+    weighted by F.
     """
-    worst = 0.0
-    for phi in (0.0, math.pi):
-        resid, f_of_n = _pair_lowering_residual(params, phi, policy, n_max)
-        worst = max(worst, float(np.max(np.abs(f_of_n * resid))))
-    return worst
+    resid, f_of_n = _pair_lowering_residual(seq, params)
+    return float(np.max(np.abs(f_of_n * resid)))

@@ -104,7 +104,10 @@ def kerr_generate(params: NBSParams, g1: float = 1.0,
                   n_max: Optional[int] = None) -> FockVector:
     """Evolve a bare NBS for the quarter period t = pi/(2 g1).
 
-    The result equals exp(-i pi/4) * superposition(pi/2, params) exactly.
+    In exact arithmetic the result is exp(-i pi/4) * superposition(pi/2,
+    params).  In floats the phase g1 t n^2 is rounded before its exp, so the
+    overlap with that target drifts as n_max grows: 3e-14 at n_max = 27, and
+    1.1e-9 at M = 1000, eta = 0.9, theta = 0.3 (n_max = 5414).
     """
     # validate g1 before the quarter period divides by it
     kerr = KerrParams(g1=g1, t=0.0)

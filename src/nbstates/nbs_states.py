@@ -37,15 +37,28 @@ from .fock_core import FockVector, TruncationPolicy
 TWO_PI = 2.0 * math.pi
 # smallest eta whose square is still a normal float
 ETA_MIN = math.sqrt(sys.float_info.min)
+# largest M for which M + 1 is still a distinct float
+M_MAX = 2 ** 53
+
+
+def _check_M(M) -> int:
+    M = check_integer("M", M, 1)
+    if M > M_MAX:
+        # the bit length, since str() of a huge int raises ValueError
+        raise DomainError("M must be at most 2**53 (M + 1 rounds to M above it), "
+                          f"got a {M.bit_length()}-bit M")
+    return M
 
 
 @dataclass(frozen=True)
 class NBSParams:
-    """Magnitude eta in (0,1), phase theta in [0, 2*pi), integer index M >= 1.
+    """Magnitude eta in (0,1), phase theta in [0, 2*pi), integer index 1 <= M <= 2**53.
 
-    eta**2 must be a normal float (eta >= ~1.5e-154): below that it loses
-    precision and then underflows to 0, where log(eta**2) and the parity
-    normalization are undefined, so such an eta raises DomainError.
+    Above 2**53, M + 1 rounds to M as a float, so such an M raises
+    DomainError.  eta**2 must be a normal float (eta >= ~1.5e-154): below
+    that it loses precision and then underflows to 0, where log(eta**2) and
+    the parity normalization are undefined, so such an eta raises
+    DomainError too.
     """
 
     M: int
@@ -53,7 +66,7 @@ class NBSParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        check_integer("M", self.M, 1)
+        _check_M(self.M)
         if not (0.0 < self.eta < 1.0):
             raise DomainError(f"eta must lie strictly inside (0, 1), got {self.eta}")
         if self.eta * self.eta < sys.float_info.min:
@@ -129,11 +142,19 @@ def _parity_norm(phi: float, minus_exponent: float) -> float:
     return math.sqrt(1.0 / denom)
 
 
+def _truncated(amps: np.ndarray) -> FockVector:
+    """The vector of ``amps``; TruncationError if no amplitude survived the cut."""
+    if not amps.any():
+        raise TruncationError(f"n_max={amps.size - 1} keeps no nonzero amplitude: every "
+                              "retained component underflows or is parity-forbidden")
+    return FockVector(amps)
+
+
 def _parity_superposition(base: np.ndarray, phi: float, minus_exponent: float) -> FockVector:
     """Normalized amplitudes of |b> + e^{i phi} |b'>, where b'_n = (-1)^n b_n."""
     sign = np.where(np.arange(base.size) % 2 == 0, 1.0, -1.0)
     factor = 1.0 + phase_factor(phi) * sign
-    return FockVector(_parity_norm(phi, minus_exponent) * base * factor)
+    return _truncated(_parity_norm(phi, minus_exponent) * base * factor)
 
 
 def normalization_constant(phi: float, params: NBSParams) -> float:
@@ -299,7 +320,7 @@ def nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
     """Negative binomial state, sized by the truncation policy unless n_max is forced."""
     if n_max is None:
         n_max = required_dimension(params, None, policy)
-    return FockVector(_nbs_base(params, n_max))
+    return _truncated(_nbs_base(params, n_max))
 
 
 def superposition(phi: float, params: NBSParams,
@@ -345,7 +366,7 @@ def coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,
              n_max: Optional[int] = None) -> FockVector:
     if n_max is None:
         n_max = required_dimension_cat(alpha, None, policy)
-    return FockVector(_coherent_base(alpha, n_max))
+    return _truncated(_coherent_base(alpha, n_max))
 
 
 def cat_state(alpha: complex, phi: float,
@@ -378,9 +399,9 @@ def photon_distribution(v: FockVector) -> np.ndarray:
 def nbs_inner_closed(alpha: complex, beta: complex, M: int) -> complex:
     """<alpha_c, M | beta_c, M> = (1-|a|^2)^{M/2} (1-|b|^2)^{M/2} (1 - conj(a) b)^{-M}.
 
-    Evaluated in log space; both labels must satisfy |.| < 1.
+    Evaluated in log space; both labels must satisfy |.| < 1, and 1 <= M <= 2**53.
     """
-    check_integer("M", M, 1)
+    _check_M(M)
     check_finite(alpha=alpha, beta=beta)
     if abs(alpha) >= 1.0 or abs(beta) >= 1.0:
         raise DomainError("NBS labels must have modulus < 1")

@@ -413,13 +413,11 @@ def check_ladder_suite():
         params = NBSParams(M=M, eta=eta, theta=theta)
         for build in (nbs_states.even_nbs, nbs_states.odd_nbs):
             seq = algebra.ParitySequence.of(build(params, n_max=n_max))
-            sf = algebra.derive_structure_function(seq)
-            worst = max(worst, algebra.creation_identity_residual(sf, seq),
-                        algebra.gdo_relations_check(sf, seq).max_residual,
-                        algebra.lowering_ratio_residual(seq))
-        worst = max(worst, algebra.eigen_residual_even(params, n_max=n_max),
-                    algebra.eigen_residual_odd(params, n_max=n_max),
-                    algebra.nonlinear_coherent_residual(params, n_max=n_max))
+            worst = max(worst, algebra.creation_identity_residual(seq),
+                        algebra.gdo_relations_check(seq).max_residual,
+                        algebra.lowering_ratio_residual(seq),
+                        algebra.eigen_residual(seq, params),
+                        algebra.nonlinear_coherent_residual(seq, params))
     return worst
 
 
@@ -440,12 +438,11 @@ def check_structure_function_formula():
     worst = 0.0
     for M, eta, theta in LADDER_TRIPLES:
         params = NBSParams(M=M, eta=eta, theta=theta)
-        even = nbs_states.even_nbs(params, n_max=40)
-        sf = algebra.derive_structure_function(algebra.ParitySequence.of(even))
+        seq = algebra.ParitySequence.of(nbs_states.even_nbs(params, n_max=40))
         eta_c4 = params.eta_c ** 4
         for n in range(2, 41, 2):
             reference = n * (M + n - 1) * (M + n - 2) * eta_c4 / (n - 1)
-            rel = abs(sf.s(n) - reference) / abs(reference)
+            rel = abs(seq.s(n) - reference) / abs(reference)
             worst = max(worst, rel)
     return worst
 

@@ -4,10 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from nbstates.algebra import (ParitySequence, creation_identity_residual,
-                              derive_structure_function, eigen_residual_even,
-                              eigen_residual_odd, gdo_relations_check,
-                              lowering_ratio_residual,
+from nbstates.algebra import (ParitySequence, creation_identity_residual, eigen_residual,
+                              gdo_relations_check, lowering_ratio_residual,
                               nonlinear_coherent_residual)
 from nbstates.errors import DomainError, PoleError
 from nbstates.fock_core import FockVector
@@ -59,43 +57,42 @@ def test_structure_function_hand_values():
     # even NBS: f(n) = sqrt((M+n-1)(M+n-2)) / (n-1) * eta^2
     M, eta = 4, 0.6
     even = even_nbs(NBSParams(M=M, eta=eta), n_max=N_MAX)
-    sf = derive_structure_function(ParitySequence.of(even))
+    seq = ParitySequence.of(even)
     want = math.sqrt((M + 3) * (M + 2)) / 3.0 * eta * eta
-    assert sf.f(4) == pytest.approx(want, rel=1e-12)
+    assert seq.f(4) == pytest.approx(want, rel=1e-12)
     # even coherent: f(n) = alpha^2 / (n - 1), so S(n) = alpha^4 n/(n-1)
-    sfc = derive_structure_function(ParitySequence.of(even_coherent(1.3, n_max=N_MAX)))
-    assert sfc.f(6) == pytest.approx(1.3 ** 2 / 5.0, rel=1e-12)
-    assert sfc.s(6) == pytest.approx(1.3 ** 4 * 6.0 / 5.0, rel=1e-12)
+    cat = ParitySequence.of(even_coherent(1.3, n_max=N_MAX))
+    assert cat.f(6) == pytest.approx(1.3 ** 2 / 5.0, rel=1e-12)
+    assert cat.s(6) == pytest.approx(1.3 ** 4 * 6.0 / 5.0, rel=1e-12)
 
 
 def test_even_nbs_s_formula():
     # S(N) = N (M+N-1)(M+N-2) eta_c^4 / (N-1), complex for theta != 0
     p = NBSParams(M=5, eta=0.45, theta=1.1)
-    sf = derive_structure_function(ParitySequence.of(even_nbs(p, n_max=N_MAX)))
+    seq = ParitySequence.of(even_nbs(p, n_max=N_MAX))
     for n in (2, 4, 10, 40):
         want = n * (p.M + n - 1) * (p.M + n - 2) * p.eta_c ** 4 / (n - 1)
-        got = sf.s(n)
+        got = seq.s(n)
         assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_structure_function_domain_checks():
-    sf = derive_structure_function(ParitySequence.of(even_nbs(NBSParams(M=2, eta=0.3), n_max=20)))
+    seq = ParitySequence.of(even_nbs(NBSParams(M=2, eta=0.3), n_max=20))
     for bad in (3, 0, -2, 2.5, 22):
         with pytest.raises(DomainError):
-            sf.f(bad)
-    sfo = derive_structure_function(ParitySequence.of(odd_nbs(NBSParams(M=2, eta=0.3), n_max=20)))
+            seq.f(bad)
+    odd = ParitySequence.of(odd_nbs(NBSParams(M=2, eta=0.3), n_max=20))
     for bad in (2, 1, -3, 21):
         with pytest.raises(DomainError):
-            sfo.f(bad)
+            odd.f(bad)
 
 
 def test_pole_on_vanishing_coefficient():
     # even coefficients C = (0, 1, 1): the pole sits at pair index 0, i.e. f(2)
     seq = ParitySequence.of(FockVector(np.array([0.0, 0.0, 1.0, 0.0, 1.0])))
-    sf = derive_structure_function(seq)
-    assert sf.f(4) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
+    assert seq.f(4) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
     with pytest.raises(PoleError, match="pair index 0"):
-        sf.f(2)
+        seq.f(2)
     with pytest.raises(PoleError, match="pair index 0"):
         lowering_ratio_residual(seq)
 
@@ -108,25 +105,15 @@ def test_gdo_relations_hold_for_all_sequences():
              even_nbs(pc, n_max=80), odd_nbs(pc, n_max=80),
              even_coherent(alpha, n_max=80), odd_coherent(alpha, n_max=80)]
     for v in cases:
-        seq = ParitySequence.of(v)
-        sf = derive_structure_function(seq)
-        res = gdo_relations_check(sf, seq)
+        res = gdo_relations_check(ParitySequence.of(v))
         assert res.max_residual < 1e-9
-
-
-def test_gdo_parity_mismatch_rejected():
-    p = NBSParams(M=3, eta=0.4)
-    sf = derive_structure_function(ParitySequence.of(even_nbs(p, n_max=40)))
-    with pytest.raises(DomainError):
-        gdo_relations_check(sf, ParitySequence.of(odd_nbs(p, n_max=40)))
 
 
 def test_gdo_needs_enough_sites():
     p = NBSParams(M=3, eta=0.4)
     seq = ParitySequence.of(even_nbs(p, n_max=4))
-    sf = derive_structure_function(seq)
     with pytest.raises(DomainError):
-        gdo_relations_check(sf, seq)
+        gdo_relations_check(seq)
 
 
 def test_creation_identity_clean_to_top_row():
@@ -137,8 +124,7 @@ def test_creation_identity_clean_to_top_row():
                       theta=float(rng.uniform(0.0, 2.0 * math.pi)))
         for build in (even_nbs, odd_nbs):
             seq = ParitySequence.of(build(p, n_max=N_MAX))
-            sf = derive_structure_function(seq)
-            assert creation_identity_residual(sf, seq) < 1e-10
+            assert creation_identity_residual(seq) < 1e-10
 
 
 def test_lowering_ratio_residual_small():
@@ -151,12 +137,15 @@ def test_lowering_ratio_residual_small():
 def test_pair_eigenvalue_residuals():
     for M, eta, theta in ((1, 0.3, 0.0), (5, 0.6, 1.0), (30, 0.2, math.pi)):
         p = NBSParams(M=M, eta=eta, theta=theta)
-        assert eigen_residual_even(p) < 1e-10
-        assert eigen_residual_odd(p) < 1e-10
-        assert nonlinear_coherent_residual(p) < 1e-10
-    for residual in (eigen_residual_even, eigen_residual_odd, nonlinear_coherent_residual):
-        with pytest.raises(DomainError):
-            residual(NBSParams(M=1, eta=0.3), n_max=1)
+        for build in (even_nbs, odd_nbs):
+            seq = ParitySequence.of(build(p))
+            assert eigen_residual(seq, p) < 1e-10
+            assert nonlinear_coherent_residual(seq, p) < 1e-10
+    p = NBSParams(M=1, eta=0.3)
+    for build in (even_nbs, odd_nbs):
+        for residual in (eigen_residual, nonlinear_coherent_residual):
+            with pytest.raises(DomainError):
+                residual(ParitySequence.of(build(p, n_max=1)), p)
 
 
 def test_eigen_residual_detects_wrong_state():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nbstates.algebra import StructureFunction
+from nbstates.algebra import ParitySequence
 from nbstates.errors import DomainError
 from nbstates.fock_core import FockVector, TruncationPolicy, number_state, oracle_stats, tail_mass
 from nbstates.generation import fidelity
@@ -33,7 +33,7 @@ NAN, INF = math.nan, math.inf
     lambda: coherent(0.5, n_max=-1),
     lambda: cat_state(0.5, 0.0, n_max=INF),
     lambda: nbs_inner_closed(0.1, 0.2, NAN),
-    lambda: StructureFunction(parity="even", values=np.ones(3)).f(NAN),
+    lambda: ParitySequence(offset=0, coeffs=np.ones(4)).f(NAN),
     lambda: tail_mass(FockVector([1.0, 1.0]), NAN),
     lambda: generating_function(NAN, 0.0, P),
     lambda: nbs_inner_closed(NAN, 0.5, 3),
@@ -48,6 +48,11 @@ NAN, INF = math.nan, math.inf
     lambda: coherent(1e160),
     lambda: cat_state(1e160, 0.0),
     lambda: coherent(1e160, n_max=5),
+    # above 2**53, M + 1 rounds to M
+    lambda: NBSParams(M=2 ** 53 + 1, eta=0.3),
+    lambda: NBSParams(M=10 ** 5000, eta=0.3),
+    lambda: NBSParams(M=10 ** 16, eta=1e-8),
+    lambda: nbs_inner_closed(0.1, 0.2, 2 ** 53 + 1),
 ])
 def test_bad_scalar_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):

@@ -291,3 +291,22 @@ def test_cat_state_vanishing_norm_raises():
     # |alpha|^2 underflows to 0, so the odd cat's two components cancel exactly
     with pytest.raises(ZeroNormError):
         cat_state(1e-200, math.pi)
+
+
+def test_M_up_to_the_float_limit_is_accepted():
+    # 2**53 is the largest M whose successor is still a distinct float
+    assert NBSParams(M=2 ** 53, eta=0.3).M == 2 ** 53
+    assert nbs_inner_closed(0.0, 0.0, 2 ** 53) == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coherent(1e100, n_max=5),
+    lambda: cat_state(1e100, 0.0, n_max=5),
+    lambda: nbs(NBSParams(M=10 ** 6, eta=0.9), n_max=5),
+    lambda: superposition(0.0, NBSParams(M=10 ** 6, eta=0.9), n_max=5),
+    lambda: superposition(math.pi, NBSParams(M=2, eta=0.5), n_max=0),
+])
+def test_truncation_with_no_surviving_amplitude_raises(call):
+    # every kept amplitude underflows, or the one kept is parity-forbidden
+    with pytest.raises(TruncationError, match="no nonzero amplitude"):
+        call()

@@ -15,7 +15,8 @@ from nbstates import statistics, verification
 from nbstates.errors import ConvergenceError, DomainError, NumericsError
 from nbstates.fock_core import (FockVector, TruncationPolicy, apply_annihilate,
                                 inner, oracle_stats)
-from nbstates.nbs_states import ETA_MIN, NBSParams, photon_distribution, superposition
+from nbstates.nbs_states import (ETA_MIN, NBSParams, phase_factor, photon_distribution,
+                                 superposition)
 from nbstates.statistics import (a_pow_expectation, closed_stats, generating_function,
                                  mean_closed, pn_closed, pn_closed_upto,
                                  q_closed, q_limit, q_recursion_residual,
@@ -194,6 +195,37 @@ def test_q_at_small_eta_matches_mpmath(M, eta):
         assert got >= -1.0 - 1e-15
 
 
+def _mpmath_recursion_q(phi, M, eta, mp):
+    """<N>(pi - phi, M + 1) - <N>(phi, M) at 200 digits, each 1 + c exp(-s) through expm1.
+
+    c and x are the floats q_closed itself starts from.
+    """
+    with mp.workdps(200):
+        c = mp.mpf(phase_factor(phi).real)
+        x = mp.mpf(eta * eta)
+        u = mp.atanh(x)
+
+        def mean(c, M):
+            def one_plus_c_exp(c, s):
+                return (1 + c) + c * mp.expm1(-s)
+            return M * x * one_plus_c_exp(-c, 2 * (M + 1) * u) / ((1 - x) * one_plus_c_exp(c, 2 * M * u))
+
+        return float(mean(-c, M + 1) - mean(c, M))
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 30, 300, 10 ** 3, 10 ** 4, 10 ** 6, 10 ** 8,
+                               10 ** 10, 10 ** 12, 10 ** 14, 10 ** 15])
+def test_q_matches_the_recursion_at_200_digits(M):
+    # the two means are ~M x / (1 - x) each; subtracting them in floats gave
+    # Q = 0.375 for the true 1/3 at M = 1e15, eta = 0.5, phi = 0
+    mp = pytest.importorskip("mpmath").mp
+    for eta in (1e-150, 1e-60, 1e-20, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99):
+        for phi in (0.0, 1.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi, 5.0):
+            got = q_closed(phi, NBSParams(M=M, eta=eta))
+            ref = _mpmath_recursion_q(phi, M, eta, mp)
+            assert abs(got - ref) <= 2e-15 * max(1.0, abs(ref)), (eta, phi, got, ref)
+
+
 def test_recursion_residual_small_on_grid():
     for M in (1, 4, 25):
         for eta in (0.1, 0.45, 0.85):
@@ -203,8 +235,8 @@ def test_recursion_residual_small_on_grid():
 
 
 def test_recursion_residual_sees_a_wrong_mean(monkeypatch):
-    # q_closed and the moments share _mean; shift its M and the residual
-    # and the verify check built on it must notice
+    # the moments go through _mean and q_closed does not; shift its M and
+    # the residual and the verify check built on it must notice
     exact = statistics._mean
     monkeypatch.setattr(statistics, "_mean", lambda c, M, x: exact(c, M + 1e-3, x))
     assert q_recursion_residual(1.0, NBSParams(M=4, eta=0.45)) > 1e-6

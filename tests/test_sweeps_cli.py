@@ -304,6 +304,16 @@ def test_underflowing_eta_exits_cleanly():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["fig1", "--M", "1" + "0" * 400],
+                                  ["pn", "--M", "100000000000000000000", "--eta", "1e-10"]])
+def test_cli_rejects_M_beyond_2_53(argv):
+    proc = subprocess.run([sys.executable, "-m", "nbstates.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error: M must be at most 2**53")
+
+
 def test_cli_import_leaves_scipy_out():
     # numpy is the only dependency; a fresh interpreter shows what the import pulls in
     code = "import sys, nbstates.cli; print('scipy' in sys.modules)"
