@@ -254,7 +254,8 @@ class _LgammaTables:
     Rows cost O(length) memory, never O(base), and only ``MAX_BASES`` of them
     are kept, least recently used dropped first: lgamma(n + 1) plus
     lgamma(M + n) for the three latest M, so that a sweep over eta at fixed M
-    reuses one row for both powers and every grid point.
+    reads the same rows at every grid point.  The <a^k> series reads them
+    once per (M, eta), and that one read serves both powers.
     """
 
     MAX_BASES = 4
@@ -400,12 +401,22 @@ def nbs_inner_closed(alpha: complex, beta: complex, M: int) -> complex:
     """<alpha_c, M | beta_c, M> = (1-|a|^2)^{M/2} (1-|b|^2)^{M/2} (1 - conj(a) b)^{-M}.
 
     Evaluated in log space; both labels must satisfy |.| < 1, and 1 <= M <= 2**53.
+    The modulus is (1 - d)^{M/2} with d = |a - b|^2 / |1 - conj(a) b|^2, so
+    equal labels give exactly 1 at every M.  For d >= 1/2, where 1 - d would
+    cancel, its log is log1p(-|a|^2) + log1p(-|b|^2) - log1p(|a b|^2 - 2 Re(conj(a) b)),
+    with no plain log of a number near 1.  The phase is -M arg(1 - conj(a) b).
     """
     _check_M(M)
     check_finite(alpha=alpha, beta=beta)
     if abs(alpha) >= 1.0 or abs(beta) >= 1.0:
         raise DomainError("NBS labels must have modulus < 1")
     import cmath
-    log_val = 0.5 * M * (math.log1p(-abs(alpha) ** 2) + math.log1p(-abs(beta) ** 2)) \
-        - M * cmath.log(1.0 - alpha.conjugate() * beta)
-    return cmath.exp(log_val)
+    overlap = alpha.conjugate() * beta
+    q = 1.0 - overlap
+    d = abs(alpha - beta) ** 2 / abs(q) ** 2
+    if d < 0.5:
+        log_mod = math.log1p(-d)
+    else:
+        log_mod = math.log1p(-abs(alpha) ** 2) + math.log1p(-abs(beta) ** 2) \
+            - math.log1p(abs(overlap) ** 2 - 2.0 * overlap.real)
+    return cmath.exp(complex(0.5 * M * log_mod, -M * math.atan2(q.imag, q.real)))

@@ -13,11 +13,17 @@ O(M x).
 
 The Mandel parameter comes from the recursion <N>(pi - phi, M + 1) - <N>(phi, M),
 rearranged so that the two means of size M x / (1 - x) never cancel.
+
+<a> and <a^2> are ratios of sums over one weight series, and those sums do
+not depend on phi or theta.  One weight pass per (M, eta) serves both
+powers, each summed to its own stop index, and every phi evaluated from it;
+the quadrature variances of a whole phi sweep cost one pass.
 """
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -184,6 +190,91 @@ def _parity_sums(terms: np.ndarray, stop: int) -> Tuple[float, float]:
             float(np.add.reduce(terms[1:stop + 1:2])))
 
 
+def _series_stop(t: np.ndarray) -> Optional[int]:
+    # the first n past the peak of t with t_n <= 1e-16 (t_0 + ... + t_n), or None
+    peak = int(t.argmax())
+    done = t[peak + 1:] <= _SERIES_RTOL * t.cumsum()[peak + 1:]
+    return peak + 1 + int(done.argmax()) if done.any() else None
+
+
+@dataclass(frozen=True)
+class _SeriesSums:
+    """The phi-free sums of the <a^k> series at one (M, eta, theta).
+
+    ``by_power[k]`` is (E[w], O[w], E[t], O[t]) for t = w F of power k, each
+    summed up to that power's own stop index.  Every phi is evaluated from
+    the same sums, so a sweep over phi runs the weight pass once.
+    """
+
+    params: NBSParams
+    by_power: Dict[int, Tuple[float, float, float, float]]
+
+    def a_pow(self, k: int, phi: float) -> complex:
+        """<a^k> at phi from the sums of power k."""
+        w_even, w_odd, t_even, t_odd = self.by_power[k]
+        unit = phase_factor(phi)
+        c, s = unit.real, unit.imag
+        denom = (1.0 + c) * w_even + (1.0 - c) * w_odd
+        if k % 2 == 0:
+            ratio = complex(((1.0 + c) * t_even + (1.0 - c) * t_odd) / denom)
+        else:
+            ratio = complex(0.0, -s * (t_even - t_odd) / denom)
+        return ratio * phase_factor(self.params.theta) ** k
+
+    def quadratures(self, phi: float) -> Tuple[float, float]:
+        """(Var X1, Var X2) at phi from the sums of powers 1 and 2."""
+        mean = mean_closed(phi, self.params)
+        ea = self.a_pow(1, phi)
+        ea2 = self.a_pow(2, phi)
+        var_x1 = 0.25 + 0.5 * (mean + ea2.real - 2.0 * ea.real ** 2)
+        var_x2 = 0.25 + 0.5 * (mean - ea2.real - 2.0 * ea.imag ** 2)
+        return var_x1, var_x2
+
+
+def _series_sums(params: NBSParams, powers: Tuple[int, ...] = (1, 2),
+                 policy: Optional[TruncationPolicy] = None) -> _SeriesSums:
+    """One weight pass over n = 0..n_hi that serves every power in ``powers``.
+
+    w_n = C(M+n-1, n) x^n is evaluated once from the shared lgamma rows and
+    scaled by its largest term; t = w sqrt(x m), then t sqrt(x (m+1)), ...
+    (m = M + n) gives the terms of powers 1, 2, ... in turn.  Each requested
+    power stops at its own index (``_series_stop``) and keeps the sums it
+    had at the first n_hi where it stopped.  While any power has not
+    stopped, n_hi is doubled up to policy.hard_cap; past that,
+    ConvergenceError names the lowest such power.
+    """
+    policy = policy or TruncationPolicy()
+    M, eta = params.M, params.eta
+    x = eta * eta
+    by_power: Dict[int, Tuple[float, float, float, float]] = {}
+
+    n_hi = min(_series_n_hi(M, x), policy.hard_cap)
+    while True:
+        n = np.arange(n_hi + 1, dtype=np.float64)
+        log_w = _LGAMMA.row(M, n_hi + 1) - _LGAMMA.row(1, n_hi + 1) + n * math.log(x)
+        w = np.exp(log_w - log_w.max())
+        # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time so that no
+        # partial product overflows before the result would
+        m = n + M
+        t = w * np.sqrt(x * m)
+        for k in range(1, max(powers) + 1):
+            if k > 1:
+                t = t * np.sqrt(x * (m + (k - 1)))
+            if k in powers and k not in by_power:
+                stop = _series_stop(t)
+                if stop is not None:
+                    by_power[k] = (*_parity_sums(w, stop), *_parity_sums(t, stop))
+        missing = [k for k in powers if k not in by_power]
+        if not missing:
+            return _SeriesSums(params, by_power)
+        if n_hi == policy.hard_cap:
+            raise ConvergenceError(
+                f"<a^{min(missing)}> series needed more than {policy.hard_cap} terms "
+                f"at eta={eta}, M={M}"
+            )
+        n_hi = min(2 * n_hi, policy.hard_cap)
+
+
 def a_pow_expectation(k: int, phi: float, params: NBSParams,
                       policy: Optional[TruncationPolicy] = None) -> complex:
     """<a^k> on the superposition as a ratio of two sums over one weight series.
@@ -199,61 +290,28 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams,
     c + i s = e^{i phi}. Dividing by D summed from the same terms cancels the
     constant, its rounding and the truncation.
 
-    All terms up to n_hi are evaluated at once from reused ``math.lgamma``
-    rows, with w scaled by its largest term: no term exceeds 1, and the
-    terms near the peak cannot underflow at large M, however small the early
-    ones get. The sums stop at the first n past the peak of t_n = w_n F_n
-    where t_n <= 1e-16 (t_0 + ... + t_n). If n_hi holds no such n, it is
-    doubled up to policy.hard_cap, and then ConvergenceError is raised (the
-    ratio test guarantees convergence for any eta < 1, but the term budget
-    is finite).
+    The sums do not depend on phi or theta, and one weight pass
+    (``_series_sums``) yields them for any set of powers.  All terms up to
+    n_hi are evaluated at once from reused ``math.lgamma`` rows, with w
+    scaled by its largest term: no term exceeds 1, and the terms near the
+    peak cannot underflow at large M, however small the early ones get.
+    Each power's sums stop at its own index, the first n past the peak of
+    t_n = w_n F_n where t_n <= 1e-16 (t_0 + ... + t_n).  If n_hi holds no
+    such n, it is doubled up to policy.hard_cap, and then ConvergenceError
+    is raised (the ratio test guarantees convergence for any eta < 1, but
+    the term budget is finite).
     """
     k = check_integer("power k", k, 1)
     _check_phi(phi)
-    policy = policy or TruncationPolicy()
-    M, eta = params.M, params.eta
-    x = eta * eta
-    unit = phase_factor(phi)
-    c, s = unit.real, unit.imag
-
-    n_hi = min(_series_n_hi(M, x), policy.hard_cap)
-    while True:
-        n = np.arange(n_hi + 1, dtype=np.float64)
-        log_w = _LGAMMA.row(M, n_hi + 1) - _LGAMMA.row(1, n_hi + 1) + n * math.log(x)
-        w = np.exp(log_w - log_w.max())
-        # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time so that no
-        # partial product overflows before the result would
-        m = n + M
-        t = w * np.sqrt(x * m)
-        for j in range(1, k):
-            t *= np.sqrt(x * (m + j))
-        peak = int(t.argmax())
-        done = t[peak + 1:] <= _SERIES_RTOL * t.cumsum()[peak + 1:]
-        if done.any():
-            stop = peak + 1 + int(done.argmax())
-            break
-        if n_hi == policy.hard_cap:
-            raise ConvergenceError(
-                f"<a^{k}> series needed more than {policy.hard_cap} terms at eta={eta}, M={M}"
-            )
-        n_hi = min(2 * n_hi, policy.hard_cap)
-
-    t_even, t_odd = _parity_sums(t, stop)
-    w_even, w_odd = _parity_sums(w, stop)
-    denom = (1.0 + c) * w_even + (1.0 - c) * w_odd
-    if k % 2 == 0:
-        ratio = complex(((1.0 + c) * t_even + (1.0 - c) * t_odd) / denom)
-    else:
-        ratio = complex(0.0, -s * (t_even - t_odd) / denom)
-    return ratio * phase_factor(params.theta) ** k
+    return _series_sums(params, (k,), policy).a_pow(k, phi)
 
 
 def quadrature_variances(phi: float, params: NBSParams,
                          policy: Optional[TruncationPolicy] = None) -> Tuple[float, float]:
-    """Variances of X1 = (a + a^dag)/2 and X2 = (a - a^dag)/(2i); vacuum level is 1/4."""
-    mean = mean_closed(phi, params)
-    ea = a_pow_expectation(1, phi, params, policy)
-    ea2 = a_pow_expectation(2, phi, params, policy)
-    var_x1 = 0.25 + 0.5 * (mean + ea2.real - 2.0 * ea.real ** 2)
-    var_x2 = 0.25 + 0.5 * (mean - ea2.real - 2.0 * ea.imag ** 2)
-    return var_x1, var_x2
+    """Variances of X1 = (a + a^dag)/2 and X2 = (a - a^dag)/(2i); vacuum level is 1/4.
+
+    <a> and <a^2> come from one weight pass, each power summed to its own
+    stop index, bit for bit what two ``a_pow_expectation`` calls give.
+    """
+    _check_phi(phi)
+    return _series_sums(params, (1, 2), policy).quadratures(phi)

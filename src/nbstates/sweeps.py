@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import DomainError, check_finite
 from .fock_core import TruncationPolicy
-from .nbs_states import NBSParams, required_dimension
-from .statistics import pn_closed_upto, q_closed, quadrature_variances
+from .nbs_states import NBSParams, _check_phi, required_dimension
+from .statistics import _series_sums, pn_closed_upto, q_closed
+
+T = TypeVar("T")
 
 FIG1_PHIS = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
 DEFAULT_ETA_START = 0.02
@@ -74,6 +76,8 @@ class SweepConfig:
                 f"grid_step {self.grid_step} gives more than {MAX_GRID_POINTS} eta points")
         if len(self.phis) == 0:
             raise DomainError("at least one phi value is required")
+        for phi in self.phis:
+            _check_phi(phi)
 
 
 def grid_etas(cfg: SweepConfig) -> List[float]:
@@ -97,22 +101,26 @@ def fig2_config(**overrides) -> SweepConfig:
     return SweepConfig(**{"M": 50, **overrides})
 
 
-def _figure_records(cfg: SweepConfig, quantity: str,
-                    value: Callable[[float, NBSParams], Optional[float]]) -> List[SweepRecord]:
-    """value(phi, params) over the eta grid, one block of rows per phi."""
-    return [SweepRecord(eta=eta, phi=phi, M=cfg.M, quantity=quantity,
-                        value=value(phi, NBSParams(M=cfg.M, eta=eta, theta=cfg.theta)))
-            for phi in cfg.phis for eta in grid_etas(cfg)]
+def _figure_records(cfg: SweepConfig, quantity: str, prepare: Callable[[NBSParams], T],
+                    value: Callable[[float, T], Optional[float]]) -> List[SweepRecord]:
+    """value(phi, prepare(params)) over the eta grid, one block of rows per phi.
+
+    ``prepare`` runs once per eta, and what it returns serves every phi.
+    """
+    etas = grid_etas(cfg)
+    states = [prepare(NBSParams(M=cfg.M, eta=eta, theta=cfg.theta)) for eta in etas]
+    return [SweepRecord(eta=eta, phi=phi, M=cfg.M, quantity=quantity, value=value(phi, state))
+            for phi in cfg.phis for eta, state in zip(etas, states)]
 
 
 def fig1_records(cfg: SweepConfig) -> List[SweepRecord]:
     """Mandel Q against eta, one block of rows per phi."""
-    return _figure_records(cfg, "mandel_q", q_closed)
+    return _figure_records(cfg, "mandel_q", lambda params: params, q_closed)
 
 
 def fig2_records(cfg: SweepConfig) -> List[SweepRecord]:
-    """Variance of X2 against eta, one block of rows per phi."""
-    return _figure_records(cfg, "var_x2", lambda phi, params: quadrature_variances(phi, params)[1])
+    """Variance of X2 against eta, one block of rows per phi; one series pass per eta."""
+    return _figure_records(cfg, "var_x2", _series_sums, lambda phi, sums: sums.quadratures(phi)[1])
 
 
 def render_sweep_csv(records: Sequence[SweepRecord]) -> str:

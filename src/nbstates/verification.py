@@ -306,12 +306,13 @@ def check_oracle_grid():
     worst = 0.0
     where = ""
     for M, eta, theta in points:
+        params = NBSParams(M=M, eta=eta, theta=theta)
+        sums = statistics._series_sums(params)
         for phi in GRID_PHIS:
-            params = NBSParams(M=M, eta=eta, theta=theta)
             closed = (statistics.mean_closed(phi, params),
                       statistics.second_moment_closed(phi, params),
                       statistics.q_closed(phi, params),
-                      *statistics.quadrature_variances(phi, params))
+                      *sums.quadratures(phi))
             for name, got_ref, got_closed in zip(_ORACLE_QUANTITIES,
                                                  _oracle_moments(phi, params), closed):
                 rel = abs(got_ref - got_closed) / max(1.0, abs(got_closed))
@@ -380,8 +381,13 @@ def check_fig2_shape():
     cfg = sweeps.fig2_config()
     etas = sweeps.grid_etas(cfg)
 
+    @functools.cache
+    def sums(eta, theta):
+        return statistics._series_sums(NBSParams(M=cfg.M, eta=eta, theta=theta))
+
     def var2(phi, eta, theta):
-        return statistics.quadrature_variances(phi, NBSParams(M=cfg.M, eta=eta, theta=theta))[1]
+        # one series pass per (eta, theta) serves every phi
+        return sums(eta, theta).quadratures(phi)[1]
 
     odd_no_squeeze = all(var2(math.pi, e, 0.0) >= 0.25 for e in etas if e <= 0.2)
     squeeze_small = all(

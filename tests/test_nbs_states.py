@@ -145,6 +145,32 @@ def test_overlap_closed_vs_summed_random():
         assert abs(got - want) < 1e-11
 
 
+@pytest.mark.parametrize("label", (1e-9, 1e-5, 0.3, 0.5 + 0.2j, 0.9j, -0.99))
+def test_inner_closed_of_equal_labels_is_one(label):
+    # the label terms must cancel exactly: a plain log(1 - conj(a) b) next to
+    # the log1p norms gave 0.991 at (1e-9, 1e-9, 2**53), and a complex log1p
+    # still gives 1.13 at (0.3, 0.3, 2**53)
+    for M in (1, 1000, 10 ** 6, 10 ** 10, 2 ** 53):
+        assert abs(nbs_inner_closed(label, label, M) - 1.0) <= 1e-15
+
+
+def test_inner_closed_against_mpmath():
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(5)
+    with mp.workdps(50):
+        for _ in range(200):
+            a, b = (complex(r * math.cos(t), r * math.sin(t))
+                    for r, t in zip(rng.uniform(0.0, 0.995, 2), rng.uniform(0.0, 6.28, 2)))
+            M = int(rng.choice((1, 5, 40, 1000, 10 ** 4)))
+            A, B = mp.mpc(a), mp.mpc(b)
+            want = mp.exp(0.5 * M * (mp.log(1 - abs(A) ** 2) + mp.log(1 - abs(B) ** 2))
+                          - M * mp.log(1 - mp.conj(A) * B))
+            if abs(want) < 1e-290:
+                continue
+            got = nbs_inner_closed(a, b, M)
+            assert float(abs(got - want) / abs(want)) <= 2e-14 * M
+
+
 def test_inner_closed_domain():
     assert nbs_inner_closed(0.3, 0.3, 4) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(DomainError):

@@ -290,6 +290,49 @@ def test_a_pow_term_budget_enforced():
         a_pow_expectation(1, 0.0, NBSParams(M=10, eta=0.999), tight)
 
 
+_SUMS_GRID = [(M, eta, theta) for M in (1, 7, 50, 300, 1000)
+              for eta in (0.02, 0.3, 0.7, 0.9) for theta in (0.0, 0.7)]
+_SUMS_PHIS = (0.0, math.pi / 4.0, math.pi / 2.0, 2.0, math.pi, 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("M, eta, theta", _SUMS_GRID)
+def test_series_sums_reproduce_a_pow_and_quadratures_bit_for_bit(M, eta, theta):
+    params = NBSParams(M=M, eta=eta, theta=theta)
+    sums = statistics._series_sums(params, (1, 2, 3))
+    for k in (1, 2, 3):
+        # each power keeps the stop index it has when summed alone
+        assert sums.by_power[k] == statistics._series_sums(params, (k,)).by_power[k]
+    for phi in _SUMS_PHIS:
+        for k in (1, 2, 3):
+            assert sums.a_pow(k, phi) == a_pow_expectation(k, phi, params)
+        assert sums.quadratures(phi) == quadrature_variances(phi, params)
+
+
+@pytest.mark.parametrize("M, eta, cap", [(1, 0.2, 12), (2, 0.65, 48), (5, 0.6, 48)])
+def test_series_sums_keep_each_power_stop_across_doublings(monkeypatch, M, eta, cap):
+    # from a first guess of 3 terms n_hi doubles 3, 6, 12, ...; at these
+    # points <a> stops within cap terms and <a^3> needs a later doubling, and
+    # the joint pass must still give each power the sums it gets alone
+    monkeypatch.setattr(statistics, "_series_n_hi", lambda M, x: 3)
+    params = NBSParams(M=M, eta=eta)
+    statistics._series_sums(params, (1,), TruncationPolicy(hard_cap=cap))
+    with pytest.raises(ConvergenceError):
+        statistics._series_sums(params, (3,), TruncationPolicy(hard_cap=cap))
+    joint = statistics._series_sums(params, (1, 2, 3))
+    for k in (1, 2, 3):
+        assert joint.by_power[k] == statistics._series_sums(params, (k,)).by_power[k]
+
+
+def test_quadratures_name_the_power_that_ran_out_of_terms():
+    # 28 terms hold <a> at M = 1, eta = 0.5 but not <a^2>
+    p = NBSParams(M=1, eta=0.5)
+    cap = TruncationPolicy(hard_cap=28)
+    a_pow_expectation(1, 0.0, p, cap)
+    with pytest.raises(ConvergenceError) as err:
+        quadrature_variances(0.0, p, cap)
+    assert str(err.value) == "<a^2> series needed more than 28 terms at eta=0.5, M=1"
+
+
 def test_quadrature_frozen_and_squeezed():
     v1, v2 = quadrature_variances(0.0, NBSParams(M=50, eta=0.1))
     assert v1 == pytest.approx(0.621712493522705, rel=1e-13)

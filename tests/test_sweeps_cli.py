@@ -11,6 +11,7 @@ import pytest
 from nbstates.cli import _json_text, build_parser, load_config, main
 from nbstates.errors import ConfigError, DomainError, NumericsError
 from nbstates.nbs_states import NBSParams
+from nbstates.statistics import quadrature_variances
 from nbstates.sweeps import (FIG1_PHIS, SweepConfig, fig1_config, fig1_records,
                              fig2_config, fig2_records, format_value,
                              grid_etas, pn_table, render_pn_csv,
@@ -55,6 +56,20 @@ def test_fig2_records_quantity_and_m():
     assert recs[0].M == 50
 
 
+@pytest.mark.parametrize("M", (1, 50, 300, 1000))
+@pytest.mark.parametrize("theta", (0.0, 0.7))
+def test_fig2_csv_matches_per_row_quadrature_variances(M, theta):
+    # the per-eta series pass must not move a byte against one call per row
+    phis = (math.pi / 3.0, 0.0, math.pi, 2.0 * math.pi)
+    cfg = fig2_config(M=M, theta=theta, phis=phis, grid_step=0.03)
+    lines = ["eta,phi,M,quantity,value"]
+    for phi in phis:
+        for eta in grid_etas(cfg):
+            v = quadrature_variances(phi, NBSParams(M=M, eta=eta, theta=theta))[1]
+            lines.append(f"{eta:.17g},{phi:.17g},{M},var_x2,{v:.17g}")
+    assert render_sweep_csv(fig2_records(cfg)) == "\n".join(lines) + "\n"
+
+
 def test_render_is_deterministic():
     cfg = fig1_config(eta_start=0.5, eta_stop=0.6, grid_step=0.02)
     a = render_sweep_csv(fig1_records(cfg))
@@ -72,6 +87,13 @@ def test_sweep_config_validation():
         SweepConfig(M=30, eta_stop=1.0)
     with pytest.raises(DomainError):
         SweepConfig(M=30, phis=())
+
+
+@pytest.mark.parametrize("phi", (-0.1, 2.0 * math.pi + 1e-9, math.nan, math.inf))
+def test_sweep_config_rejects_phi_outside_0_2pi(phi):
+    # rejected before any row is evaluated, whatever the order of evaluation
+    with pytest.raises(DomainError, match="phi must lie"):
+        SweepConfig(M=30, phis=(0.0, phi))
 
 
 # these configs would make grid_etas loop forever or exhaust memory, so only
