@@ -255,7 +255,7 @@ class _LgammaTables:
     are kept, least recently used dropped first: lgamma(n + 1) plus
     lgamma(M + n) for the three latest M, so that a sweep over eta at fixed M
     reads the same rows at every grid point.  The <a^k> series reads them
-    once per (M, eta), and that one read serves both powers.
+    once per eta grid, and that one read serves every eta and both powers.
     """
 
     MAX_BASES = 4

@@ -15,15 +15,17 @@ The Mandel parameter comes from the recursion <N>(pi - phi, M + 1) - <N>(phi, M)
 rearranged so that the two means of size M x / (1 - x) never cancel.
 
 <a> and <a^2> are ratios of sums over one weight series, and those sums do
-not depend on phi or theta.  One weight pass per (M, eta) serves both
-powers, each summed to its own stop index, and every phi evaluated from it;
-the quadrature variances of a whole phi sweep cost one pass.
+not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
+serves both powers, each summed to its own stop index, and every phi; it
+evaluates the series a block of etas at a time as 2-D arrays, with the same
+elementwise operations as for a single eta, so each value has the same bits
+as when its eta is evaluated alone.  A single (M, eta) is the one-row grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,6 +125,17 @@ def second_moment_closed(phi: float, params: NBSParams) -> float:
     return _mean(c, M, x) + extra
 
 
+def _mandel_q(c: float, M: int, x: float) -> float:
+    # Q at cos(phi) = c; q_closed's formula, kept apart so that a sweep
+    # computes each phase factor once
+    u = math.atanh(x)
+    s0 = 2.0 * M * u
+    s1 = 2.0 * (M + 1) * u
+    pair = (M + 1) * math.exp(-s1) / _one_plus_c_exp(-c, s1) \
+        + M * math.exp(-s0) / _one_plus_c_exp(c, s0)
+    return x / (1.0 - x) * (1.0 + 2.0 * c / (1.0 + x) * pair)
+
+
 def q_closed(phi: float, params: NBSParams) -> float:
     """Mandel Q = <N^2>/<N> - <N> - 1, the recursion <N>(pi - phi, M + 1) - <N>(phi, M).
 
@@ -136,15 +149,7 @@ def q_closed(phi: float, params: NBSParams) -> float:
     no eta needs a special case.
     """
     _check_phi(phi)
-    c = phase_factor(phi).real
-    x = params.eta * params.eta
-    M = params.M
-    u = math.atanh(x)
-    s0 = 2.0 * M * u
-    s1 = 2.0 * (M + 1) * u
-    pair = (M + 1) * math.exp(-s1) / _one_plus_c_exp(-c, s1) \
-        + M * math.exp(-s0) / _one_plus_c_exp(c, s0)
-    return x / (1.0 - x) * (1.0 + 2.0 * c / (1.0 + x) * pair)
+    return _mandel_q(phase_factor(phi).real, params.M, params.eta * params.eta)
 
 
 def closed_stats(phi: float, params: NBSParams) -> PhotonStats:
@@ -173,6 +178,9 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
 
 # a series term counts as negligible once it is this small against the partial sum
 _SERIES_RTOL = 1e-16
+# most terms (rows x padded length) one block of an eta grid holds, so that
+# the 2-D arrays of a block stay small however large the grid
+_BLOCK_TERMS = 1 << 14
 
 
 def _series_n_hi(M: int, x: float) -> int:
@@ -185,16 +193,37 @@ def _series_n_hi(M: int, x: float) -> int:
 
 
 def _parity_sums(terms: np.ndarray, stop: int) -> Tuple[float, float]:
-    # sums of terms[n] over even and over odd n <= stop
+    # sums of terms[n] over even and over odd n <= stop; one 1-D reduce over
+    # each exact slice, since pairwise summation depends on the slice length
     return (float(np.add.reduce(terms[0:stop + 1:2])),
             float(np.add.reduce(terms[1:stop + 1:2])))
 
 
-def _series_stop(t: np.ndarray) -> Optional[int]:
-    # the first n past the peak of t with t_n <= 1e-16 (t_0 + ... + t_n), or None
-    peak = int(t.argmax())
-    done = t[peak + 1:] <= _SERIES_RTOL * t.cumsum()[peak + 1:]
-    return peak + 1 + int(done.argmax()) if done.any() else None
+def _series_stops(t: np.ndarray) -> List[int]:
+    # for each row of t, the first n past the row's peak with
+    # t_n <= 1e-16 (t_0 + ... + t_n), or -1
+    peak = t.argmax(axis=1)
+    done = t <= _SERIES_RTOL * t.cumsum(axis=1)
+    done &= np.arange(t.shape[1]) > peak[:, None]
+    stop = done.argmax(axis=1)
+    return np.where(done[np.arange(t.shape[0]), stop], stop, -1).tolist()
+
+
+def _blocks(n_his: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    # [start, stop) runs of consecutive rows whose largest n_hi is at most
+    # twice the smallest, so padding at most doubles the work, and whose
+    # padded block holds at most _BLOCK_TERMS terms (always at least one row)
+    start = 0
+    while start < len(n_his):
+        lo = hi = n_his[start]
+        stop = start + 1
+        while stop < len(n_his):
+            new_lo, new_hi = min(lo, n_his[stop]), max(hi, n_his[stop])
+            if new_hi > 2 * new_lo or (stop + 1 - start) * (new_hi + 1) > _BLOCK_TERMS:
+                break
+            lo, hi, stop = new_lo, new_hi, stop + 1
+        yield start, stop
+        start = stop
 
 
 @dataclass(frozen=True)
@@ -202,77 +231,108 @@ class _SeriesSums:
     """The phi-free sums of the <a^k> series at one (M, eta, theta).
 
     ``by_power[k]`` is (E[w], O[w], E[t], O[t]) for t = w F of power k, each
-    summed up to that power's own stop index.  Every phi is evaluated from
-    the same sums, so a sweep over phi runs the weight pass once.
+    summed up to that power's own stop index, and ``rotation[k]`` is
+    e^{ik theta}, computed once for a whole grid.  Every phi is evaluated
+    from the same sums, so a sweep over phi runs the series once.
     """
 
     params: NBSParams
     by_power: Dict[int, Tuple[float, float, float, float]]
+    rotation: Dict[int, complex]
 
     def a_pow(self, k: int, phi: float) -> complex:
         """<a^k> at phi from the sums of power k."""
-        w_even, w_odd, t_even, t_odd = self.by_power[k]
         unit = phase_factor(phi)
-        c, s = unit.real, unit.imag
+        return self.a_pow_at(k, unit.real, unit.imag)
+
+    def a_pow_at(self, k: int, c: float, s: float) -> complex:
+        """<a^k> at the phase factor c + i s = e^{i phi}."""
+        w_even, w_odd, t_even, t_odd = self.by_power[k]
         denom = (1.0 + c) * w_even + (1.0 - c) * w_odd
         if k % 2 == 0:
             ratio = complex(((1.0 + c) * t_even + (1.0 - c) * t_odd) / denom)
         else:
             ratio = complex(0.0, -s * (t_even - t_odd) / denom)
-        return ratio * phase_factor(self.params.theta) ** k
+        return ratio * self.rotation[k]
 
     def quadratures(self, phi: float) -> Tuple[float, float]:
         """(Var X1, Var X2) at phi from the sums of powers 1 and 2."""
-        mean = mean_closed(phi, self.params)
-        ea = self.a_pow(1, phi)
-        ea2 = self.a_pow(2, phi)
+        unit = phase_factor(phi)
+        return self.quadratures_at(unit.real, unit.imag)
+
+    def quadratures_at(self, c: float, s: float) -> Tuple[float, float]:
+        """(Var X1, Var X2) at the phase factor c + i s = e^{i phi}."""
+        mean = _mean(c, self.params.M, self.params.eta * self.params.eta)
+        ea = self.a_pow_at(1, c, s)
+        ea2 = self.a_pow_at(2, c, s)
         var_x1 = 0.25 + 0.5 * (mean + ea2.real - 2.0 * ea.real ** 2)
         var_x2 = 0.25 + 0.5 * (mean - ea2.real - 2.0 * ea.imag ** 2)
         return var_x1, var_x2
 
 
-def _series_sums(params: NBSParams, powers: Tuple[int, ...] = (1, 2),
-                 policy: Optional[TruncationPolicy] = None) -> _SeriesSums:
-    """One weight pass over n = 0..n_hi that serves every power in ``powers``.
+def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
+                 powers: Tuple[int, ...] = (1, 2),
+                 policy: Optional[TruncationPolicy] = None) -> List[_SeriesSums]:
+    """The sums of every power in ``powers`` at each eta of a grid at fixed (M, theta).
 
-    w_n = C(M+n-1, n) x^n is evaluated once from the shared lgamma rows and
-    scaled by its largest term; t = w sqrt(x m), then t sqrt(x (m+1)), ...
-    (m = M + n) gives the terms of powers 1, 2, ... in turn.  Each requested
-    power stops at its own index (``_series_stop``) and keeps the sums it
-    had at the first n_hi where it stopped.  While any power has not
-    stopped, n_hi is doubled up to policy.hard_cap; past that,
-    ConvergenceError names the lowest such power.
+    w_n = C(M+n-1, n) x^n comes from lgamma rows read once per grid and is
+    scaled by each eta's largest term; t = w sqrt(x m), then t sqrt(x (m+1)),
+    ... (m = M + n) gives the terms of powers 1, 2, ... in turn.  The etas
+    are taken in grid order, in blocks (``_blocks``) evaluated as 2-D arrays
+    padded to the block's longest n_hi.  Each power of each eta stops at its
+    own index (``_series_stops``), and its parity sums are 1-D reductions
+    over that eta's exact slice.  So an eta gets the same bits in any block,
+    and a single eta is the one-row case.  While some power of an eta has
+    not stopped, the eta runs again at doubled length, up to
+    policy.hard_cap; past that, ConvergenceError names the first such eta
+    in grid order and its lowest such power.
     """
     policy = policy or TruncationPolicy()
-    M, eta = params.M, params.eta
-    x = eta * eta
-    by_power: Dict[int, Tuple[float, float, float, float]] = {}
-
-    n_hi = min(_series_n_hi(M, x), policy.hard_cap)
-    while True:
-        n = np.arange(n_hi + 1, dtype=np.float64)
-        log_w = _LGAMMA.row(M, n_hi + 1) - _LGAMMA.row(1, n_hi + 1) + n * math.log(x)
-        w = np.exp(log_w - log_w.max())
-        # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time so that no
-        # partial product overflows before the result would
-        m = n + M
-        t = w * np.sqrt(x * m)
-        for k in range(1, max(powers) + 1):
-            if k > 1:
-                t = t * np.sqrt(x * (m + (k - 1)))
-            if k in powers and k not in by_power:
-                stop = _series_stop(t)
-                if stop is not None:
-                    by_power[k] = (*_parity_sums(w, stop), *_parity_sums(t, stop))
-        missing = [k for k in powers if k not in by_power]
-        if not missing:
-            return _SeriesSums(params, by_power)
-        if n_hi == policy.hard_cap:
+    params = [NBSParams(M=M, eta=eta, theta=theta) for eta in etas]
+    xs = [p.eta * p.eta for p in params]
+    by_power: List[Dict[int, Tuple[float, float, float, float]]] = [{} for _ in params]
+    n_hi = [min(_series_n_hi(M, x), policy.hard_cap) for x in xs]
+    pending = list(range(len(params)))
+    while pending:
+        size = max(n_hi[i] for i in pending) + 1
+        lgamma = _LGAMMA.row(M, size) - _LGAMMA.row(1, size)
+        n = np.arange(size, dtype=np.float64)
+        retry = []
+        for start, stop in _blocks([n_hi[i] for i in pending]):
+            rows = pending[start:stop]
+            length = max(n_hi[i] for i in rows) + 1
+            x = np.array([xs[i] for i in rows])[:, None]
+            log_x = np.array([math.log(xs[i]) for i in rows])[:, None]
+            log_w = lgamma[:length] + n[:length] * log_x
+            # padding moves no accepted sum: a row's largest weight lies
+            # before any stop index, and a row's cumsum runs in order
+            w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+            # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time so that no
+            # partial product overflows before the result would
+            m = n[:length] + M
+            t = w * np.sqrt(x * m)
+            for k in range(1, max(powers) + 1):
+                if k > 1:
+                    t = t * np.sqrt(x * (m + (k - 1)))
+                if k in powers:
+                    for i, row_w, row_t, at in zip(rows, w, t, _series_stops(t)):
+                        if at >= 0 and k not in by_power[i]:
+                            by_power[i][k] = (*_parity_sums(row_w, at), *_parity_sums(row_t, at))
+            if length <= policy.hard_cap:
+                unfinished = [i for i in rows if any(k not in by_power[i] for k in powers)]
+                for i in unfinished:
+                    n_hi[i] = min(2 * (length - 1), policy.hard_cap)
+                retry.extend(unfinished)
+        pending = retry
+    for p, found in zip(params, by_power):
+        missing = [k for k in powers if k not in found]
+        if missing:
             raise ConvergenceError(
                 f"<a^{min(missing)}> series needed more than {policy.hard_cap} terms "
-                f"at eta={eta}, M={M}"
+                f"at eta={p.eta}, M={M}"
             )
-        n_hi = min(2 * n_hi, policy.hard_cap)
+    rotation = {k: phase_factor(theta) ** k for k in powers}
+    return [_SeriesSums(p, found, rotation) for p, found in zip(params, by_power)]
 
 
 def a_pow_expectation(k: int, phi: float, params: NBSParams,
@@ -303,7 +363,7 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams,
     """
     k = check_integer("power k", k, 1)
     _check_phi(phi)
-    return _series_sums(params, (k,), policy).a_pow(k, phi)
+    return _series_sums(params.M, (params.eta,), params.theta, (k,), policy)[0].a_pow(k, phi)
 
 
 def quadrature_variances(phi: float, params: NBSParams,
@@ -314,4 +374,4 @@ def quadrature_variances(phi: float, params: NBSParams,
     stop index, bit for bit what two ``a_pow_expectation`` calls give.
     """
     _check_phi(phi)
-    return _series_sums(params, (1, 2), policy).quadratures(phi)
+    return _series_sums(params.M, (params.eta,), params.theta, (1, 2), policy)[0].quadratures(phi)

@@ -6,17 +6,23 @@ round-trip through text exactly and two runs with the same config produce
 byte-identical files.  Grid points are generated as start + i*step (never a
 running sum), which keeps the grid deterministic and free of accumulated
 drift.
+
+A figure sweep is evaluated column by column: what does not depend on phi
+(the parameters for ``fig1``, the <a^k> series sums for ``fig2``) once for
+the whole eta grid, each phase factor once per phi, and each distinct eta
+and phi formatted once when the CSV is rendered.  The values are bit for
+bit those of one ``q_closed`` or ``quadrature_variances`` call per row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import DomainError, check_finite
 from .fock_core import TruncationPolicy
-from .nbs_states import NBSParams, _check_phi, required_dimension
-from .statistics import _series_sums, pn_closed_upto, q_closed
+from .nbs_states import NBSParams, _check_phi, phase_factor, required_dimension
+from .statistics import _mandel_q, _series_sums, pn_closed_upto
 
 T = TypeVar("T")
 
@@ -42,15 +48,6 @@ class SweepRecord:
     M: int
     quantity: str
     value: Optional[float]
-
-    def row(self) -> str:
-        return ",".join((
-            format_value(self.eta),
-            format_value(self.phi),
-            str(self.M),
-            self.quantity,
-            format_value(self.value),
-        ))
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,8 @@ class SweepConfig:
 def grid_etas(cfg: SweepConfig) -> List[float]:
     out = []
     i = 0
-    # half-step slack so 0.02 + 93*0.01 still counts as 0.95
+    # a slack of 5e-7 of a step, so that 0.02 + 93*0.01 = 0.9500000000000001
+    # still counts as 0.95
     while True:
         eta = cfg.eta_start + i * cfg.grid_step
         if eta > cfg.eta_stop + 0.5 * cfg.grid_step * 1e-6:
@@ -101,31 +99,55 @@ def fig2_config(**overrides) -> SweepConfig:
     return SweepConfig(**{"M": 50, **overrides})
 
 
-def _figure_records(cfg: SweepConfig, quantity: str, prepare: Callable[[NBSParams], T],
-                    value: Callable[[float, T], Optional[float]]) -> List[SweepRecord]:
-    """value(phi, prepare(params)) over the eta grid, one block of rows per phi.
+def _figure_records(cfg: SweepConfig, quantity: str, prepare: Callable[[List[float]], Sequence[T]],
+                    value: Callable[[float, float, T], Optional[float]]) -> List[SweepRecord]:
+    """value(c, s, state) over the eta grid, one block of rows per phi, c + i s = e^{i phi}.
 
-    ``prepare`` runs once per eta, and what it returns serves every phi.
+    ``prepare`` runs once per grid and returns one state per eta, and the
+    phase factor is computed once per phi.
     """
     etas = grid_etas(cfg)
-    states = [prepare(NBSParams(M=cfg.M, eta=eta, theta=cfg.theta)) for eta in etas]
-    return [SweepRecord(eta=eta, phi=phi, M=cfg.M, quantity=quantity, value=value(phi, state))
-            for phi in cfg.phis for eta, state in zip(etas, states)]
+    states = prepare(etas)
+    records = []
+    for phi in cfg.phis:
+        unit = phase_factor(phi)
+        c, s = unit.real, unit.imag
+        records.extend(SweepRecord(eta=eta, phi=phi, M=cfg.M, quantity=quantity,
+                                   value=value(c, s, state))
+                       for eta, state in zip(etas, states))
+    return records
 
 
 def fig1_records(cfg: SweepConfig) -> List[SweepRecord]:
     """Mandel Q against eta, one block of rows per phi."""
-    return _figure_records(cfg, "mandel_q", lambda params: params, q_closed)
+    return _figure_records(
+        cfg, "mandel_q",
+        lambda etas: [NBSParams(M=cfg.M, eta=eta, theta=cfg.theta) for eta in etas],
+        lambda c, s, params: _mandel_q(c, params.M, params.eta * params.eta))
 
 
 def fig2_records(cfg: SweepConfig) -> List[SweepRecord]:
-    """Variance of X2 against eta, one block of rows per phi; one series pass per eta."""
-    return _figure_records(cfg, "var_x2", _series_sums, lambda phi, sums: sums.quadratures(phi)[1])
+    """Variance of X2 against eta, one block of rows per phi; one series pass per grid."""
+    return _figure_records(cfg, "var_x2", lambda etas: _series_sums(cfg.M, etas, cfg.theta),
+                           lambda c, s, sums: sums.quadratures_at(c, s)[1])
 
 
 def render_sweep_csv(records: Sequence[SweepRecord]) -> str:
+    # each distinct eta and phi is formatted once; 0.0 and -0.0 are equal
+    # keys that print differently, so zeros are not kept
+    text: Dict[float, str] = {}
+
+    def once(x: float) -> str:
+        out = text.get(x)
+        if out is None:
+            out = format_value(x)
+            if x:
+                text[x] = out
+        return out
+
     lines = ["eta,phi,M,quantity,value"]
-    lines.extend(r.row() for r in records)
+    lines.extend(f"{once(r.eta)},{once(r.phi)},{r.M},{r.quantity},{format_value(r.value)}"
+                 for r in records)
     return "\n".join(lines) + "\n"
 
 

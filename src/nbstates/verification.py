@@ -307,7 +307,7 @@ def check_oracle_grid():
     where = ""
     for M, eta, theta in points:
         params = NBSParams(M=M, eta=eta, theta=theta)
-        sums = statistics._series_sums(params)
+        sums = statistics._series_sums(M, (eta,), theta)[0]
         for phi in GRID_PHIS:
             closed = (statistics.mean_closed(phi, params),
                       statistics.second_moment_closed(phi, params),
@@ -378,28 +378,28 @@ def check_fig1_shape():
 
 @check("fig2-variance-curve-shape", 0.01)
 def check_fig2_shape():
+    # the rows `nbstates fig2` prints, regrouped into one X2 variance curve
+    # per phi; the points off the grid come from quadrature_variances
     cfg = sweeps.fig2_config()
     etas = sweeps.grid_etas(cfg)
+    records = sweeps.fig2_records(cfg)
+    var2 = {phi: [r.value for r in records if r.phi == phi] for phi in cfg.phis}
 
-    @functools.cache
-    def sums(eta, theta):
-        return statistics._series_sums(NBSParams(M=cfg.M, eta=eta, theta=theta))
+    def off_grid(phi, eta, theta):
+        return statistics.quadrature_variances(phi, NBSParams(M=cfg.M, eta=eta, theta=theta))[1]
 
-    def var2(phi, eta, theta):
-        # one series pass per (eta, theta) serves every phi
-        return sums(eta, theta).quadratures(phi)[1]
-
-    odd_no_squeeze = all(var2(math.pi, e, 0.0) >= 0.25 for e in etas if e <= 0.2)
+    odd_no_squeeze = all(v >= 0.25 for e, v in zip(etas, var2[math.pi]) if e <= 0.2)
     squeeze_small = all(
-        min(var2(phi, e, 0.0) for e in etas if e < 0.3) < 0.25
+        min(v for e, v in zip(etas, var2[phi]) if e < 0.3) < 0.25
         for phi in (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0))
-    merged = [var2(phi, 0.95, 0.0) for phi in cfg.phis]
+    # the grid's last point is 0.9500000000000001, not 0.95
+    merged = [off_grid(phi, 0.95, 0.0) for phi in cfg.phis]
     spread = (max(merged) - min(merged)) / abs(sum(merged) / len(merged))
     # The advertised loss of squeezing as eta -> 1 needs a small nonzero
     # quadrature angle; at theta exactly 0 the X2 variance stays below the
     # vacuum level all the way up.  theta = 0.05 realizes the full shape.
     theta = 0.05
-    crossing = var2(0.0, 0.5, theta) < 0.25 < var2(0.0, 0.95, theta)
+    crossing = off_grid(0.0, 0.5, theta) < 0.25 < off_grid(0.0, 0.95, theta)
     detail = (f"odd never squeezed (eta<=0.2): {odd_no_squeeze}; even/pi2/3pi4 squeezed below "
               f"eta=0.3: {squeeze_small}; spread at 0.95: {spread:.2e}; "
               f"squeezing lost toward eta=1 at theta=0.05: {crossing}")

@@ -15,8 +15,8 @@ from nbstates import statistics, verification
 from nbstates.errors import ConvergenceError, DomainError, NumericsError
 from nbstates.fock_core import (FockVector, TruncationPolicy, apply_annihilate,
                                 inner, oracle_stats)
-from nbstates.nbs_states import (ETA_MIN, NBSParams, phase_factor, photon_distribution,
-                                 superposition)
+from nbstates.nbs_states import (_LGAMMA, ETA_MIN, NBSParams, phase_factor,
+                                 photon_distribution, superposition)
 from nbstates.statistics import (a_pow_expectation, closed_stats, generating_function,
                                  mean_closed, pn_closed, pn_closed_upto,
                                  q_closed, q_limit, q_recursion_residual,
@@ -295,32 +295,82 @@ _SUMS_GRID = [(M, eta, theta) for M in (1, 7, 50, 300, 1000)
 _SUMS_PHIS = (0.0, math.pi / 4.0, math.pi / 2.0, 2.0, math.pi, 2.0 * math.pi)
 
 
+def _one_eta_sums(params, powers, policy=None):
+    # the series sums at one (M, eta, theta): the one-row case of a grid
+    return statistics._series_sums(params.M, (params.eta,), params.theta, powers, policy)[0]
+
+
 @pytest.mark.parametrize("M, eta, theta", _SUMS_GRID)
 def test_series_sums_reproduce_a_pow_and_quadratures_bit_for_bit(M, eta, theta):
     params = NBSParams(M=M, eta=eta, theta=theta)
-    sums = statistics._series_sums(params, (1, 2, 3))
+    sums = _one_eta_sums(params, (1, 2, 3))
     for k in (1, 2, 3):
         # each power keeps the stop index it has when summed alone
-        assert sums.by_power[k] == statistics._series_sums(params, (k,)).by_power[k]
+        assert sums.by_power[k] == _one_eta_sums(params, (k,)).by_power[k]
     for phi in _SUMS_PHIS:
         for k in (1, 2, 3):
             assert sums.a_pow(k, phi) == a_pow_expectation(k, phi, params)
         assert sums.quadratures(phi) == quadrature_variances(phi, params)
 
 
-@pytest.mark.parametrize("M, eta, cap", [(1, 0.2, 12), (2, 0.65, 48), (5, 0.6, 48)])
+def _per_eta_loop(M, eta, powers):
+    # the series of one eta on 1-D arrays, doubling n_hi until every power
+    # has stopped: the reference the grid pass must match bit for bit
+    x = eta * eta
+    by_power = {}
+    n_hi = statistics._series_n_hi(M, x)
+    while len(by_power) < len(powers):
+        n = np.arange(n_hi + 1, dtype=np.float64)
+        log_w = _LGAMMA.row(M, n_hi + 1) - _LGAMMA.row(1, n_hi + 1) + n * math.log(x)
+        w = np.exp(log_w - log_w.max())
+        m = n + M
+        t = w * np.sqrt(x * m)
+        for k in range(1, max(powers) + 1):
+            if k > 1:
+                t = t * np.sqrt(x * (m + (k - 1)))
+            if k in powers and k not in by_power:
+                peak = int(t.argmax())
+                done = t[peak + 1:] <= 1e-16 * t.cumsum()[peak + 1:]
+                if done.any():
+                    stop = peak + 1 + int(done.argmax())
+                    by_power[k] = tuple(float(np.add.reduce(a[j:stop + 1:2]))
+                                        for a in (w, t) for j in (0, 1))
+        n_hi *= 2
+    return by_power
+
+
+@pytest.mark.parametrize("M", (1, 7, 50, 300, 1000))
+def test_series_grid_matches_the_per_eta_loop(M):
+    # blocks of the default grid pad rows of different lengths, and the
+    # etas out of order at its end must come out the same as well
+    etas = [0.02 + 0.01 * i for i in range(94)] + [0.9, 0.05, 0.6, 1e-3]
+    for eta, row in zip(etas, statistics._series_sums(M, etas, powers=(1, 2, 3))):
+        assert row.by_power == _per_eta_loop(M, eta, (1, 2, 3))
+
+
+_DOUBLING_POINTS = [(1, 0.2, 12), (2, 0.65, 48), (5, 0.6, 48)]
+
+
+@pytest.mark.parametrize("M, eta, cap", _DOUBLING_POINTS)
 def test_series_sums_keep_each_power_stop_across_doublings(monkeypatch, M, eta, cap):
     # from a first guess of 3 terms n_hi doubles 3, 6, 12, ...; at these
     # points <a> stops within cap terms and <a^3> needs a later doubling, and
     # the joint pass must still give each power the sums it gets alone
     monkeypatch.setattr(statistics, "_series_n_hi", lambda M, x: 3)
     params = NBSParams(M=M, eta=eta)
-    statistics._series_sums(params, (1,), TruncationPolicy(hard_cap=cap))
+    _one_eta_sums(params, (1,), TruncationPolicy(hard_cap=cap))
     with pytest.raises(ConvergenceError):
-        statistics._series_sums(params, (3,), TruncationPolicy(hard_cap=cap))
-    joint = statistics._series_sums(params, (1, 2, 3))
+        _one_eta_sums(params, (3,), TruncationPolicy(hard_cap=cap))
+    joint = _one_eta_sums(params, (1, 2, 3))
     for k in (1, 2, 3):
-        assert joint.by_power[k] == statistics._series_sums(params, (k,)).by_power[k]
+        assert joint.by_power[k] == _one_eta_sums(params, (k,)).by_power[k]
+    # the etas of every point as one grid at this M: all rows start in one
+    # block and leave it after different numbers of doublings, and each row
+    # must be what its eta gives alone
+    etas = [0.02] + [e for _, e, _ in _DOUBLING_POINTS] + [0.9]
+    rows = statistics._series_sums(M, etas, powers=(1, 2, 3))
+    for e, row in zip(etas, rows):
+        assert row.by_power == _one_eta_sums(NBSParams(M=M, eta=e), (1, 2, 3)).by_power
 
 
 def test_quadratures_name_the_power_that_ran_out_of_terms():
@@ -330,6 +380,18 @@ def test_quadratures_name_the_power_that_ran_out_of_terms():
     a_pow_expectation(1, 0.0, p, cap)
     with pytest.raises(ConvergenceError) as err:
         quadrature_variances(0.0, p, cap)
+    assert str(err.value) == "<a^2> series needed more than 28 terms at eta=0.5, M=1"
+
+
+def test_series_grid_names_the_first_eta_that_ran_out_of_terms():
+    # at M = 1 and 28 terms, eta = 0.3 converges, 0.5 runs out at <a^2> and
+    # 0.7 already at <a>: the grid names the first failing eta in grid order
+    cap = TruncationPolicy(hard_cap=28)
+    statistics._series_sums(1, (0.3,), policy=cap)
+    with pytest.raises(ConvergenceError, match=r"^<a\^1> series .* at eta=0\.7, M=1$"):
+        statistics._series_sums(1, (0.7,), policy=cap)
+    with pytest.raises(ConvergenceError) as err:
+        statistics._series_sums(1, (0.3, 0.5, 0.7), policy=cap)
     assert str(err.value) == "<a^2> series needed more than 28 terms at eta=0.5, M=1"
 
 

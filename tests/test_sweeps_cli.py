@@ -11,7 +11,7 @@ import pytest
 from nbstates.cli import _json_text, build_parser, load_config, main
 from nbstates.errors import ConfigError, DomainError, NumericsError
 from nbstates.nbs_states import NBSParams
-from nbstates.statistics import quadrature_variances
+from nbstates.statistics import q_closed, quadrature_variances
 from nbstates.sweeps import (FIG1_PHIS, SweepConfig, fig1_config, fig1_records,
                              fig2_config, fig2_records, format_value,
                              grid_etas, pn_table, render_pn_csv,
@@ -56,12 +56,17 @@ def test_fig2_records_quantity_and_m():
     assert recs[0].M == 50
 
 
-@pytest.mark.parametrize("M", (1, 50, 300, 1000))
-@pytest.mark.parametrize("theta", (0.0, 0.7))
-def test_fig2_csv_matches_per_row_quadrature_variances(M, theta):
-    # the per-eta series pass must not move a byte against one call per row
+# (M, theta, grid_step); the default step 0.01 fills whole blocks of the series pass
+_FIG2_GRIDS = [pytest.param(M, theta, step,
+                            id=f"{theta}-{M}" + ("" if step == 0.03 else f"-step{step}"))
+               for step in (0.03, 0.01) for theta in (0.0, 0.7) for M in (1, 50, 300, 1000)]
+
+
+@pytest.mark.parametrize("M, theta, grid_step", _FIG2_GRIDS)
+def test_fig2_csv_matches_per_row_quadrature_variances(M, theta, grid_step):
+    # the series pass over the grid must not move a byte against one call per row
     phis = (math.pi / 3.0, 0.0, math.pi, 2.0 * math.pi)
-    cfg = fig2_config(M=M, theta=theta, phis=phis, grid_step=0.03)
+    cfg = fig2_config(M=M, theta=theta, phis=phis, grid_step=grid_step)
     lines = ["eta,phi,M,quantity,value"]
     for phi in phis:
         for eta in grid_etas(cfg):
@@ -70,12 +75,34 @@ def test_fig2_csv_matches_per_row_quadrature_variances(M, theta):
     assert render_sweep_csv(fig2_records(cfg)) == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("M", (1, 30, 1000, 2 ** 40))
+@pytest.mark.parametrize("theta", (0.0, 0.7))
+def test_fig1_csv_matches_per_row_q_closed(M, theta):
+    # the phase factor taken once per phi must not move a byte against one
+    # q_closed call per row
+    phis = (math.pi / 3.0, 0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi, 2.0 * math.pi)
+    cfg = fig1_config(M=M, theta=theta, phis=phis, grid_step=0.03)
+    lines = ["eta,phi,M,quantity,value"]
+    for phi in phis:
+        for eta in grid_etas(cfg):
+            v = q_closed(phi, NBSParams(M=M, eta=eta, theta=theta))
+            lines.append(f"{eta:.17g},{phi:.17g},{M},mandel_q,{v:.17g}")
+    assert render_sweep_csv(fig1_records(cfg)) == "\n".join(lines) + "\n"
+
+
 def test_render_is_deterministic():
     cfg = fig1_config(eta_start=0.5, eta_stop=0.6, grid_step=0.02)
     a = render_sweep_csv(fig1_records(cfg))
     b = render_sweep_csv(fig1_records(cfg))
     assert a == b
     assert a.splitlines()[0] == "eta,phi,M,quantity,value"
+
+
+def test_render_keeps_the_sign_of_a_zero_phi():
+    # 0.0 and -0.0 are one dict key but print as "0" and "-0"
+    cfg = fig1_config(eta_start=0.5, eta_stop=0.5, phis=(0.0, -0.0))
+    rows = render_sweep_csv(fig1_records(cfg)).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["0", "-0"]
 
 
 def test_sweep_config_validation():
@@ -369,6 +396,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     cfg.write_text("eta_start = 0.9995\neta_stop = 0.9995\nphi = 0.0\n")
     assert main(["fig2", "--config", str(cfg)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_fig2_names_the_first_eta_past_the_term_budget():
+    # the whole grid runs in one series pass; the error still names the first
+    # eta in grid order whose series needs more than the 20000-term cap
+    proc = subprocess.run([sys.executable, "-m", "nbstates.cli", "fig2", "--M", "10000"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical failure: <a^1> series needed more than 20000 terms "
+                           "at eta=0.81, M=10000\n")
 
 
 def test_verify_passes_and_reports(capsys):
