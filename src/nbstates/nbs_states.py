@@ -106,12 +106,18 @@ def partner_phase(phi: float) -> float:
     return phi + math.pi if phi <= math.pi else phi - math.pi
 
 
-def _one_plus_c_exp(c: float, minus_exponent: float) -> float:
-    # 1 + c*exp(-minus_exponent), written to survive c near -1 with a small exponent:
-    # 1 + c e^{-s} = (1 + c) + c (e^{-s} - 1), both addends free of cancellation.
+def _one_plus_c_r(c: float, r, r_minus_1):
+    # 1 + c r for an overlap r = e^{-s} given with r - 1 = expm1(-s), written to
+    # survive c near -1 with a small exponent: 1 + c r = (1 + c) + c (r - 1),
+    # both addends free of cancellation.  r may be a float or an array.
     if c < 0.0:
-        return (1.0 + c) + c * math.expm1(-minus_exponent)
-    return 1.0 + c * math.exp(-minus_exponent)
+        return (1.0 + c) + c * r_minus_1
+    return 1.0 + c * r
+
+
+def _one_plus_c_exp(c: float, minus_exponent: float) -> float:
+    # 1 + c*exp(-minus_exponent)
+    return _one_plus_c_r(c, math.exp(-minus_exponent), math.expm1(-minus_exponent))
 
 
 def _parity_denominator(phi: float, minus_exponent: float) -> Tuple[float, float]:

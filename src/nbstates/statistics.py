@@ -14,12 +14,20 @@ O(M x).
 The Mandel parameter comes from the recursion <N>(pi - phi, M + 1) - <N>(phi, M),
 rearranged so that the two means of size M x / (1 - x) never cancel.
 
+Each closed form is split in two: the transcendentals, which depend on eta
+but not on phi (``_overlap_terms``), and an arithmetic kernel that takes
+them as floats or as float64 arrays over an eta grid (``_q_kernel``,
+``_mean_kernel``).  numpy rounds + - * / elementwise as Python does, so a
+kernel gives a whole column of a sweep the bits each eta gets alone.
+
 <a> and <a^2> are ratios of sums over one weight series, and those sums do
 not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
 serves both powers, each summed to its own stop index, and every phi; it
 evaluates the series a block of etas at a time as 2-D arrays, with the same
 elementwise operations as for a single eta, so each value has the same bits
-as when its eta is evaluated alone.  A single (M, eta) is the one-row grid.
+as when its eta is evaluated alone.  A single (M, eta) is the one-row grid,
+and ``_SeriesSums`` turns the sums into <a^k> and the quadrature variances
+with the same kind of kernel, one phi for the whole grid.
 """
 from __future__ import annotations
 
@@ -38,6 +46,7 @@ from .nbs_states import (
     _log_parity_overlap_exponent,
     _nb_log_weight,
     _one_plus_c_exp,
+    _one_plus_c_r,
     _parity_denominator,
     phase_factor,
 )
@@ -102,11 +111,30 @@ def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     return g
 
 
-def _mean(c: float, M: int, x: float) -> float:
-    # <N> at cos(phi) = c; 2.0 * M * u is _log_parity_overlap_exponent bit for bit
+def _overlap_terms(M: int, x: float) -> Tuple[float, float, float, float, float]:
+    # (x, r0, r0 - 1, r1, r1 - 1) for the overlaps r0 = exp(-2Mu) and
+    # r1 = exp(-2(M+1)u): every transcendental of <N> and Q at one eta, each
+    # overlap with its expm1 for _one_plus_c_r; 2.0 * M * u is
+    # _log_parity_overlap_exponent bit for bit
     u = math.atanh(x)
-    return M * x * _one_plus_c_exp(-c, 2.0 * (M + 1) * u) \
-        / ((1.0 - x) * _one_plus_c_exp(c, 2.0 * M * u))
+    s0 = 2.0 * M * u
+    s1 = 2.0 * (M + 1) * u
+    return x, math.exp(-s0), math.expm1(-s0), math.exp(-s1), math.expm1(-s1)
+
+
+def _overlap_columns(M: int, xs: Sequence[float]) -> np.ndarray:
+    # _overlap_terms of each x as five float64 rows, for the column kernels
+    return np.array([_overlap_terms(M, x) for x in xs]).T
+
+
+def _mean_kernel(c: float, M: int, x, r0, d0, r1, d1):
+    # <N> at cos(phi) = c from _overlap_terms, floats or arrays of them
+    return M * x * _one_plus_c_r(-c, r1, d1) / ((1.0 - x) * _one_plus_c_r(c, r0, d0))
+
+
+def _mean(c: float, M: int, x: float) -> float:
+    # <N> at cos(phi) = c
+    return _mean_kernel(c, M, *_overlap_terms(M, x))
 
 
 def mean_closed(phi: float, params: NBSParams) -> float:
@@ -125,14 +153,10 @@ def second_moment_closed(phi: float, params: NBSParams) -> float:
     return _mean(c, M, x) + extra
 
 
-def _mandel_q(c: float, M: int, x: float) -> float:
-    # Q at cos(phi) = c; q_closed's formula, kept apart so that a sweep
-    # computes each phase factor once
-    u = math.atanh(x)
-    s0 = 2.0 * M * u
-    s1 = 2.0 * (M + 1) * u
-    pair = (M + 1) * math.exp(-s1) / _one_plus_c_exp(-c, s1) \
-        + M * math.exp(-s0) / _one_plus_c_exp(c, s0)
+def _q_kernel(c: float, M: int, x, r0, d0, r1, d1):
+    # Q at cos(phi) = c from _overlap_terms, floats or arrays of them: the
+    # arithmetic of q_closed, one phi for a whole eta grid in a sweep
+    pair = (M + 1) * r1 / _one_plus_c_r(-c, r1, d1) + M * r0 / _one_plus_c_r(c, r0, d0)
     return x / (1.0 - x) * (1.0 + 2.0 * c / (1.0 + x) * pair)
 
 
@@ -145,11 +169,12 @@ def q_closed(phi: float, params: NBSParams) -> float:
         Q = x/(1-x) (1 + 2c/(1+x) ((M+1) r1 / (1 - c r1) + M r0 / (1 + c r0)))
 
     with r0 = exp(-2Mu), r1 = exp(-2(M+1)u), and the two denominators from
-    ``_one_plus_c_exp``.  This holds Q to a few ulps for every M up to 2**53;
+    ``_one_plus_c_r``.  This holds Q to a few ulps for every M up to 2**53;
     no eta needs a special case.
     """
     _check_phi(phi)
-    return _mandel_q(phase_factor(phi).real, params.M, params.eta * params.eta)
+    M = params.M
+    return _q_kernel(phase_factor(phi).real, M, *_overlap_terms(M, params.eta * params.eta))
 
 
 def closed_stats(phi: float, params: NBSParams) -> PhotonStats:
@@ -192,13 +217,6 @@ def _series_n_hi(M: int, x: float) -> int:
     return int(mean + 9.0 * sd - math.log(_SERIES_RTOL) / -math.log(x)) + 4
 
 
-def _parity_sums(terms: np.ndarray, stop: int) -> Tuple[float, float]:
-    # sums of terms[n] over even and over odd n <= stop; one 1-D reduce over
-    # each exact slice, since pairwise summation depends on the slice length
-    return (float(np.add.reduce(terms[0:stop + 1:2])),
-            float(np.add.reduce(terms[1:stop + 1:2])))
-
-
 def _series_stops(t: np.ndarray) -> List[int]:
     # for each row of t, the first n past the row's peak with
     # t_n <= 1e-16 (t_0 + ... + t_n), or -1
@@ -228,71 +246,85 @@ def _blocks(n_his: Sequence[int]) -> Iterator[Tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _SeriesSums:
-    """The phi-free sums of the <a^k> series at one (M, eta, theta).
+    """The phi-free parts of <a^k> and the quadratures over an eta grid at fixed (M, theta).
 
     ``by_power[k]`` is (E[w], O[w], E[t], O[t]) for t = w F of power k, each
-    summed up to that power's own stop index, and ``rotation[k]`` is
-    e^{ik theta}, computed once for a whole grid.  Every phi is evaluated
-    from the same sums, so a sweep over phi runs the series once.
+    summed up to that power's own stop index; ``terms`` is
+    ``_overlap_terms`` (x first) for ``_mean_kernel``; ``rotation[k]`` is
+    e^{ik theta}.  A grid holds one float64 entry per eta in each of these,
+    and ``sums[i]`` holds the i-th eta's entries as floats.  The methods are
+    kernels that do only + - * / and squares on them, elementwise, so a grid
+    and each of its one-eta rows give the same bits at every phi.
     """
 
-    params: NBSParams
-    by_power: Dict[int, Tuple[float, float, float, float]]
+    M: int
+    terms: Sequence
+    by_power: Dict[int, Sequence]
     rotation: Dict[int, complex]
 
-    def a_pow(self, k: int, phi: float) -> complex:
-        """<a^k> at phi from the sums of power k."""
-        unit = phase_factor(phi)
-        return self.a_pow_at(k, unit.real, unit.imag)
+    def __getitem__(self, i: int) -> "_SeriesSums":
+        return _SeriesSums(self.M, tuple(self.terms[:, i].tolist()),
+                           {k: tuple(sums[:, i].tolist()) for k, sums in self.by_power.items()},
+                           self.rotation)
 
-    def a_pow_at(self, k: int, c: float, s: float) -> complex:
-        """<a^k> at the phase factor c + i s = e^{i phi}."""
+    def _a_pow(self, k: int, c: float, s: float):
+        # (Re, Im) of <a^k> at the phase factor c + i s = e^{i phi}: the ratio
+        # times e^{ik theta}, a complex product written out in CPython's order
         w_even, w_odd, t_even, t_odd = self.by_power[k]
         denom = (1.0 + c) * w_even + (1.0 - c) * w_odd
         if k % 2 == 0:
-            ratio = complex(((1.0 + c) * t_even + (1.0 - c) * t_odd) / denom)
+            re, im = ((1.0 + c) * t_even + (1.0 - c) * t_odd) / denom, 0.0
         else:
-            ratio = complex(0.0, -s * (t_even - t_odd) / denom)
-        return ratio * self.rotation[k]
+            re, im = 0.0, -s * (t_even - t_odd) / denom
+        rot = self.rotation[k]
+        return re * rot.real - im * rot.imag, re * rot.imag + im * rot.real
 
-    def quadratures(self, phi: float) -> Tuple[float, float]:
-        """(Var X1, Var X2) at phi from the sums of powers 1 and 2."""
+    def a_pow(self, k: int, phi: float) -> complex:
+        """<a^k> at phi from the sums of power k of one eta."""
         unit = phase_factor(phi)
-        return self.quadratures_at(unit.real, unit.imag)
+        return complex(*self._a_pow(k, unit.real, unit.imag))
 
-    def quadratures_at(self, c: float, s: float) -> Tuple[float, float]:
-        """(Var X1, Var X2) at the phase factor c + i s = e^{i phi}."""
-        mean = _mean(c, self.params.M, self.params.eta * self.params.eta)
-        ea = self.a_pow_at(1, c, s)
-        ea2 = self.a_pow_at(2, c, s)
-        var_x1 = 0.25 + 0.5 * (mean + ea2.real - 2.0 * ea.real ** 2)
-        var_x2 = 0.25 + 0.5 * (mean - ea2.real - 2.0 * ea.imag ** 2)
+    def quadratures(self, phi: float):
+        """(Var X1, Var X2) at phi from the sums of powers 1 and 2, one entry per eta."""
+        unit = phase_factor(phi)
+        c, s = unit.real, unit.imag
+        mean = _mean_kernel(c, self.M, *self.terms)
+        a_re, a_im = self._a_pow(1, c, s)
+        a2_re = self._a_pow(2, c, s)[0]
+        # np.float_power calls libm pow as Python's float ** does, where
+        # ndarray ** 2 squares by a multiplication that rounds differently
+        var_x1 = 0.25 + 0.5 * (mean + a2_re - 2.0 * np.float_power(a_re, 2))
+        var_x2 = 0.25 + 0.5 * (mean - a2_re - 2.0 * np.float_power(a_im, 2))
         return var_x1, var_x2
 
 
 def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
                  powers: Tuple[int, ...] = (1, 2),
-                 policy: Optional[TruncationPolicy] = None) -> List[_SeriesSums]:
+                 policy: Optional[TruncationPolicy] = None) -> _SeriesSums:
     """The sums of every power in ``powers`` at each eta of a grid at fixed (M, theta).
 
-    w_n = C(M+n-1, n) x^n comes from lgamma rows read once per grid and is
-    scaled by each eta's largest term; t = w sqrt(x m), then t sqrt(x (m+1)),
-    ... (m = M + n) gives the terms of powers 1, 2, ... in turn.  The etas
-    are taken in grid order, in blocks (``_blocks``) evaluated as 2-D arrays
-    padded to the block's longest n_hi.  Each power of each eta stops at its
-    own index (``_series_stops``), and its parity sums are 1-D reductions
-    over that eta's exact slice.  So an eta gets the same bits in any block,
-    and a single eta is the one-row case.  While some power of an eta has
-    not stopped, the eta runs again at doubled length, up to
+    The caller has checked that (M, eta, theta) are valid ``NBSParams`` for
+    every eta.  w_n = C(M+n-1, n) x^n comes from lgamma rows read once per
+    grid and is scaled by each eta's largest term; t = w sqrt(x m), then
+    t sqrt(x (m+1)), ... (m = M + n) gives the terms of powers 1, 2, ... in
+    turn.  The etas are taken in grid order, in blocks (``_blocks``)
+    evaluated as 2-D arrays padded to the block's longest n_hi.  Each power
+    of each eta stops at its own index (``_series_stops``), and its four
+    parity sums are two reductions, one per parity, each over the eta's
+    exact (w, t) slice pair; a 2-D reduction along its rows sums each row
+    as the 1-D reduction of that row would.  So an eta gets the same bits
+    in any block, and a single eta is the one-row case.  While some power
+    of an eta has not stopped, the eta runs again at doubled length, up to
     policy.hard_cap; past that, ConvergenceError names the first such eta
     in grid order and its lowest such power.
     """
     policy = policy or TruncationPolicy()
-    params = [NBSParams(M=M, eta=eta, theta=theta) for eta in etas]
-    xs = [p.eta * p.eta for p in params]
-    by_power: List[Dict[int, Tuple[float, float, float, float]]] = [{} for _ in params]
+    xs = [eta * eta for eta in etas]
+    # sums[k][i]: the (w, t) sums of even and of odd n, None until power k
+    # of the i-th eta stops
+    sums = {k: [None] * len(xs) for k in powers}
     n_hi = [min(_series_n_hi(M, x), policy.hard_cap) for x in xs]
-    pending = list(range(len(params)))
+    pending = list(range(len(xs)))
     while pending:
         size = max(n_hi[i] for i in pending) + 1
         lgamma = _LGAMMA.row(M, size) - _LGAMMA.row(1, size)
@@ -304,35 +336,45 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
             x = np.array([xs[i] for i in rows])[:, None]
             log_x = np.array([math.log(xs[i]) for i in rows])[:, None]
             log_w = lgamma[:length] + n[:length] * log_x
+            # w and t share one buffer, so that a (w, t) row pair is one
+            # strided view
+            wt = np.empty((2, len(rows), length))
+            w, t = wt
             # padding moves no accepted sum: a row's largest weight lies
             # before any stop index, and a row's cumsum runs in order
-            w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+            np.exp(log_w - log_w.max(axis=1, keepdims=True), out=w)
             # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time so that no
             # partial product overflows before the result would
             m = n[:length] + M
-            t = w * np.sqrt(x * m)
+            np.multiply(w, np.sqrt(x * m), out=t)
             for k in range(1, max(powers) + 1):
                 if k > 1:
-                    t = t * np.sqrt(x * (m + (k - 1)))
-                if k in powers:
-                    for i, row_w, row_t, at in zip(rows, w, t, _series_stops(t)):
-                        if at >= 0 and k not in by_power[i]:
-                            by_power[i][k] = (*_parity_sums(row_w, at), *_parity_sums(row_t, at))
+                    t *= np.sqrt(x * (m + (k - 1)))
+                if k not in powers:
+                    continue
+                found = sums[k]
+                for j, (i, at) in enumerate(zip(rows, _series_stops(t))):
+                    if at >= 0 and found[i] is None:
+                        found[i] = (np.add.reduce(wt[:, j, 0:at + 1:2], axis=1),
+                                    np.add.reduce(wt[:, j, 1:at + 1:2], axis=1))
             if length <= policy.hard_cap:
-                unfinished = [i for i in rows if any(k not in by_power[i] for k in powers)]
+                unfinished = [i for i in rows if any(sums[k][i] is None for k in powers)]
                 for i in unfinished:
                     n_hi[i] = min(2 * (length - 1), policy.hard_cap)
                 retry.extend(unfinished)
         pending = retry
-    for p, found in zip(params, by_power):
-        missing = [k for k in powers if k not in found]
+    for i, eta in enumerate(etas):
+        missing = [k for k in powers if sums[k][i] is None]
         if missing:
             raise ConvergenceError(
                 f"<a^{min(missing)}> series needed more than {policy.hard_cap} terms "
-                f"at eta={p.eta}, M={M}"
+                f"at eta={eta}, M={M}"
             )
-    rotation = {k: phase_factor(theta) ** k for k in powers}
-    return [_SeriesSums(p, found, rotation) for p, found in zip(params, by_power)]
+    # [eta, parity, (w, t)] -> rows E[w], O[w], E[t], O[t]
+    return _SeriesSums(M, _overlap_columns(M, xs),
+                       {k: np.array(pairs).transpose(2, 1, 0).reshape(4, len(xs))
+                        for k, pairs in sums.items()},
+                       {k: phase_factor(theta) ** k for k in powers})
 
 
 def a_pow_expectation(k: int, phi: float, params: NBSParams,
@@ -374,4 +416,5 @@ def quadrature_variances(phi: float, params: NBSParams,
     stop index, bit for bit what two ``a_pow_expectation`` calls give.
     """
     _check_phi(phi)
-    return _series_sums(params.M, (params.eta,), params.theta, (1, 2), policy)[0].quadratures(phi)
+    sums = _series_sums(params.M, (params.eta,), params.theta, (1, 2), policy)[0]
+    return tuple(map(float, sums.quadratures(phi)))

@@ -7,24 +7,27 @@ byte-identical files.  Grid points are generated as start + i*step (never a
 running sum), which keeps the grid deterministic and free of accumulated
 drift.
 
-A figure sweep is evaluated column by column: what does not depend on phi
-(the parameters for ``fig1``, the <a^k> series sums for ``fig2``) once for
-the whole eta grid, each phase factor once per phi, and each distinct eta
-and phi formatted once when the CSV is rendered.  The values are bit for
-bit those of one ``q_closed`` or ``quadrature_variances`` call per row.
+A figure sweep is a ``SweepTable``: the eta grid, the phis, and one
+float64 column of values per phi.  What does not depend on phi (the
+transcendentals of Q for ``fig1``, the <a^k> series sums for ``fig2``) is
+computed once for the whole eta grid, and each column is one call of an
+arithmetic kernel from ``statistics`` at that phi.  The CSV is rendered
+column by column, each eta formatted once per grid and each phi once per
+column.  The values are bit for bit those of one ``q_closed`` or
+``quadrature_variances`` call per row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DomainError, check_finite
 from .fock_core import TruncationPolicy
 from .nbs_states import NBSParams, _check_phi, phase_factor, required_dimension
-from .statistics import _mandel_q, _series_sums, pn_closed_upto
-
-T = TypeVar("T")
+from .statistics import _overlap_columns, _q_kernel, _series_sums, pn_closed_upto
 
 FIG1_PHIS = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
 DEFAULT_ETA_START = 0.02
@@ -39,15 +42,6 @@ def format_value(x: Optional[float]) -> str:
     if x is None:
         return "undefined"
     return f"{x:.17g}"
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    eta: float
-    phi: float
-    M: int
-    quantity: str
-    value: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -81,10 +75,10 @@ def grid_etas(cfg: SweepConfig) -> List[float]:
     out = []
     i = 0
     # a slack of 5e-7 of a step, so that 0.02 + 93*0.01 = 0.9500000000000001
-    # still counts as 0.95
+    # still counts as 0.95; it must not carry a point onto eta = 1
     while True:
         eta = cfg.eta_start + i * cfg.grid_step
-        if eta > cfg.eta_stop + 0.5 * cfg.grid_step * 1e-6:
+        if eta > cfg.eta_stop + 0.5 * cfg.grid_step * 1e-6 or eta >= 1.0:
             break
         out.append(eta)
         i += 1
@@ -99,55 +93,49 @@ def fig2_config(**overrides) -> SweepConfig:
     return SweepConfig(**{"M": 50, **overrides})
 
 
-def _figure_records(cfg: SweepConfig, quantity: str, prepare: Callable[[List[float]], Sequence[T]],
-                    value: Callable[[float, float, T], Optional[float]]) -> List[SweepRecord]:
-    """value(c, s, state) over the eta grid, one block of rows per phi, c + i s = e^{i phi}.
+@dataclass(frozen=True)
+class SweepTable:
+    """A figure sweep by column: ``values[j][i]`` is the quantity at ``etas[i]`` and ``phis[j]``."""
 
-    ``prepare`` runs once per grid and returns one state per eta, and the
-    phase factor is computed once per phi.
-    """
+    etas: List[float]
+    phis: Tuple[float, ...]
+    values: List[np.ndarray]
+    M: int
+    quantity: str
+
+
+def _checked_grid(cfg: SweepConfig) -> List[float]:
+    # the eta grid, rising from eta_start and below 1; each NBSParams check
+    # holds for all of it once it holds at the first point
     etas = grid_etas(cfg)
-    states = prepare(etas)
-    records = []
-    for phi in cfg.phis:
-        unit = phase_factor(phi)
-        c, s = unit.real, unit.imag
-        records.extend(SweepRecord(eta=eta, phi=phi, M=cfg.M, quantity=quantity,
-                                   value=value(c, s, state))
-                       for eta, state in zip(etas, states))
-    return records
+    NBSParams(M=cfg.M, eta=etas[0], theta=cfg.theta)
+    return etas
 
 
-def fig1_records(cfg: SweepConfig) -> List[SweepRecord]:
-    """Mandel Q against eta, one block of rows per phi."""
-    return _figure_records(
-        cfg, "mandel_q",
-        lambda etas: [NBSParams(M=cfg.M, eta=eta, theta=cfg.theta) for eta in etas],
-        lambda c, s, params: _mandel_q(c, params.M, params.eta * params.eta))
+def fig1_records(cfg: SweepConfig) -> SweepTable:
+    """Mandel Q against eta, one column per phi."""
+    etas = _checked_grid(cfg)
+    terms = _overlap_columns(cfg.M, [eta * eta for eta in etas])
+    return SweepTable(etas, cfg.phis,
+                      [_q_kernel(phase_factor(phi).real, cfg.M, *terms) for phi in cfg.phis],
+                      cfg.M, "mandel_q")
 
 
-def fig2_records(cfg: SweepConfig) -> List[SweepRecord]:
-    """Variance of X2 against eta, one block of rows per phi; one series pass per grid."""
-    return _figure_records(cfg, "var_x2", lambda etas: _series_sums(cfg.M, etas, cfg.theta),
-                           lambda c, s, sums: sums.quadratures_at(c, s)[1])
+def fig2_records(cfg: SweepConfig) -> SweepTable:
+    """Variance of X2 against eta, one column per phi; one series pass per grid."""
+    etas = _checked_grid(cfg)
+    sums = _series_sums(cfg.M, etas, cfg.theta)
+    return SweepTable(etas, cfg.phis, [sums.quadratures(phi)[1] for phi in cfg.phis],
+                      cfg.M, "var_x2")
 
 
-def render_sweep_csv(records: Sequence[SweepRecord]) -> str:
-    # each distinct eta and phi is formatted once; 0.0 and -0.0 are equal
-    # keys that print differently, so zeros are not kept
-    text: Dict[float, str] = {}
-
-    def once(x: float) -> str:
-        out = text.get(x)
-        if out is None:
-            out = format_value(x)
-            if x:
-                text[x] = out
-        return out
-
+def render_sweep_csv(table: SweepTable) -> str:
+    """The table as CSV rows, one block of rows per phi in grid order."""
+    etas = [format_value(eta) for eta in table.etas]
     lines = ["eta,phi,M,quantity,value"]
-    lines.extend(f"{once(r.eta)},{once(r.phi)},{r.M},{r.quantity},{format_value(r.value)}"
-                 for r in records)
+    for phi, column in zip(table.phis, table.values):
+        middle = f",{format_value(phi)},{table.M},{table.quantity},"
+        lines.extend(f"{eta}{middle}{value:.17g}" for eta, value in zip(etas, column.tolist()))
     return "\n".join(lines) + "\n"
 
 

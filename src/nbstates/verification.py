@@ -355,11 +355,11 @@ def check_small_eta_q_expansion():
 
 @check("fig1-q-curve-shape", 0.01)
 def check_fig1_shape():
-    # the rows `nbstates fig1` prints, regrouped into one Q curve per phi
+    # the columns of `nbstates fig1`, one Q curve per phi
     cfg = sweeps.fig1_config()
-    etas = sweeps.grid_etas(cfg)
-    records = sweeps.fig1_records(cfg)
-    q = {phi: [r.value for r in records if r.phi == phi] for phi in cfg.phis}
+    table = sweeps.fig1_records(cfg)
+    etas = table.etas
+    q = {phi: column.tolist() for phi, column in zip(table.phis, table.values)}
     q_pi = q[math.pi]
     q_34 = q[3.0 * math.pi / 4.0]
     sub_small_eta = all(v < 0.0 for e, v in zip(etas, q_pi) if e <= 0.2)
@@ -378,12 +378,12 @@ def check_fig1_shape():
 
 @check("fig2-variance-curve-shape", 0.01)
 def check_fig2_shape():
-    # the rows `nbstates fig2` prints, regrouped into one X2 variance curve
-    # per phi; the points off the grid come from quadrature_variances
+    # the columns of `nbstates fig2`, one X2 variance curve per phi; the
+    # points off the grid come from quadrature_variances
     cfg = sweeps.fig2_config()
-    etas = sweeps.grid_etas(cfg)
-    records = sweeps.fig2_records(cfg)
-    var2 = {phi: [r.value for r in records if r.phi == phi] for phi in cfg.phis}
+    table = sweeps.fig2_records(cfg)
+    etas = table.etas
+    var2 = {phi: column.tolist() for phi, column in zip(table.phis, table.values)}
 
     def off_grid(phi, eta, theta):
         return statistics.quadrature_variances(phi, NBSParams(M=cfg.M, eta=eta, theta=theta))[1]

@@ -10,12 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbstates import statistics, verification
 from nbstates.errors import ConvergenceError, DomainError, NumericsError
 from nbstates.fock_core import (FockVector, TruncationPolicy, apply_annihilate,
                                 inner, oracle_stats)
-from nbstates.nbs_states import (_LGAMMA, ETA_MIN, NBSParams, phase_factor,
+from nbstates.nbs_states import (_LGAMMA, ETA_MIN, NBSParams, _one_plus_c_exp, phase_factor,
                                  photon_distribution, superposition)
 from nbstates.statistics import (a_pow_expectation, closed_stats, generating_function,
                                  mean_closed, pn_closed, pn_closed_upto,
@@ -393,6 +395,134 @@ def test_series_grid_names_the_first_eta_that_ran_out_of_terms():
     with pytest.raises(ConvergenceError) as err:
         statistics._series_sums(1, (0.3, 0.5, 0.7), policy=cap)
     assert str(err.value) == "<a^2> series needed more than 28 terms at eta=0.5, M=1"
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, so equal lists mean equal bits
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("parity", (0, 1))
+def test_paired_row_reduction_matches_one_dimensional_slices(parity):
+    # the series sums a (w, t) row pair with one reduction along axis 1 of a
+    # strided 2-D view; numpy must sum each row as the 1-D reduction of that
+    # row's slice does, or a grid would move digits against one eta alone
+    rng = np.random.default_rng(12)
+    w, t = np.exp(rng.normal(0.0, 8.0, size=(2, 3, 20002)))
+    wt = np.stack((w, t))
+    for length in [*range(1, 401), 1000, 4097, 8193, 10001]:
+        at = parity + 2 * (length - 1)
+        for j in range(3):
+            paired = np.add.reduce(wt[:, j, parity:at + 1:2], axis=1)
+            assert _bits(paired) == _bits([np.add.reduce(row[j, parity:at + 1:2])
+                                           for row in (w, t)]), (length, j)
+
+
+def test_float_power_squares_as_python_does():
+    # the quadrature kernel squares with np.float_power, which calls libm pow
+    # for floats and arrays alike, as Python's float ** 2 does
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=20000) * np.exp(rng.uniform(-300.0, 300.0, size=20000))
+    assert _bits(np.float_power(values, 2)) == _bits([v ** 2 for v in values.tolist()])
+    assert _bits(np.float_power(v, 2) for v in values[:200].tolist()) == \
+        _bits([v ** 2 for v in values[:200].tolist()])
+
+
+_KERNEL_PHIS = st.one_of(
+    st.sampled_from((0.0, -0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi, 2.0 * math.pi)),
+    st.floats(0.0, 2.0 * math.pi))
+_KERNEL_THETAS = st.one_of(
+    st.sampled_from((0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(M=st.integers(1, 2 ** 53), etas=st.lists(st.floats(ETA_MIN, 0.95), min_size=1, max_size=6),
+       phi=_KERNEL_PHIS)
+def test_q_column_kernel_matches_q_closed_bit_for_bit(M, etas, phi):
+    terms = statistics._overlap_columns(M, [eta * eta for eta in etas])
+    column = statistics._q_kernel(phase_factor(phi).real, M, *terms)
+    assert _bits(column) == _bits(q_closed(phi, NBSParams(M=M, eta=eta)) for eta in etas)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(M=st.integers(1, 1000), etas=st.lists(st.floats(ETA_MIN, 0.95), min_size=1, max_size=6),
+       theta=_KERNEL_THETAS, phi=_KERNEL_PHIS)
+def test_series_column_kernels_match_the_one_eta_calls_bit_for_bit(M, etas, theta, phi):
+    sums = statistics._series_sums(M, etas, theta)
+    unit = phase_factor(phi)
+    params = [NBSParams(M=M, eta=eta, theta=theta) for eta in etas]
+    for k in (1, 2):
+        re, im = sums._a_pow(k, unit.real, unit.imag)
+        one = [a_pow_expectation(k, phi, p) for p in params]
+        assert _bits(re) == _bits(a.real for a in one)
+        assert _bits(im) == _bits(a.imag for a in one)
+    var_x1, var_x2 = sums.quadratures(phi)
+    one = [quadrature_variances(phi, p) for p in params]
+    assert _bits(var_x1) == _bits(v for v, _ in one)
+    assert _bits(var_x2) == _bits(v for _, v in one)
+
+
+def _row_q(c, M, x):
+    # Q from one eta's floats with the math module, written as a per-row
+    # reference for the column kernel
+    u = math.atanh(x)
+    s0 = 2.0 * M * u
+    s1 = 2.0 * (M + 1) * u
+    pair = (M + 1) * math.exp(-s1) / _one_plus_c_exp(-c, s1) \
+        + M * math.exp(-s0) / _one_plus_c_exp(c, s0)
+    return x / (1.0 - x) * (1.0 + 2.0 * c / (1.0 + x) * pair)
+
+
+def _row_quadratures(row, phi, params):
+    # (<a>, <a^2>, Var X1, Var X2) from one eta's sums with Python complex
+    # arithmetic and float **: the per-row reference for the column kernels
+    unit = phase_factor(phi)
+    c, s = unit.real, unit.imag
+    moments = []
+    for k in (1, 2):
+        w_even, w_odd, t_even, t_odd = row.by_power[k]
+        denom = (1.0 + c) * w_even + (1.0 - c) * w_odd
+        if k % 2 == 0:
+            ratio = complex(((1.0 + c) * t_even + (1.0 - c) * t_odd) / denom)
+        else:
+            ratio = complex(0.0, -s * (t_even - t_odd) / denom)
+        moments.append(ratio * phase_factor(params.theta) ** k)
+    ea, ea2 = moments
+    mean = mean_closed(phi, params)
+    return (ea, ea2, 0.25 + 0.5 * (mean + ea2.real - 2.0 * ea.real ** 2),
+            0.25 + 0.5 * (mean - ea2.real - 2.0 * ea.imag ** 2))
+
+
+_ROW_PHIS = (0.0, 0.4, math.pi / 2.0, 2.0, 3.0 * math.pi / 4.0, math.pi, 4.0, 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("M", (1, 7, 50, 300, 2 ** 40))
+def test_q_kernel_matches_the_per_row_formula(M):
+    etas = np.linspace(1e-3, 0.95, 200).tolist()
+    terms = statistics._overlap_columns(M, [eta * eta for eta in etas])
+    for phi in _ROW_PHIS:
+        c = phase_factor(phi).real
+        assert _bits(statistics._q_kernel(c, M, *terms)) == \
+            _bits(_row_q(c, M, eta * eta) for eta in etas), phi
+
+
+@pytest.mark.parametrize("M", (1, 7, 50, 300))
+@pytest.mark.parametrize("theta", (0.0, 0.7, 2.0))
+def test_series_kernels_match_the_per_row_complex_arithmetic(M, theta):
+    etas = np.linspace(1e-3, 0.95, 200).tolist()
+    sums = statistics._series_sums(M, etas, theta)
+    rows = [(sums[i], NBSParams(M=M, eta=eta, theta=theta)) for i, eta in enumerate(etas)]
+    for phi in _ROW_PHIS:
+        unit = phase_factor(phi)
+        want = [_row_quadratures(row, phi, params) for row, params in rows]
+        for k, index in ((1, 0), (2, 1)):
+            re, im = sums._a_pow(k, unit.real, unit.imag)
+            assert _bits(re) == _bits(w[index].real for w in want), (phi, k)
+            assert _bits(im) == _bits(w[index].imag for w in want), (phi, k)
+        var_x1, var_x2 = sums.quadratures(phi)
+        assert _bits(var_x1) == _bits(w[2] for w in want), phi
+        assert _bits(var_x2) == _bits(w[3] for w in want), phi
 
 
 def test_quadrature_frozen_and_squeezed():

@@ -29,6 +29,20 @@ def test_default_grid_covers_both_endpoints():
     assert etas[-1] == pytest.approx(0.95, abs=1e-12)
 
 
+def test_grid_stops_below_eta_one(tmp_path):
+    # the slack past eta_stop must not carry the grid onto eta = 1.0, where
+    # NBSParams would reject it; the default grid keeps its last point
+    cfg = fig1_config(eta_start=0.9, eta_stop=0.9999999999999999, grid_step=0.05)
+    assert grid_etas(cfg) == [0.9, 0.9500000000000001]
+    assert grid_etas(fig1_config())[-1] == 0.9500000000000001
+    path = tmp_path / "run.cfg"
+    path.write_text("eta_start = 0.9\neta_stop = 0.9999999999999999\ngrid_step = 0.05\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["fig1", "--config", str(path), "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:3]] == \
+        ["0.90000000000000002", "0.95000000000000007"]
+
+
 def test_format_value_round_trips():
     rng = np.random.default_rng(3)
     for x in rng.uniform(-5, 5, size=20):
@@ -39,21 +53,21 @@ def test_format_value_round_trips():
 
 def test_fig1_records_layout():
     cfg = fig1_config(eta_start=0.1, eta_stop=0.2, grid_step=0.05)
-    recs = fig1_records(cfg)
-    assert len(recs) == len(FIG1_PHIS) * 3
-    assert [r.phi for r in recs[:3]] == [0.0] * 3
-    etas = [r.eta for r in recs[:3]]
+    table = fig1_records(cfg)
+    assert sum(len(column) for column in table.values) == len(FIG1_PHIS) * 3
+    assert table.phis[0] == 0.0 and len(table.values[0]) == 3
+    etas = table.etas
     assert etas == sorted(etas) and len(set(etas)) == 3
-    assert all(r.quantity == "mandel_q" for r in recs)
-    assert all(r.M == 30 for r in recs)
+    assert table.quantity == "mandel_q"
+    assert table.M == 30
 
 
 def test_fig2_records_quantity_and_m():
     cfg = fig2_config(eta_start=0.3, eta_stop=0.3, phis=(0.0,))
-    recs = fig2_records(cfg)
-    assert len(recs) == 1
-    assert recs[0].quantity == "var_x2"
-    assert recs[0].M == 50
+    table = fig2_records(cfg)
+    assert [len(column) for column in table.values] == [1]
+    assert table.quantity == "var_x2"
+    assert table.M == 50
 
 
 # (M, theta, grid_step); the default step 0.01 fills whole blocks of the series pass
@@ -99,9 +113,12 @@ def test_render_is_deterministic():
 
 
 def test_render_keeps_the_sign_of_a_zero_phi():
-    # 0.0 and -0.0 are one dict key but print as "0" and "-0"
+    # 0.0 and -0.0 compare equal but print as "0" and "-0"; each column
+    # prints its own phi
     cfg = fig1_config(eta_start=0.5, eta_stop=0.5, phis=(0.0, -0.0))
-    rows = render_sweep_csv(fig1_records(cfg)).splitlines()[1:]
+    table = fig1_records(cfg)
+    assert [math.copysign(1.0, phi) for phi in table.phis] == [1.0, -1.0]
+    rows = render_sweep_csv(table).splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["0", "-0"]
 
 
