@@ -204,21 +204,6 @@ def _a2(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def lowering_ratio_residual(seq: ParitySequence) -> float:
-    """Componentwise residual of a^2|psi> = sqrt((N+1)(N+2)) (C_up/C) |psi>.
-
-    The top two components of a^2 are truncation-corrupted and excluded.
-    """
-    c = seq.coeffs
-    below = c[:-1]
-    _check_poles(below == 0)
-    n = seq.photon_numbers[:-1].astype(np.float64)
-    root = np.sqrt((n + 1.0) * (n + 2.0))
-    lowered = root * c[1:]
-    expected = root * (c[1:] / below) * below
-    return float(np.max(np.abs(lowered - expected), initial=0.0))
-
-
 def _pair_lowering_residual(seq: ParitySequence,
                             params: NBSParams) -> Tuple[np.ndarray, np.ndarray]:
     """a^2 psi - lambda_N psi on the realized sequence, and F(N) = ((M+N)(M+N+1))^{-1/2}.

@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
     if args.corrupt_tolerances:
         # negative control: bounds tightened far beyond attainability, the
         # suite must report failures and exit nonzero
-        scale = 1e-8
+        scale = 1e-12
     if not (0.0 < scale < math.inf):
         raise ConfigError(f"tolerance scale must be finite and > 0, got {scale}")
     seed = opts.get("seed", verification.DEFAULT_SEED)

@@ -40,11 +40,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, NumericsError, check_finite, check_integer
 from .fock_core import PhotonStats, TruncationPolicy
 from .nbs_states import (
-    _LGAMMA,
     NBSParams,
     _check_phi,
+    _log_binomial,
     _log_parity_overlap_exponent,
-    _nb_log_weight,
     _one_plus_c_exp,
     _one_plus_c_r,
     _parity_denominator,
@@ -59,37 +58,30 @@ def q_limit(phi: float) -> float:
     return c if abs(c) == 1.0 else 0.0
 
 
+def _pn_kernel(n: np.ndarray, phi: float, params: NBSParams) -> np.ndarray:
+    # P(n) at each integer-valued float of n; exactly +0.0 where the parity forbids n
+    c, denom = _parity_denominator(phi, _log_parity_overlap_exponent(params))
+    M = params.M
+    x = params.eta * params.eta
+    weight = np.exp(_log_binomial(M, n) + n * math.log(x) + M * math.log1p(-x))
+    return weight * np.where(n % 2 == 0, 1.0 + c, 1.0 - c) / denom
+
+
 def pn_closed(n: int, phi: float, params: NBSParams) -> float:
     """P(n) for the superposition; exactly 0 on the parity-forbidden indices."""
     n = check_integer("photon number", n, 0)
-    c, denom = _parity_denominator(phi, _log_parity_overlap_exponent(params))
-    parity = 1.0 + c if n % 2 == 0 else 1.0 - c
-    if parity == 0.0:
-        return 0.0
-    x = params.eta * params.eta
-    return math.exp(_nb_log_weight(params.M, n, x)) * parity / denom
+    return float(_pn_kernel(np.array([n], dtype=np.float64), phi, params)[0])
 
 
 def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
     """P(0), ..., P(n_max) in one pass, each bit for bit equal to ``pn_closed``.
 
-    The log weights take ``_nb_log_weight``'s operations in the same order,
-    with the lgamma values from the shared rows, and are exponentiated by
-    ``math.exp`` (``np.exp`` rounds differently in the last bit for some
-    inputs).  Parity-forbidden entries are exactly 0.
+    Both run one elementwise numpy kernel, here on 0..n_max and there on
+    [n], with the weight from ``nbs_states._log_binomial``.  Parity-forbidden
+    entries are exactly 0.
     """
     size = check_integer("n_max", n_max, 0) + 1
-    c, denom = _parity_denominator(phi, _log_parity_overlap_exponent(params))
-    M = params.M
-    x = params.eta * params.eta
-    log_w = (_LGAMMA.row(M, size) - _LGAMMA.row(1, size) - math.lgamma(M)
-             + np.arange(size) * math.log(x) + M * math.log1p(-x))
-    p = np.zeros(size)
-    for start, parity in ((0, 1.0 + c), (1, 1.0 - c)):
-        if parity != 0.0:
-            lw = log_w[start::2].tolist()
-            p[start::2] = np.fromiter(map(math.exp, lw), np.float64, len(lw)) * parity / denom
-    return p
+    return _pn_kernel(np.arange(size, dtype=np.float64), phi, params)
 
 
 def generating_function(lam: float, phi: float, params: NBSParams) -> float:
@@ -291,10 +283,8 @@ class _SeriesSums:
         mean = _mean_kernel(c, self.M, *self.terms)
         a_re, a_im = self._a_pow(1, c, s)
         a2_re = self._a_pow(2, c, s)[0]
-        # np.float_power calls libm pow as Python's float ** does, where
-        # ndarray ** 2 squares by a multiplication that rounds differently
-        var_x1 = 0.25 + 0.5 * (mean + a2_re - 2.0 * np.float_power(a_re, 2))
-        var_x2 = 0.25 + 0.5 * (mean - a2_re - 2.0 * np.float_power(a_im, 2))
+        var_x1 = 0.25 + 0.5 * (mean + a2_re - 2.0 * (a_re * a_re))
+        var_x2 = 0.25 + 0.5 * (mean - a2_re - 2.0 * (a_im * a_im))
         return var_x1, var_x2
 
 
@@ -304,10 +294,10 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
     """The sums of every power in ``powers`` at each eta of a grid at fixed (M, theta).
 
     The caller has checked that (M, eta, theta) are valid ``NBSParams`` for
-    every eta.  w_n = C(M+n-1, n) x^n comes from lgamma rows read once per
-    grid and is scaled by each eta's largest term; t = w sqrt(x m), then
-    t sqrt(x (m+1)), ... (m = M + n) gives the terms of powers 1, 2, ... in
-    turn.  The etas are taken in grid order, in blocks (``_blocks``)
+    every eta.  w_n = C(M+n-1, n) x^n comes from one ``_log_binomial`` row
+    per pass, shared by every eta, and is scaled by each eta's largest
+    term; t = w sqrt(x m), then t sqrt(x (m+1)), ... (m = M + n) gives the
+    terms of powers 1, 2, ... in turn.  The etas are taken in grid order, in blocks (``_blocks``)
     evaluated as 2-D arrays padded to the block's longest n_hi.  Each power
     of each eta stops at its own index (``_series_stops``), and its four
     parity sums are two reductions, one per parity, each over the eta's
@@ -327,15 +317,15 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
     pending = list(range(len(xs)))
     while pending:
         size = max(n_hi[i] for i in pending) + 1
-        lgamma = _LGAMMA.row(M, size) - _LGAMMA.row(1, size)
         n = np.arange(size, dtype=np.float64)
+        log_binomial = _log_binomial(M, n)
         retry = []
         for start, stop in _blocks([n_hi[i] for i in pending]):
             rows = pending[start:stop]
             length = max(n_hi[i] for i in rows) + 1
             x = np.array([xs[i] for i in rows])[:, None]
             log_x = np.array([math.log(xs[i]) for i in rows])[:, None]
-            log_w = lgamma[:length] + n[:length] * log_x
+            log_w = log_binomial[:length] + n[:length] * log_x
             # w and t share one buffer, so that a (w, t) row pair is one
             # strided view
             wt = np.empty((2, len(rows), length))
@@ -394,7 +384,7 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams,
 
     The sums do not depend on phi or theta, and one weight pass
     (``_series_sums``) yields them for any set of powers.  All terms up to
-    n_hi are evaluated at once from reused ``math.lgamma`` rows, with w
+    n_hi are evaluated at once from one ``_log_binomial`` row, with w
     scaled by its largest term: no term exceeds 1, and the terms near the
     peak cannot underflow at large M, however small the early ones get.
     Each power's sums stop at its own index, the first n past the peak of

@@ -421,7 +421,6 @@ def check_ladder_suite():
             seq = algebra.ParitySequence.of(build(params, n_max=n_max))
             worst = max(worst, algebra.creation_identity_residual(seq),
                         algebra.gdo_relations_check(seq).max_residual,
-                        algebra.lowering_ratio_residual(seq),
                         algebra.eigen_residual(seq, params),
                         algebra.nonlinear_coherent_residual(seq, params))
     return worst

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from nbstates.algebra import (ParitySequence, creation_identity_residual, eigen_residual,
-                              gdo_relations_check, lowering_ratio_residual,
-                              nonlinear_coherent_residual)
+                              gdo_relations_check, nonlinear_coherent_residual)
 from nbstates.errors import DomainError, PoleError
 from nbstates.fock_core import FockVector
 from nbstates.nbs_states import (NBSParams, even_coherent, even_nbs, odd_coherent, odd_nbs,
@@ -93,8 +92,6 @@ def test_pole_on_vanishing_coefficient():
     assert seq.f(4) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
     with pytest.raises(PoleError, match="pair index 0"):
         seq.f(2)
-    with pytest.raises(PoleError, match="pair index 0"):
-        lowering_ratio_residual(seq)
 
 
 def test_gdo_relations_hold_for_all_sequences():
@@ -125,13 +122,6 @@ def test_creation_identity_clean_to_top_row():
         for build in (even_nbs, odd_nbs):
             seq = ParitySequence.of(build(p, n_max=N_MAX))
             assert creation_identity_residual(seq) < 1e-10
-
-
-def test_lowering_ratio_residual_small():
-    p = NBSParams(M=9, eta=0.55, theta=0.4)
-    assert lowering_ratio_residual(ParitySequence.of(even_nbs(p, n_max=N_MAX))) < 1e-10
-    assert lowering_ratio_residual(ParitySequence.of(odd_nbs(p, n_max=N_MAX))) < 1e-10
-    assert lowering_ratio_residual(ParitySequence.of(even_coherent(1.1, n_max=N_MAX))) < 1e-10
 
 
 def test_pair_eigenvalue_residuals():
