@@ -24,16 +24,20 @@ kernel gives a whole column of a sweep the bits each eta gets alone.
 not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
 serves both powers, each summed to its own stop index, and every phi; it
 evaluates the series a block of etas at a time as 2-D arrays, with the same
-elementwise operations as for a single eta, so each value has the same bits
-as when its eta is evaluated alone.  A single (M, eta) is the one-row grid,
-and ``_SeriesSums`` turns the sums into <a^k> and the quadrature variances
-with the same kind of kernel, one phi for the whole grid.
+elementwise operations as for a single eta.  A power's parity sums are one
+reduction per parity for the whole block, each row masked by ``where=`` to
+the prefix that ends at its own stop index.  numpy sums a row's unmasked run
+in one inner-loop call, the pairwise sum of the row's 1-D slice, so each
+value has the same bits as when its eta is evaluated alone.  A single
+(M, eta) is the one-row grid, and ``_SeriesSums`` turns the sums into <a^k>
+and the quadrature variances with the same kind of kernel, one phi for the
+whole grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -209,14 +213,12 @@ def _series_n_hi(M: int, x: float) -> int:
     return int(mean + 9.0 * sd - math.log(_SERIES_RTOL) / -math.log(x)) + 4
 
 
-def _series_stops(t: np.ndarray) -> List[int]:
+def _series_stops(t: np.ndarray, index: np.ndarray) -> np.ndarray:
     # for each row of t, the first n past the row's peak with
-    # t_n <= 1e-16 (t_0 + ... + t_n), or -1
-    peak = t.argmax(axis=1)
+    # t_n <= 1e-16 (t_0 + ... + t_n), or -1; index is 0, 1, ... along a row
     done = t <= _SERIES_RTOL * t.cumsum(axis=1)
-    done &= np.arange(t.shape[1]) > peak[:, None]
-    stop = done.argmax(axis=1)
-    return np.where(done[np.arange(t.shape[0]), stop], stop, -1).tolist()
+    done &= index > t.argmax(axis=1, keepdims=True)
+    return np.where(done.any(axis=1), done.argmax(axis=1), -1)
 
 
 def _blocks(n_his: Sequence[int]) -> Iterator[Tuple[int, int]]:
@@ -297,22 +299,29 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
     every eta.  w_n = C(M+n-1, n) x^n comes from one ``_log_binomial`` row
     per pass, shared by every eta, and is scaled by each eta's largest
     term; t = w sqrt(x m), then t sqrt(x (m+1)), ... (m = M + n) gives the
-    terms of powers 1, 2, ... in turn.  The etas are taken in grid order, in blocks (``_blocks``)
-    evaluated as 2-D arrays padded to the block's longest n_hi.  Each power
-    of each eta stops at its own index (``_series_stops``), and its four
-    parity sums are two reductions, one per parity, each over the eta's
-    exact (w, t) slice pair; a 2-D reduction along its rows sums each row
-    as the 1-D reduction of that row would.  So an eta gets the same bits
-    in any block, and a single eta is the one-row case.  While some power
-    of an eta has not stopped, the eta runs again at doubled length, up to
-    policy.hard_cap; past that, ConvergenceError names the first such eta
-    in grid order and its lowest such power.
+    terms of powers 1, 2, ... in turn.  The etas are taken in grid order,
+    in blocks (``_blocks``) evaluated as 2-D arrays padded to the block's
+    longest n_hi.  Each power of each eta stops at its own index
+    (``_series_stops``).  The parity sums of one power are two reductions
+    of the whole block, one per parity, along the rows of the strided
+    (w, t) view and masked with ``where=`` to each row's prefix up to its
+    stop.  numpy passes each row's unmasked run to one inner-loop call,
+    the same pairwise sum it makes of the 1-D slice of that prefix, so a
+    row gets the bits of its own slice however long the block's other rows
+    are.  So an eta gets the same bits in any block, and a single eta is
+    the one-row case.  The sums go straight into the 4 x n arrays of
+    ``_SeriesSums.by_power``.  While some power of an eta has not stopped,
+    the eta runs again at doubled length, up to policy.hard_cap, and the
+    powers that stopped keep their first sums; past that, ConvergenceError
+    names the first such eta in grid order and its lowest such power.
     """
     policy = policy or TruncationPolicy()
     xs = [eta * eta for eta in etas]
-    # sums[k][i]: the (w, t) sums of even and of odd n, None until power k
-    # of the i-th eta stops
-    sums = {k: [None] * len(xs) for k in powers}
+    # sums[i]: the [(w, t), parity, eta] sums of power powers[i], and
+    # stopped[i]: whether that power of each eta has stopped, so that the
+    # first stop of a row wins
+    sums = np.zeros((len(powers), 2, 2, len(xs)))
+    stopped = np.zeros((len(powers), len(xs)), dtype=bool)
     n_hi = [min(_series_n_hi(M, x), policy.hard_cap) for x in xs]
     pending = list(range(len(xs)))
     while pending:
@@ -321,14 +330,14 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
         log_binomial = _log_binomial(M, n)
         retry = []
         for start, stop in _blocks([n_hi[i] for i in pending]):
-            rows = pending[start:stop]
-            length = max(n_hi[i] for i in rows) + 1
-            x = np.array([xs[i] for i in rows])[:, None]
-            log_x = np.array([math.log(xs[i]) for i in rows])[:, None]
+            block = pending[start:stop]
+            length = max(n_hi[i] for i in block) + 1
+            x = np.array([xs[i] for i in block])[:, None]
+            log_x = np.array([math.log(xs[i]) for i in block])[:, None]
             log_w = log_binomial[:length] + n[:length] * log_x
-            # w and t share one buffer, so that a (w, t) row pair is one
-            # strided view
-            wt = np.empty((2, len(rows), length))
+            # w and t share one buffer, so that the (w, t) rows of a block
+            # are one strided view
+            wt = np.empty((2, len(block), length))
             w, t = wt
             # padding moves no accepted sum: a row's largest weight lies
             # before any stop index, and a row's cumsum runs in order
@@ -337,33 +346,44 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
             # partial product overflows before the result would
             m = n[:length] + M
             np.multiply(w, np.sqrt(x * m), out=t)
+            index = np.arange(length)
+            # the block's columns of the sums and stop flags: views for a run
+            # of consecutive etas (pending is in grid order), as every block
+            # of the first pass is, and copies, written back below, otherwise
+            rows = (slice(block[0], block[-1] + 1) if block[-1] - block[0] == len(block) - 1
+                    else np.array(block))
+            block_sums, block_stopped = sums[..., rows], stopped[:, rows]
             for k in range(1, max(powers) + 1):
                 if k > 1:
                     t *= np.sqrt(x * (m + (k - 1)))
                 if k not in powers:
                     continue
-                found = sums[k]
-                for j, (i, at) in enumerate(zip(rows, _series_stops(t))):
-                    if at >= 0 and found[i] is None:
-                        found[i] = (np.add.reduce(wt[:, j, 0:at + 1:2], axis=1),
-                                    np.add.reduce(wt[:, j, 1:at + 1:2], axis=1))
+                slot = powers.index(k)
+                # rows that stopped in an earlier pass sum nothing
+                at = np.where(block_stopped[slot], -1, _series_stops(t, index))
+                new = at >= 0
+                block_stopped[slot] |= new
+                keep = index <= at[:, None]
+                for p in (0, 1):
+                    np.copyto(block_sums[slot, :, p], np.add.reduce(
+                        wt[:, :, p::2], axis=2, where=keep[:, p::2]), where=new)
+            sums[..., rows], stopped[:, rows] = block_sums, block_stopped
             if length <= policy.hard_cap:
-                unfinished = [i for i in rows if any(sums[k][i] is None for k in powers)]
+                unfinished = [i for i, done in zip(block, block_stopped.all(axis=0).tolist())
+                              if not done]
                 for i in unfinished:
                     n_hi[i] = min(2 * (length - 1), policy.hard_cap)
                 retry.extend(unfinished)
         pending = retry
-    for i, eta in enumerate(etas):
-        missing = [k for k in powers if sums[k][i] is None]
-        if missing:
-            raise ConvergenceError(
-                f"<a^{min(missing)}> series needed more than {policy.hard_cap} terms "
-                f"at eta={eta}, M={M}"
-            )
-    # [eta, parity, (w, t)] -> rows E[w], O[w], E[t], O[t]
-    return _SeriesSums(M, _overlap_columns(M, xs),
-                       {k: np.array(pairs).transpose(2, 1, 0).reshape(4, len(xs))
-                        for k, pairs in sums.items()},
+    if not stopped.all():
+        i = int(stopped.all(axis=0).argmin())
+        missing = min(k for k, s in zip(powers, stopped[:, i]) if not s)
+        raise ConvergenceError(
+            f"<a^{missing}> series needed more than {policy.hard_cap} terms "
+            f"at eta={etas[i]}, M={M}"
+        )
+    by_power = {k: sums[slot].reshape(4, len(xs)) for slot, k in enumerate(powers)}
+    return _SeriesSums(M, _overlap_columns(M, xs), by_power,
                        {k: phase_factor(theta) ** k for k in powers})
 
 

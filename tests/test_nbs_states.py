@@ -214,6 +214,19 @@ def test_required_dimension_hard_cap():
         required_dimension(NBSParams(M=30, eta=0.9), None, TruncationPolicy(hard_cap=40))
 
 
+@pytest.mark.parametrize("M, eta, n_max", [(2 ** 53, 1e-8, 16), (2 ** 53, 1e-7, 166),
+                                           (10 ** 15, 3e-8, 16)])
+def test_required_dimension_at_huge_m(M, eta, n_max):
+    # the sizing weight takes log C in _log_binomial's Stirling form; an
+    # lgamma difference, off by up to +-40 here, gave 22, 191 and 15
+    x = eta * eta
+    accurate = nbs_states._grown_n_max(
+        lambda n: float(_log_binomial(M, np.array([n], dtype=np.float64))[0])
+        + n * math.log(x) + M * math.log1p(-x),
+        lambda n: (M + n) * x / (n + 1), 1.0, TruncationPolicy())
+    assert required_dimension(NBSParams(M=M, eta=eta)) == accurate == n_max
+
+
 def _scan_n_max(weight_log, ratio, boost, policy):
     # reference: the linear scan from n = 0 that the bisection in
     # nbs_states._grown_n_max replaced

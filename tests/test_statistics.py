@@ -430,18 +430,26 @@ def _bits(values):
 
 @pytest.mark.parametrize("parity", (0, 1))
 def test_paired_row_reduction_matches_one_dimensional_slices(parity):
-    # the series sums a (w, t) row pair with one reduction along axis 1 of a
-    # strided 2-D view; numpy must sum each row as the 1-D reduction of that
-    # row's slice does, or a grid would move digits against one eta alone
+    # the series sums the (w, t) rows of a block with one reduction per
+    # parity along axis 2 of a strided view, each row masked by where= to the
+    # prefix up to its own stop; numpy must sum each masked row as the 1-D
+    # reduction of that row's slice does, or a grid would move digits against
+    # one eta alone.  Rows here stop at the length'th term of the parity, at
+    # about a third of it, never (masked out, so 0), and at the last term, past
+    # numpy's 8192-element buffer.
     rng = np.random.default_rng(12)
-    w, t = np.exp(rng.normal(0.0, 8.0, size=(2, 3, 20002)))
+    w, t = np.exp(rng.normal(0.0, 8.0, size=(2, 4, 20002)))
     wt = np.stack((w, t))
+    index = np.arange(wt.shape[2])
     for length in [*range(1, 401), 1000, 4097, 8193, 10001]:
-        at = parity + 2 * (length - 1)
-        for j in range(3):
-            paired = np.add.reduce(wt[:, j, parity:at + 1:2], axis=1)
-            assert _bits(paired) == _bits([np.add.reduce(row[j, parity:at + 1:2])
-                                           for row in (w, t)]), (length, j)
+        at = np.array([parity + 2 * (length - 1), parity + 2 * ((length - 1) // 3), -1,
+                       wt.shape[2] - 2 + parity])
+        keep = index <= at[:, None]
+        masked = np.add.reduce(wt[:, :, parity::2], axis=2, where=keep[:, parity::2])
+        for j, stop in enumerate(at.tolist()):
+            expected = [np.add.reduce(row[j, parity:stop + 1:2]) if stop >= 0 else 0.0
+                        for row in (w, t)]
+            assert _bits(masked[:, j]) == _bits(expected), (length, j)
 
 
 _KERNEL_PHIS = st.one_of(
