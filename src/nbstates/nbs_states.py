@@ -68,7 +68,8 @@ class NBSParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        _check_M(self.M)
+        # stored as the int _check_M returns, so that 3.0 and np.int64(3) are 3
+        object.__setattr__(self, "M", _check_M(self.M))
         if not (0.0 < self.eta < 1.0):
             raise DomainError(f"eta must lie strictly inside (0, 1), got {self.eta}")
         if self.eta * self.eta < sys.float_info.min:

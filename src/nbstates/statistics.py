@@ -22,13 +22,10 @@ kernel gives a whole column of a sweep the bits each eta gets alone.
 
 <a> and <a^2> are ratios of sums over one weight series, and those sums do
 not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
-serves both powers, each summed to its own stop index, and every phi; it
-evaluates the series a block of etas at a time as 2-D arrays, with the same
-elementwise operations as for a single eta.  A power's parity sums are one
-reduction per parity for the whole block, each row masked by ``where=`` to
-the prefix that ends at its own stop index.  numpy sums a row's unmasked run
-in one inner-loop call, the pairwise sum of the row's 1-D slice, so each
-value has the same bits as when its eta is evaluated alone.  A single
+serves both powers, each summed to its own stop index, and every phi.  It
+sums a block of etas at a time as 2-D arrays, one ``where=``-masked
+reduction per parity, with the bits each eta gets alone; a block whose
+series has not stopped runs again on its own at doubled length.  A single
 (M, eta) is the one-row grid, and ``_SeriesSums`` turns the sums into <a^k>
 and the quadrature variances with the same kind of kernel, one phi for the
 whole grid.
@@ -290,98 +287,99 @@ class _SeriesSums:
         return var_x1, var_x2
 
 
+def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarray,
+                powers: Tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    # the sums of every power at a block of rows (x, log x as columns) padded
+    # to the length of the _log_binomial prefix, written into out, the block's
+    # [power, (w, t), parity, row] slice; returns each power's stop per row
+    length = len(log_binomial)
+    n = np.arange(length, dtype=np.float64)
+    log_w = log_binomial + n * log_x
+    # w and t share one buffer, so that a block's (w, t) rows are one view
+    wt = np.empty((2, len(x), length))
+    w, t = wt
+    # padding moves no sum: a row's largest weight lies before its stop
+    # index, and a row's cumsum runs in order
+    np.exp(log_w - log_w.max(axis=1, keepdims=True), out=w)
+    # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time: no partial product
+    # overflows before the result would, which the caller checks
+    m = n + M
+    np.multiply(w, np.sqrt(x * m), out=t)
+    stops = np.empty((len(powers), len(x)), dtype=np.intp)
+    with np.errstate(over="ignore"):
+        for k in range(1, max(powers) + 1):
+            if k > 1:
+                t *= np.sqrt(x * (m + (k - 1)))
+            if k not in powers:
+                continue
+            slot = powers.index(k)
+            at = stops[slot] = _series_stops(t, n)
+            keep = n <= at[:, None]
+            for p in (0, 1):
+                np.add.reduce(wt[:, :, p::2], axis=2, where=keep[:, p::2], out=out[slot, :, p])
+    return stops
+
+
+def _first_failure(failed: np.ndarray, powers: Tuple[int, ...]) -> Tuple[int, int]:
+    # (row, lowest power) of the first row that failed in a [power, row] mask
+    i = int(failed.any(axis=0).argmax())
+    return i, min(k for k, f in zip(powers, failed[:, i].tolist()) if f)
+
+
 def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
                  powers: Tuple[int, ...] = (1, 2),
                  policy: Optional[TruncationPolicy] = None) -> _SeriesSums:
     """The sums of every power in ``powers`` at each eta of a grid at fixed (M, theta).
 
     The caller has checked that (M, eta, theta) are valid ``NBSParams`` for
-    every eta.  w_n = C(M+n-1, n) x^n comes from one ``_log_binomial`` row
-    per pass, shared by every eta, and is scaled by each eta's largest
-    term; t = w sqrt(x m), then t sqrt(x (m+1)), ... (m = M + n) gives the
-    terms of powers 1, 2, ... in turn.  The etas are taken in grid order,
-    in blocks (``_blocks``) evaluated as 2-D arrays padded to the block's
-    longest n_hi.  Each power of each eta stops at its own index
-    (``_series_stops``).  The parity sums of one power are two reductions
-    of the whole block, one per parity, along the rows of the strided
-    (w, t) view and masked with ``where=`` to each row's prefix up to its
-    stop.  numpy passes each row's unmasked run to one inner-loop call,
-    the same pairwise sum it makes of the 1-D slice of that prefix, so a
-    row gets the bits of its own slice however long the block's other rows
-    are.  So an eta gets the same bits in any block, and a single eta is
-    the one-row case.  The sums go straight into the 4 x n arrays of
-    ``_SeriesSums.by_power``.  While some power of an eta has not stopped,
-    the eta runs again at doubled length, up to policy.hard_cap, and the
-    powers that stopped keep their first sums; past that, ConvergenceError
-    names the first such eta in grid order and its lowest such power.
+    every eta.  w_n = C(M+n-1, n) x^n comes from one ``_log_binomial`` row,
+    scaled by each eta's largest term; t = w sqrt(x m), then t sqrt(x (m+1)),
+    ... (m = M + n) gives the terms of powers 1, 2, ... in turn.  The etas
+    are taken in grid order, in blocks (``_blocks``) of 2-D arrays padded to
+    the block's longest n_hi, and each power of each eta stops at its own
+    index (``_series_stops``).  A power's parity sums are one reduction per
+    parity of the block's (w, t) view, each row masked with ``where=`` to its
+    prefix up to its stop; numpy sums a row's unmasked run as the pairwise
+    sum of its 1-D slice, so each eta gets the bits it gets alone.
+
+    A block in which some power of some row has not stopped runs again as a
+    whole, before the blocks after it, at doubled length up to
+    policy.hard_cap, re-split by ``_blocks``; its stopped rows get the same
+    bits again, since a longer row has the same prefix, peak and stop.  Past
+    hard_cap, ConvergenceError names the first such eta in grid order and
+    its lowest such power.  Terms past the float range raise NumericsError
+    at the first block that meets them.
     """
     policy = policy or TruncationPolicy()
     xs = [eta * eta for eta in etas]
-    # sums[i]: the [(w, t), parity, eta] sums of power powers[i], and
-    # stopped[i]: whether that power of each eta has stopped, so that the
-    # first stop of a row wins
-    sums = np.zeros((len(powers), 2, 2, len(xs)))
-    stopped = np.zeros((len(powers), len(xs)), dtype=bool)
+    x_col = np.array(xs)[:, None]
+    log_x_col = np.array([math.log(x) for x in xs])[:, None]
+    # [power, (w, t), parity, eta]
+    sums = np.empty((len(powers), 2, 2, len(xs)))
     n_hi = [min(_series_n_hi(M, x), policy.hard_cap) for x in xs]
-    pending = list(range(len(xs)))
-    while pending:
-        size = max(n_hi[i] for i in pending) + 1
-        n = np.arange(size, dtype=np.float64)
-        log_binomial = _log_binomial(M, n)
-        retry = []
-        for start, stop in _blocks([n_hi[i] for i in pending]):
-            block = pending[start:stop]
-            length = max(n_hi[i] for i in block) + 1
-            x = np.array([xs[i] for i in block])[:, None]
-            log_x = np.array([math.log(xs[i]) for i in block])[:, None]
-            log_w = log_binomial[:length] + n[:length] * log_x
-            # w and t share one buffer, so that the (w, t) rows of a block
-            # are one strided view
-            wt = np.empty((2, len(block), length))
-            w, t = wt
-            # padding moves no accepted sum: a row's largest weight lies
-            # before any stop index, and a row's cumsum runs in order
-            np.exp(log_w - log_w.max(axis=1, keepdims=True), out=w)
-            # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time so that no
-            # partial product overflows before the result would
-            m = n[:length] + M
-            np.multiply(w, np.sqrt(x * m), out=t)
-            index = np.arange(length)
-            # the block's columns of the sums and stop flags: views for a run
-            # of consecutive etas (pending is in grid order), as every block
-            # of the first pass is, and copies, written back below, otherwise
-            rows = (slice(block[0], block[-1] + 1) if block[-1] - block[0] == len(block) - 1
-                    else np.array(block))
-            block_sums, block_stopped = sums[..., rows], stopped[:, rows]
-            for k in range(1, max(powers) + 1):
-                if k > 1:
-                    t *= np.sqrt(x * (m + (k - 1)))
-                if k not in powers:
-                    continue
-                slot = powers.index(k)
-                # rows that stopped in an earlier pass sum nothing
-                at = np.where(block_stopped[slot], -1, _series_stops(t, index))
-                new = at >= 0
-                block_stopped[slot] |= new
-                keep = index <= at[:, None]
-                for p in (0, 1):
-                    np.copyto(block_sums[slot, :, p], np.add.reduce(
-                        wt[:, :, p::2], axis=2, where=keep[:, p::2]), where=new)
-            sums[..., rows], stopped[:, rows] = block_sums, block_stopped
-            if length <= policy.hard_cap:
-                unfinished = [i for i, done in zip(block, block_stopped.all(axis=0).tolist())
-                              if not done]
-                for i in unfinished:
-                    n_hi[i] = min(2 * (length - 1), policy.hard_cap)
-                retry.extend(unfinished)
-        pending = retry
-    if not stopped.all():
-        i = int(stopped.all(axis=0).argmin())
-        missing = min(k for k, s in zip(powers, stopped[:, i]) if not s)
-        raise ConvergenceError(
-            f"<a^{missing}> series needed more than {policy.hard_cap} terms "
-            f"at eta={etas[i]}, M={M}"
-        )
+    row = _log_binomial(M, np.arange(max(n_hi, default=0) + 1, dtype=np.float64))
+    # (start, stop, _log_binomial prefix of the block's length), in grid order
+    work = [(start, stop, row[:max(n_hi[start:stop]) + 1]) for start, stop in _blocks(n_hi)]
+    while work:
+        start, stop, log_binomial = work.pop(0)
+        stops = _block_sums(M, x_col[start:stop], log_x_col[start:stop], log_binomial,
+                            powers, sums[..., start:stop])
+        overflow = ~np.isfinite(sums[:, 1, :, start:stop]).all(axis=1)
+        if overflow.any():
+            i, k = _first_failure(overflow, powers)
+            raise NumericsError(
+                f"<a^{k}> series terms exceed the float range at eta={etas[start + i]}, M={M}")
+        if (stops >= 0).all():
+            continue
+        block_n_hi = len(log_binomial) - 1
+        if block_n_hi >= policy.hard_cap:
+            i, k = _first_failure(stops < 0, powers)
+            raise ConvergenceError(f"<a^{k}> series needed more than {policy.hard_cap} terms "
+                                   f"at eta={etas[start + i]}, M={M}")
+        block_n_hi = min(2 * block_n_hi, policy.hard_cap)
+        longer = _log_binomial(M, np.arange(block_n_hi + 1, dtype=np.float64))
+        work[:0] = [(start + a, start + b, longer)
+                    for a, b in _blocks([block_n_hi] * (stop - start))]
     by_power = {k: sums[slot].reshape(4, len(xs)) for slot, k in enumerate(powers)}
     return _SeriesSums(M, _overlap_columns(M, xs), by_power,
                        {k: phase_factor(theta) ** k for k in powers})
@@ -409,9 +407,10 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams,
     peak cannot underflow at large M, however small the early ones get.
     Each power's sums stop at its own index, the first n past the peak of
     t_n = w_n F_n where t_n <= 1e-16 (t_0 + ... + t_n).  If n_hi holds no
-    such n, it is doubled up to policy.hard_cap, and then ConvergenceError
-    is raised (the ratio test guarantees convergence for any eta < 1, but
-    the term budget is finite).
+    such n, the eta's block runs again at doubled n_hi, up to
+    policy.hard_cap, and then ConvergenceError is raised (the ratio test
+    guarantees convergence for any eta < 1, but the term budget is finite).
+    Terms past the float range, at large k, raise NumericsError.
     """
     k = check_integer("power k", k, 1)
     _check_phi(phi)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, check_finite
 from .fock_core import TruncationPolicy
-from .nbs_states import NBSParams, _check_phi, phase_factor, required_dimension
+from .nbs_states import NBSParams, _check_M, _check_phi, phase_factor, required_dimension
 from .statistics import _overlap_columns, _q_kernel, _series_sums, pn_closed_upto
 
 FIG1_PHIS = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
@@ -56,6 +56,7 @@ class SweepConfig:
     grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self):
+        object.__setattr__(self, "M", _check_M(self.M))
         check_finite(eta_start=self.eta_start, eta_stop=self.eta_stop, grid_step=self.grid_step)
         if self.grid_step <= 0.0:
             raise DomainError(f"grid_step must be > 0, got {self.grid_step}")

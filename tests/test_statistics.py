@@ -318,6 +318,18 @@ def test_a_pow_term_budget_enforced():
         a_pow_expectation(1, 0.0, NBSParams(M=10, eta=0.999), tight)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", (400, 401))
+def test_a_pow_past_the_float_range_is_numerics_error(k):
+    # at M = 5, eta = 0.5 the t sums of k = 300 are 7.0e227 and those of
+    # k = 400 pass the float range: an error naming the power, not NaN or a
+    # warning
+    params = NBSParams(M=5, eta=0.5)
+    assert np.isfinite(a_pow_expectation(300, 0.0, params))
+    with pytest.raises(NumericsError, match=rf"^<a\^{k}> series .* float range at eta=0\.5, M=5$"):
+        a_pow_expectation(k, 0.0, params)
+
+
 _SUMS_GRID = [(M, eta, theta) for M in (1, 7, 50, 300, 1000)
               for eta in (0.02, 0.3, 0.7, 0.9) for theta in (0.0, 0.7)]
 _SUMS_PHIS = (0.0, math.pi / 4.0, math.pi / 2.0, 2.0, math.pi, 2.0 * math.pi)
@@ -399,6 +411,32 @@ def test_series_sums_keep_each_power_stop_across_doublings(monkeypatch, M, eta, 
     rows = statistics._series_sums(M, etas, powers=(1, 2, 3))
     for e, row in zip(etas, rows):
         assert row.by_power == _one_eta_sums(NBSParams(M=M, eta=e), (1, 2, 3)).by_power
+
+
+def test_retried_blocks_keep_the_block_bound(monkeypatch):
+    # from a first guess of 3 terms every row of a few thousand etas is
+    # retried several times, its block re-split at each doubling: each block
+    # must stay within _BLOCK_TERMS (or be one row), and each row must be
+    # what its eta gives alone
+    monkeypatch.setattr(statistics, "_series_n_hi", lambda M, x: 3)
+    etas = [0.01 + 0.96 * i / 2999 for i in range(3000)]
+    shapes = []
+    block_sums = statistics._block_sums
+
+    def recorded(M, x, log_x, log_binomial, powers, out):
+        shapes.append((len(x), len(log_binomial)))
+        return block_sums(M, x, log_x, log_binomial, powers, out)
+
+    monkeypatch.setattr(statistics, "_block_sums", recorded)
+    rows = statistics._series_sums(1, etas)
+    # one block of all rows at first, then blocks re-split at 7, 13, 25, ... terms
+    lengths = [length for _, length in shapes]
+    assert shapes[0] == (3000, 4)
+    assert len(set(lengths)) > 5 and len(lengths) > 2 * len(set(lengths))
+    for n_rows, length in shapes:
+        assert n_rows * length <= statistics._BLOCK_TERMS or n_rows == 1
+    for eta, row in zip(etas, rows):
+        assert row.by_power == _one_eta_sums(NBSParams(M=1, eta=eta), (1, 2)).by_power
 
 
 def test_quadratures_name_the_power_that_ran_out_of_terms():

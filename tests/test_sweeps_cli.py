@@ -10,8 +10,8 @@ import pytest
 
 from nbstates.cli import _json_text, build_parser, load_config, main
 from nbstates.errors import ConfigError, DomainError, NumericsError
-from nbstates.nbs_states import NBSParams
-from nbstates.statistics import q_closed, quadrature_variances
+from nbstates.nbs_states import NBSParams, required_dimension, superposition
+from nbstates.statistics import pn_closed, q_closed, quadrature_variances
 from nbstates.sweeps import (FIG1_PHIS, SweepConfig, fig1_config, fig1_records,
                              fig2_config, fig2_records, format_value,
                              grid_etas, pn_table, render_pn_csv,
@@ -131,6 +131,24 @@ def test_sweep_config_validation():
         SweepConfig(M=30, eta_stop=1.0)
     with pytest.raises(DomainError):
         SweepConfig(M=30, phis=())
+
+
+@pytest.mark.parametrize("M", (3.0, 5.0, np.int64(3)), ids=("float-3", "float-5", "int64-3"))
+def test_an_integral_non_int_m_is_stored_as_an_int(M):
+    # a float or numpy M passes as the int it equals: every path then sees
+    # an int, and the CSV's M column reads as for that int
+    params, same = NBSParams(M=M, eta=0.5), NBSParams(M=int(M), eta=0.5)
+    assert type(params.M) is int and params == same
+    assert pn_closed(2, 0.7, params) == pn_closed(2, 0.7, same)
+    assert required_dimension(params, 0.7) == required_dimension(same, 0.7)
+    assert np.array_equal(superposition(0.7, params).amplitudes,
+                          superposition(0.7, same).amplitudes)
+    assert quadrature_variances(0.7, params) == quadrature_variances(0.7, same)
+    for config, records in ((fig1_config, fig1_records), (fig2_config, fig2_records)):
+        cfg, same_cfg = (config(M=m, eta_start=0.3, eta_stop=0.5, grid_step=0.1)
+                         for m in (M, int(M)))
+        assert type(cfg.M) is int
+        assert render_sweep_csv(records(cfg)) == render_sweep_csv(records(same_cfg))
 
 
 @pytest.mark.parametrize("phi", (-0.1, 2.0 * math.pi + 1e-9, math.nan, math.inf))
