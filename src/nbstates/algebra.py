@@ -33,6 +33,7 @@ Conventions that matter:
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -98,7 +99,13 @@ class ParitySequence:
         scale = np.sqrt(n / (n - 1.0)) if self.parity == "even" else np.sqrt((n - 1.0) / n)
         below = self.coeffs[:-1]
         values = np.full(n.size, np.nan, dtype=np.complex128)
-        np.divide(scale * self.coeffs[1:], below, out=values, where=below != 0)
+        normal = np.abs(below) >= sys.float_info.min
+        np.divide(scale * self.coeffs[1:], below, out=values, where=normal)
+        # numpy's complex division overflows on a subnormal divisor, so those
+        # entries divide with both sides scaled by 2**600, which is exact
+        tiny = np.flatnonzero(~normal & (below != 0))
+        big = 2.0 ** 600
+        values[tiny] = scale[tiny] * (self.coeffs[tiny + 1] * big) / (below[tiny] * big)
         values.setflags(write=False)
         return values
 

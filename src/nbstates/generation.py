@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, ZeroNormError, check_finite
+from .errors import DimensionMismatchError, DomainError, ZeroNormError, check_finite, check_integer
 from .fock_core import FockVector, TruncationPolicy, inner
 from .nbs_states import (NBSParams, _check_phi, _label_phases, nbs, partner_phase,
                          phase_factor, required_dimension)
@@ -93,8 +93,16 @@ def fidelity(u: FockVector, v: FockVector) -> float:
     return min(abs(inner(u, v)), 1.0)
 
 
+def _check_phase(name: str, phase: float) -> None:
+    # DomainError unless the largest phase a protocol applies is a finite float
+    if not math.isfinite(phase):
+        raise DomainError(f"the largest phase {name} = {phase} is not a finite float")
+
+
 def kerr_evolve(v: FockVector, kerr: KerrParams) -> FockVector:
-    """Apply exp(-i g1 t N^2) componentwise."""
+    """Apply exp(-i g1 t N^2) componentwise; DomainError unless g1 t n_max^2 is finite."""
+    n_max = len(v) - 1
+    _check_phase("g1 t n_max^2", kerr.g1 * kerr.t * n_max * n_max)
     n = np.arange(len(v), dtype=np.float64)
     return FockVector(v.amplitudes * np.exp(-1j * kerr.g1 * kerr.t * n * n))
 
@@ -124,13 +132,16 @@ def dispersive_protocol(params: NBSParams, disp: DispersiveParams,
     """Run the dispersive interaction, pi-pulse, and atom measurement.
 
     Raises ZeroNormError if either measurement branch has numerically zero
-    probability (e.g. phi = 0 at t = 0, where the e-branch interferes away).
+    probability (e.g. phi = 0 at t = 0, where the e-branch interferes away),
+    and DomainError unless the phase g2 t n_max is a finite float.
     """
     if n_max is None:
         # the conditional states are parity superpositions; size for the
         # widest of the two so either projection is representable
         d_g = required_dimension(params, disp.phi, policy)
         n_max = max(d_g, required_dimension(params, partner_phase(disp.phi), policy))
+    n_max = check_integer("n_max", n_max, 0)
+    _check_phase("g2 t n_max", disp.g2 * disp.t * n_max)
     # the truncated NBS keeps norm^2 = 1 - tail; renormalize so the joint
     # state is a unit vector whatever the tail tolerance or forced n_max
     start = nbs(params, n_max=n_max)

@@ -11,6 +11,11 @@ and thermal-like statistics.  The two-component superposition
     |phi; eta_c, M>  proportional to  |eta_c, M> + exp(i*phi) |-eta_c, M>
 
 keeps only even photon numbers at phi = 0 and only odd ones at phi = pi.
+Its norm divides by 1 + cos(phi) r, where r = ((1 - eta^2)/(1 + eta^2))^M is
+the overlap of the two components.  ``_overlap_terms`` is the one place that
+forms r_j = exp(-2 (M + j) atanh(eta^2)) and r_j - 1 for j = 0, 1, which the
+norm, the sizing boost and every closed form in ``statistics`` read;
+``_one_plus_c_r`` turns such a pair into 1 + c r without cancellation.
 
 All amplitudes are assembled in log space from one row of log C(M+n-1, n),
 ``_log_binomial``, which P(n) and the <a^k> series in ``statistics`` use too.
@@ -103,10 +108,32 @@ def _check_phi(phi: float) -> None:
         raise DomainError(f"phi must lie in [0, 2*pi], got {phi}")
 
 
+def _cos_phi(phi: float) -> float:
+    # c = cos(phi) of a checked phi, exactly +-1 or 0 on the axes
+    _check_phi(phi)
+    return phase_factor(phi).real
+
+
 def partner_phase(phi: float) -> float:
     """phi + pi wrapped back into [0, 2*pi]: the phase of the opposite-parity partner."""
     _check_phi(phi)
     return phi + math.pi if phi <= math.pi else phi - math.pi
+
+
+def _overlap(s: float) -> Tuple[float, float]:
+    # (r, r - 1) = (e^{-s}, expm1(-s)) for an overlap exponent s >= 0
+    return math.exp(-s), math.expm1(-s)
+
+
+def _overlap_terms(M: int, x: float) -> Tuple[float, float, float, float, float]:
+    # (x, r0, r0 - 1, r1, r1 - 1) for the overlaps r_j = exp(-2 (M + j) atanh x)
+    # of |eta_c, M + j> with |-eta_c, M + j>: every transcendental of the
+    # parity norm, P(n), <N> and Q at one eta.  Written out rather than
+    # through _overlap, since sweeps call it once per grid eta.
+    u = math.atanh(x)
+    s0 = 2.0 * M * u
+    s1 = 2.0 * (M + 1) * u
+    return x, math.exp(-s0), math.expm1(-s0), math.exp(-s1), math.expm1(-s1)
 
 
 def _one_plus_c_r(c: float, r, r_minus_1):
@@ -118,34 +145,16 @@ def _one_plus_c_r(c: float, r, r_minus_1):
     return 1.0 + c * r
 
 
-def _one_plus_c_exp(c: float, minus_exponent: float) -> float:
-    # 1 + c*exp(-minus_exponent)
-    return _one_plus_c_r(c, math.exp(-minus_exponent), math.expm1(-minus_exponent))
-
-
-def _parity_denominator(phi: float, minus_exponent: float) -> Tuple[float, float]:
-    # (c, 1 + c e^{-s}), c = cos(phi): the norm factor of two components with overlap e^{-s}
-    _check_phi(phi)
-    c = phase_factor(phi).real
-    return c, _one_plus_c_exp(c, minus_exponent)
-
-
 def nbs_parity_overlap(params: NBSParams) -> float:
     """Overlap <-eta_c, M | eta_c, M> = ((1-eta^2)/(1+eta^2))^M, always real in (0, 1)."""
-    return math.exp(-_log_parity_overlap_exponent(params))
+    return _overlap_terms(params.M, params.eta * params.eta)[1]
 
 
-def _log_parity_overlap_exponent(params: NBSParams) -> float:
-    # s such that the overlap above equals exp(-s); kept positive for expm1 use.
-    return 2.0 * params.M * math.atanh(params.eta * params.eta)
-
-
-def _parity_norm(phi: float, minus_exponent: float) -> float:
-    # (2 (1 + cos(phi) e^{-s}))^{-1/2} for two components with overlap e^{-s}
-    denom = 2.0 * _parity_denominator(phi, minus_exponent)[1]
+def _parity_norm(phi: float, r: float, r_minus_1: float) -> float:
+    # (2 (1 + cos(phi) r))^{-1/2} for two components with overlap r
+    denom = 2.0 * _one_plus_c_r(_cos_phi(phi), r, r_minus_1)
     if denom <= 0.0:
-        raise ZeroNormError(
-            f"superposition norm vanished at phi={phi}, component overlap exp(-{minus_exponent})")
+        raise ZeroNormError(f"superposition norm vanished at phi={phi}, component overlap {r!r}")
     # sqrt of the reciprocal is correctly rounded where 1/sqrt is an ulp off
     # (phi = pi/2 must give exactly 2**-0.5)
     return math.sqrt(1.0 / denom)
@@ -159,16 +168,16 @@ def _truncated(amps: np.ndarray) -> FockVector:
     return FockVector(amps)
 
 
-def _parity_superposition(base: np.ndarray, phi: float, minus_exponent: float) -> FockVector:
-    """Normalized amplitudes of |b> + e^{i phi} |b'>, where b'_n = (-1)^n b_n."""
+def _parity_superposition(base: np.ndarray, phi: float, r: float, r_minus_1: float) -> FockVector:
+    """Normalized amplitudes of |b> + e^{i phi} |b'>, where b'_n = (-1)^n b_n and <b'|b> = r."""
     sign = np.where(np.arange(base.size) % 2 == 0, 1.0, -1.0)
     factor = 1.0 + phase_factor(phi) * sign
-    return _truncated(_parity_norm(phi, minus_exponent) * base * factor)
+    return _truncated(_parity_norm(phi, r, r_minus_1) * base * factor)
 
 
 def normalization_constant(phi: float, params: NBSParams) -> float:
     """N with |phi;eta_c,M> = N (|eta_c,M> + e^{i phi} |-eta_c,M>); N = (2(1+cos(phi) r))^{-1/2}."""
-    return _parity_norm(phi, _log_parity_overlap_exponent(params))
+    return _parity_norm(phi, *_overlap_terms(params.M, params.eta * params.eta)[1:3])
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +230,7 @@ def required_dimension(params: NBSParams, phi: Optional[float] = None,
     M = params.M
     # |parity factor|^2 <= 4 and the norm divides by 2(1+c r)
     boost = 1.0 if phi is None else \
-        2.0 / _parity_denominator(phi, _log_parity_overlap_exponent(params))[1]
+        2.0 / _one_plus_c_r(_cos_phi(phi), *_overlap_terms(M, x)[1:3])
     return _grown_n_max(
         lambda n: _nb_log_weight(M, n, x),
         lambda n: (M + n) * x / (n + 1),
@@ -246,7 +255,7 @@ def required_dimension_cat(alpha: complex, phi: Optional[float] = None,
     policy = policy or TruncationPolicy()
     if aa == 0.0:
         return 2
-    boost = 1.0 if phi is None else 2.0 / _parity_denominator(phi, 2.0 * aa)[1]
+    boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_cos_phi(phi), *_overlap(2.0 * aa))
     log_poisson = lambda n: n * math.log(aa) - aa - math.lgamma(n + 1)
     return _grown_n_max(log_poisson, lambda n: aa / (n + 1), boost, policy)
 
@@ -366,7 +375,7 @@ def superposition(phi: float, params: NBSParams,
     if n_max is None:
         n_max = required_dimension(params, phi, policy)
     return _parity_superposition(_nbs_base(params, n_max), phi,
-                                 _log_parity_overlap_exponent(params))
+                                 *_overlap_terms(params.M, params.eta * params.eta)[1:3])
 
 
 def even_nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
@@ -410,7 +419,8 @@ def cat_state(alpha: complex, phi: float,
         raise DomainError("cat state requires alpha != 0")
     if n_max is None:
         n_max = required_dimension_cat(alpha, phi, policy)
-    return _parity_superposition(_coherent_base(alpha, n_max), phi, 2.0 * _label_intensity(alpha))
+    return _parity_superposition(_coherent_base(alpha, n_max), phi,
+                                 *_overlap(2.0 * _label_intensity(alpha)))
 
 
 def even_coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,

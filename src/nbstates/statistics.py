@@ -5,11 +5,11 @@ building the state explicitly and summing (``fock_core.oracle_stats``); the
 test suite holds the two within 1e-9 relative error over a parameter grid.
 
 Notation used throughout: x = eta^2, c = cos(phi), u = atanh(x), and
-r = exp(-2 M u) is the overlap between the two superposed components.  The
-factors (1 +- c r), (1 -+ c r rho) with rho = (1-x)/(1+x) all have the shape
-1 + c' exp(-a) with a > 0, so they are evaluated with expm1 instead of raw
-subtraction; this keeps phi = pi accurate at small eta, where 1 - r is
-O(M x).
+r = exp(-2 M u) is the overlap between the two superposed components.  Every
+closed form divides by 1 + c r, and <N> and Q also read r1 = exp(-2(M+1)u);
+both come with their expm1 from ``nbs_states._overlap_terms``, so phi = pi
+stays accurate at small eta, where 1 - r is O(M x).  The one other overlap,
+exp(-2(M+2)u) in <N^2>, goes through ``nbs_states._overlap``.
 
 The Mandel parameter comes from the recursion <N>(pi - phi, M + 1) - <N>(phi, M),
 rearranged so that the two means of size M x / (1 - x) never cancel.
@@ -33,6 +33,7 @@ whole grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -40,32 +41,23 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericsError, check_finite, check_integer
 from .fock_core import PhotonStats, TruncationPolicy
-from .nbs_states import (
-    NBSParams,
-    _check_phi,
-    _log_binomial,
-    _log_parity_overlap_exponent,
-    _one_plus_c_exp,
-    _one_plus_c_r,
-    _parity_denominator,
-    phase_factor,
-)
+from .nbs_states import (NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
+                         _overlap, _overlap_terms, phase_factor)
 
 
 def q_limit(phi: float) -> float:
     """Limit of the Mandel parameter as eta -> 0: +1, -1, or 0 by parity of the superposition."""
-    _check_phi(phi)
-    c = phase_factor(phi).real
+    c = _cos_phi(phi)
     return c if abs(c) == 1.0 else 0.0
 
 
 def _pn_kernel(n: np.ndarray, phi: float, params: NBSParams) -> np.ndarray:
     # P(n) at each integer-valued float of n; exactly +0.0 where the parity forbids n
-    c, denom = _parity_denominator(phi, _log_parity_overlap_exponent(params))
+    c = _cos_phi(phi)
     M = params.M
-    x = params.eta * params.eta
+    x, r0, d0 = _overlap_terms(M, params.eta * params.eta)[:3]
     weight = np.exp(_log_binomial(M, n) + n * math.log(x) + M * math.log1p(-x))
-    return weight * np.where(n % 2 == 0, 1.0 + c, 1.0 - c) / denom
+    return weight * np.where(n % 2 == 0, 1.0 + c, 1.0 - c) / _one_plus_c_r(c, r0, d0)
 
 
 def pn_closed(n: int, phi: float, params: NBSParams) -> float:
@@ -87,32 +79,21 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
 
 def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     """G(lambda) = sum_n lambda^n P(n), defined for |lambda| * eta^2 < 1."""
-    c, denom = _parity_denominator(phi, _log_parity_overlap_exponent(params))
+    c = _cos_phi(phi)
     check_finite(lam=lam)
-    x = params.eta * params.eta
+    M = params.M
+    x, r0, d0 = _overlap_terms(M, params.eta * params.eta)[:3]
     if abs(lam) * x >= 1.0:
         raise DomainError(f"generating function diverges: |lambda|*eta^2 = {abs(lam) * x} >= 1")
-    M = params.M
     log_shared = M * math.log1p(-x)
     try:
         g = (math.exp(log_shared - M * math.log1p(-lam * x))
-             + c * math.exp(log_shared - M * math.log1p(lam * x))) / denom
+             + c * math.exp(log_shared - M * math.log1p(lam * x))) / _one_plus_c_r(c, r0, d0)
     except OverflowError:
         g = math.inf
     if not math.isfinite(g):
         raise NumericsError(f"G({lam}) exceeds the float range at eta={params.eta}, M={M}")
     return g
-
-
-def _overlap_terms(M: int, x: float) -> Tuple[float, float, float, float, float]:
-    # (x, r0, r0 - 1, r1, r1 - 1) for the overlaps r0 = exp(-2Mu) and
-    # r1 = exp(-2(M+1)u): every transcendental of <N> and Q at one eta, each
-    # overlap with its expm1 for _one_plus_c_r; 2.0 * M * u is
-    # _log_parity_overlap_exponent bit for bit
-    u = math.atanh(x)
-    s0 = 2.0 * M * u
-    s1 = 2.0 * (M + 1) * u
-    return x, math.exp(-s0), math.expm1(-s0), math.exp(-s1), math.expm1(-s1)
 
 
 def _overlap_columns(M: int, xs: Sequence[float]) -> np.ndarray:
@@ -125,25 +106,20 @@ def _mean_kernel(c: float, M: int, x, r0, d0, r1, d1):
     return M * x * _one_plus_c_r(-c, r1, d1) / ((1.0 - x) * _one_plus_c_r(c, r0, d0))
 
 
-def _mean(c: float, M: int, x: float) -> float:
-    # <N> at cos(phi) = c
-    return _mean_kernel(c, M, *_overlap_terms(M, x))
-
-
 def mean_closed(phi: float, params: NBSParams) -> float:
     """<N> = M x (1 - c exp(-2(M+1)u)) / ((1-x)(1 + c exp(-2Mu)))."""
-    _check_phi(phi)
-    return _mean(phase_factor(phi).real, params.M, params.eta * params.eta)
+    return _mean_kernel(_cos_phi(phi), params.M, *_overlap_terms(params.M, params.eta * params.eta))
 
 
 def second_moment_closed(phi: float, params: NBSParams) -> float:
     """<N^2> = <N> + M(M+1) x^2 (1 + c exp(-2(M+2)u)) / ((1-x)^2 (1 + c exp(-2Mu)))."""
-    c, den = _parity_denominator(phi, _log_parity_overlap_exponent(params))
-    x = params.eta * params.eta
+    c = _cos_phi(phi)
     M = params.M
-    num = _one_plus_c_exp(c, 2.0 * (M + 2) * math.atanh(x))
-    extra = M * (M + 1) * x * x * num / ((1.0 - x) ** 2 * den)
-    return _mean(c, M, x) + extra
+    terms = _overlap_terms(M, params.eta * params.eta)
+    x, r0, d0 = terms[:3]
+    num = _one_plus_c_r(c, *_overlap(2.0 * (M + 2) * math.atanh(x)))
+    extra = M * (M + 1) * x * x * num / ((1.0 - x) ** 2 * _one_plus_c_r(c, r0, d0))
+    return _mean_kernel(c, M, *terms) + extra
 
 
 def _q_kernel(c: float, M: int, x, r0, d0, r1, d1):
@@ -165,9 +141,7 @@ def q_closed(phi: float, params: NBSParams) -> float:
     ``_one_plus_c_r``.  This holds Q to a few ulps for every M up to 2**53;
     no eta needs a special case.
     """
-    _check_phi(phi)
-    M = params.M
-    return _q_kernel(phase_factor(phi).real, M, *_overlap_terms(M, params.eta * params.eta))
+    return _q_kernel(_cos_phi(phi), params.M, *_overlap_terms(params.M, params.eta * params.eta))
 
 
 def closed_stats(phi: float, params: NBSParams) -> PhotonStats:
@@ -185,8 +159,11 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
     ``q_closed`` is the rearranged recursion <N>(pi - phi, M + 1) - <N>(phi, M);
     the reference divides ``second_moment_closed`` by ``mean_closed`` instead.
     The two routes share no formula, so a fault in either shows up here.
+    A <N> below the normal floats (phi near 0 at tiny eta) raises NumericsError.
     """
     mean = mean_closed(phi, params)
+    if mean < sys.float_info.min:
+        raise NumericsError(f"<N> = {mean!r} underflows at eta={params.eta}, M={params.M}")
     return abs(q_closed(phi, params) - (second_moment_closed(phi, params) / mean - mean - 1.0))
 
 

@@ -106,6 +106,36 @@ def test_gdo_relations_hold_for_all_sequences():
         assert res.max_residual < 1e-9
 
 
+def test_gdo_check_raises_on_a_vanishing_coefficient():
+    # even coefficients C = (1, 0, 1, 0, 1, 1): f is a pole one site up from C(1)
+    seq = ParitySequence.of(FockVector(np.array([1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1])))
+    with pytest.raises(PoleError, match="^coefficient at pair index 1 vanishes$"):
+        gdo_relations_check(seq)
+
+
+def test_subnormal_coefficients_are_not_poles():
+    # at M = 1, eta = 0.1 the coefficients fall by 1e-2 a pair: C(154..161)
+    # are subnormal, C(162) and above are exactly 0
+    seq = ParitySequence.of(even_nbs(NBSParams(M=1, eta=0.1), n_max=700))
+    below = seq.coeffs[:-1]
+    subnormal = (below != 0) & (np.abs(below) < np.finfo(float).tiny)
+    assert subnormal.sum() == 8 and not below[162:].any()
+    # at M = 1, f(n) = eta^2 sqrt(n/(n-1)); the quotient of two subnormals is
+    # finite and as exact as their few bits allow
+    n = seq.photon_numbers[1:].astype(np.float64)
+    f = seq.f_values[subnormal]
+    assert np.isfinite(f).all() and f[-1] == 0.0
+    np.testing.assert_allclose(f[:4], (0.01 * np.sqrt(n / (n - 1.0)))[subnormal][:4], rtol=1e-6)
+    assert np.isnan(seq.f_values[162:]).all()
+    # normal divisors keep the plain quotient, bit for bit
+    normal = np.abs(below) >= np.finfo(float).tiny
+    plain = np.sqrt(n / (n - 1.0)) * seq.coeffs[1:] / np.where(normal, below, 1.0)
+    assert np.array_equal(seq.f_values[normal], plain[normal])
+    assert creation_identity_residual(seq) < 1e-15
+    with pytest.raises(PoleError, match="^coefficient at pair index 162 vanishes$"):
+        gdo_relations_check(seq)
+
+
 def test_gdo_needs_enough_sites():
     p = NBSParams(M=3, eta=0.4)
     seq = ParitySequence.of(even_nbs(p, n_max=4))

@@ -57,6 +57,19 @@ def test_kerr_evolve_number_state_phase():
     assert np.all(out.amplitudes[:3] == 0) and np.all(out.amplitudes[4:] == 0)
 
 
+@pytest.mark.parametrize("g1, t", ((1e300, 1e300), (1e300, 1e6)))
+def test_kerr_phase_past_the_float_range_is_domain_error(g1, t):
+    v = nbs(NBSParams(M=2, eta=0.3))
+    with pytest.raises(DomainError, match="g1 t n_max\\^2"):
+        kerr_evolve(v, KerrParams(g1=g1, t=t))
+
+
+@pytest.mark.parametrize("g2, t", ((1e300, 1e300), (1e300, 1e8)))
+def test_dispersive_phase_past_the_float_range_is_domain_error(g2, t):
+    with pytest.raises(DomainError, match="g2 t n_max"):
+        dispersive_protocol(NBSParams(M=2, eta=0.3), DispersiveParams(phi=1.0, g2=g2, t=t))
+
+
 def test_kerr_quarter_period_hits_half_pi_superposition():
     for M, eta, theta in ((1, 0.3, 0.0), (6, 0.55, 1.2), (20, 0.4, 4.0)):
         p = NBSParams(M=M, eta=eta, theta=theta)

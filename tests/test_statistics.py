@@ -17,7 +17,7 @@ from nbstates import statistics, verification
 from nbstates.errors import ConvergenceError, DomainError, NumericsError
 from nbstates.fock_core import (FockVector, TruncationPolicy, apply_annihilate,
                                 inner, oracle_stats)
-from nbstates.nbs_states import (ETA_MIN, NBSParams, _log_binomial, _one_plus_c_exp,
+from nbstates.nbs_states import (ETA_MIN, NBSParams, _log_binomial, _one_plus_c_r, _overlap,
                                  phase_factor, photon_distribution, superposition)
 from nbstates.statistics import (a_pow_expectation, closed_stats, generating_function,
                                  mean_closed, pn_closed, pn_closed_upto,
@@ -262,11 +262,18 @@ def test_recursion_residual_small_on_grid():
                 assert r < 1e-11
 
 
+@pytest.mark.parametrize("eta", (1e-100, 1e-79))
+def test_recursion_residual_with_an_underflowing_mean_is_numerics_error(eta):
+    # at phi = 0, <N> ~ 2 (M + 1) x^2: 0 at eta = 1e-100, subnormal at 1e-79
+    with pytest.raises(NumericsError, match=f"underflows at eta={eta}, M=1$"):
+        q_recursion_residual(0.0, NBSParams(M=1, eta=eta))
+
+
 def test_recursion_residual_sees_a_wrong_mean(monkeypatch):
-    # the moments go through _mean and q_closed does not; shift its M and
-    # the residual and the verify check built on it must notice
-    exact = statistics._mean
-    monkeypatch.setattr(statistics, "_mean", lambda c, M, x: exact(c, M + 1e-3, x))
+    # the moments go through _mean_kernel and q_closed does not; shift its M
+    # and the residual and the verify check built on it must notice
+    exact = statistics._mean_kernel
+    monkeypatch.setattr(statistics, "_mean_kernel", lambda c, M, *terms: exact(c, M + 1e-3, *terms))
     assert q_recursion_residual(1.0, NBSParams(M=4, eta=0.45)) > 1e-6
     assert not verification.check_recursion_identity(1.0).passed
 
@@ -531,8 +538,8 @@ def _row_q(c, M, x):
     u = math.atanh(x)
     s0 = 2.0 * M * u
     s1 = 2.0 * (M + 1) * u
-    pair = (M + 1) * math.exp(-s1) / _one_plus_c_exp(-c, s1) \
-        + M * math.exp(-s0) / _one_plus_c_exp(c, s0)
+    pair = (M + 1) * math.exp(-s1) / _one_plus_c_r(-c, *_overlap(s1)) \
+        + M * math.exp(-s0) / _one_plus_c_r(c, *_overlap(s0))
     return x / (1.0 - x) * (1.0 + 2.0 * c / (1.0 + x) * pair)
 
 

@@ -328,6 +328,16 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, key", (("phi = 0,abc", "phi"), ("M = three", "M")))
+def test_bad_config_value_fails_with_one_line(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["fig1", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:1: bad value for {key!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["pn", "--M", "0", "--eta", "0.4"]) == 1
     assert "domain error" in capsys.readouterr().err
