@@ -8,10 +8,12 @@ Two families matter for callers (and for the CLI exit-code mapping):
   guarantee could not be met (series failed to converge, a truncation cap was
   hit, a projection came out with zero norm).
 
-The two checks at the end turn a bad scalar argument into a ``DomainError``
-before a raw ``ValueError``, ``OverflowError`` or ``IndexError`` can escape.
+The checks at the end turn a bad scalar argument into a ``DomainError``
+before a raw ``ValueError``, ``TypeError``, ``OverflowError`` or ``IndexError``
+can escape.
 """
 import cmath
+import numbers
 
 
 class DomainError(ValueError):
@@ -55,6 +57,20 @@ def check_integer(name: str, value, minimum: int) -> int:
     if not ok:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a Python float, or DomainError unless it is a real number in the float range.
+
+    A numpy float32 comes back as the float64 of the same value, so the
+    arithmetic on it afterwards is float64 arithmetic.
+    """
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} lies past the float range") from None
 
 
 def check_finite(**values: complex) -> None:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, check_integer
+from .errors import DimensionMismatchError, DomainError, check_integer, check_real
 
 # Default truncation contract: discarded probability mass below 1e-12,
 # refuse to grow vectors past 20000 components.
@@ -29,9 +29,11 @@ class TruncationPolicy:
     hard_cap: int = HARD_CAP_DEFAULT
 
     def __post_init__(self):
+        tolerance = check_real("tail_tolerance", self.tail_tolerance)
+        object.__setattr__(self, "tail_tolerance", tolerance)
         if not (0.0 < self.tail_tolerance < 1.0):
             raise DomainError(f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance}")
-        check_integer("hard_cap", self.hard_cap, 2)
+        object.__setattr__(self, "hard_cap", check_integer("hard_cap", self.hard_cap, 2))
 
 
 @dataclass(frozen=True)

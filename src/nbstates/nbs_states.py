@@ -38,7 +38,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, ZeroNormError, check_finite, check_integer
+from .errors import (DomainError, TruncationError, ZeroNormError, check_finite, check_integer,
+                     check_real)
 from .fock_core import FockVector, TruncationPolicy
 
 TWO_PI = 2.0 * math.pi
@@ -73,8 +74,11 @@ class NBSParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        # stored as the int _check_M returns, so that 3.0 and np.int64(3) are 3
+        # stored as the int and floats the checks return, so that 3.0 and
+        # np.int64(3) are 3 and a float32 eta is squared in float64
         object.__setattr__(self, "M", _check_M(self.M))
+        object.__setattr__(self, "eta", check_real("eta", self.eta))
+        object.__setattr__(self, "theta", check_real("theta", self.theta))
         if not (0.0 < self.eta < 1.0):
             raise DomainError(f"eta must lie strictly inside (0, 1), got {self.eta}")
         if self.eta * self.eta < sys.float_info.min:

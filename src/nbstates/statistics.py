@@ -22,13 +22,13 @@ kernel gives a whole column of a sweep the bits each eta gets alone.
 
 <a> and <a^2> are ratios of sums over one weight series, and those sums do
 not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
-serves both powers, each summed to its own stop index, and every phi.  It
-sums a block of etas at a time as 2-D arrays, one ``where=``-masked
-reduction per parity, with the bits each eta gets alone; a block whose
-series has not stopped runs again on its own at doubled length.  A single
-(M, eta) is the one-row grid, and ``_SeriesSums`` turns the sums into <a^k>
-and the quadrature variances with the same kind of kernel, one phi for the
-whole grid.
+serves both powers and every phi.  Each (power, eta) pair sums its terms up
+to an a-priori bound n_hi and checks only its last term; a pair whose last
+term is not negligible doubles its own n_hi, and its rows run again.  A
+block of etas is summed as 2-D arrays, one ``where=``-masked reduction per
+parity, with the bits each eta gets alone.  A single (M, eta) is the one-row
+grid, and ``_SeriesSums`` turns the sums into <a^k> and the quadrature
+variances with the same kind of kernel, one phi for the whole grid.
 """
 from __future__ import annotations
 
@@ -171,28 +171,22 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
 # annihilation-operator moments and quadratures
 # ---------------------------------------------------------------------------
 
-# a series term counts as negligible once it is this small against the partial sum
+# a (power, eta) pair has converged once its last term is this small against its sum
 _SERIES_RTOL = 1e-16
 # most terms (rows x padded length) one block of an eta grid holds, so that
 # the 2-D arrays of a block stay small however large the grid
 _BLOCK_TERMS = 1 << 14
 
 
-def _series_n_hi(M: int, x: float) -> int:
-    # first guess at the last index the sum needs: the terms behave like a
-    # negative binomial pmf (mean M x/(1-x), sd sqrt(M x)/(1-x)) whose far
-    # tail falls by a factor x a step
+def _series_n_hi(M: int, x: np.ndarray, log_x: np.ndarray, hard_cap: int) -> np.ndarray:
+    # the last index each eta's sum needs, a priori, at most hard_cap: the
+    # terms behave like a negative binomial pmf (mean M x/(1-x), sd
+    # sqrt(M x)/(1-x)) whose far tail falls by a factor x a step; capped as a
+    # float, since near eta = 1 the bound passes the range of intp
     mean = M * x / (1.0 - x)
-    sd = math.sqrt(M * x) / (1.0 - x)
-    return int(mean + 9.0 * sd - math.log(_SERIES_RTOL) / -math.log(x)) + 4
-
-
-def _series_stops(t: np.ndarray, index: np.ndarray) -> np.ndarray:
-    # for each row of t, the first n past the row's peak with
-    # t_n <= 1e-16 (t_0 + ... + t_n), or -1; index is 0, 1, ... along a row
-    done = t <= _SERIES_RTOL * t.cumsum(axis=1)
-    done &= index > t.argmax(axis=1, keepdims=True)
-    return np.where(done.any(axis=1), done.argmax(axis=1), -1)
+    sd = np.sqrt(M * x) / (1.0 - x)
+    bound = mean + 9.0 * sd - math.log(_SERIES_RTOL) / -log_x
+    return np.minimum(bound, hard_cap - 4).astype(np.intp) + 4
 
 
 def _blocks(n_his: Sequence[int]) -> Iterator[Tuple[int, int]]:
@@ -217,7 +211,7 @@ class _SeriesSums:
     """The phi-free parts of <a^k> and the quadratures over an eta grid at fixed (M, theta).
 
     ``by_power[k]`` is (E[w], O[w], E[t], O[t]) for t = w F of power k, each
-    summed up to that power's own stop index; ``terms`` is
+    summed over 0..n_hi of that power; ``terms`` is
     ``_overlap_terms`` (x first) for ``_mean_kernel``; ``rotation[k]`` is
     e^{ik theta}.  A grid holds one float64 entry per eta in each of these,
     and ``sums[i]`` holds the i-th eta's entries as floats.  The methods are
@@ -265,36 +259,36 @@ class _SeriesSums:
 
 
 def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarray,
-                powers: Tuple[int, ...], out: np.ndarray) -> np.ndarray:
-    # the sums of every power at a block of rows (x, log x as columns) padded
-    # to the length of the _log_binomial prefix, written into out, the block's
-    # [power, (w, t), parity, row] slice; returns each power's stop per row
+                n_hi: np.ndarray, powers: Tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    # the sums of every power at a block of rows (x, log x as columns), each
+    # (power, row) pair over 0..n_hi[power, row] of the block's _log_binomial
+    # prefix, written into out, the block's [power, (w, t), parity, row]
+    # slice; returns each pair's last term t_{n_hi}
     length = len(log_binomial)
-    n = np.arange(length, dtype=np.float64)
-    log_w = log_binomial + n * log_x
+    n = np.arange(length + max(powers) - 1, dtype=np.float64)
+    log_w = log_binomial + n[:length] * log_x
     # w and t share one buffer, so that a block's (w, t) rows are one view
-    wt = np.empty((2, len(x), length))
-    w, t = wt
-    # padding moves no sum: a row's largest weight lies before its stop
-    # index, and a row's cumsum runs in order
+    w, t = wt = np.empty((2, len(x), length))
+    # padding moves no sum: a row's largest weight lies before its n_hi
     np.exp(log_w - log_w.max(axis=1, keepdims=True), out=w)
     # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time: no partial product
-    # overflows before the result would, which the caller checks
-    m = n + M
-    np.multiply(w, np.sqrt(x * m), out=t)
-    stops = np.empty((len(powers), len(x)), dtype=np.intp)
+    # overflows before the result would, which the caller checks; power j+1
+    # reads the one root column shifted by j, as M + n + j is exact
+    root = np.sqrt(x * (n + M))
+    np.multiply(w, root[:, :length], out=t)
+    last = np.empty(n_hi.shape)
     with np.errstate(over="ignore"):
         for k in range(1, max(powers) + 1):
             if k > 1:
-                t *= np.sqrt(x * (m + (k - 1)))
+                t *= root[:, k - 1:k - 1 + length]
             if k not in powers:
                 continue
             slot = powers.index(k)
-            at = stops[slot] = _series_stops(t, n)
-            keep = n <= at[:, None]
+            keep = n[:length] <= n_hi[slot][:, None]
             for p in (0, 1):
                 np.add.reduce(wt[:, :, p::2], axis=2, where=keep[:, p::2], out=out[slot, :, p])
-    return stops
+            last[slot] = t[np.arange(len(x)), n_hi[slot]]
+    return last
 
 
 def _first_failure(failed: np.ndarray, powers: Tuple[int, ...]) -> Tuple[int, int]:
@@ -311,52 +305,56 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
     The caller has checked that (M, eta, theta) are valid ``NBSParams`` for
     every eta.  w_n = C(M+n-1, n) x^n comes from one ``_log_binomial`` row,
     scaled by each eta's largest term; t = w sqrt(x m), then t sqrt(x (m+1)),
-    ... (m = M + n) gives the terms of powers 1, 2, ... in turn.  The etas
-    are taken in grid order, in blocks (``_blocks``) of 2-D arrays padded to
-    the block's longest n_hi, and each power of each eta stops at its own
-    index (``_series_stops``).  A power's parity sums are one reduction per
-    parity of the block's (w, t) view, each row masked with ``where=`` to its
-    prefix up to its stop; numpy sums a row's unmasked run as the pairwise
-    sum of its 1-D slice, so each eta gets the bits it gets alone.
+    ... (m = M + n) gives the terms of powers 1, 2, ... in turn.  Each
+    (power, eta) pair sums its terms 0..n_hi, n_hi from ``_series_n_hi``, and
+    has converged when t_{n_hi} <= 1e-16 (E[t] + O[t]).  The etas are taken
+    in grid order, in blocks (``_blocks``) padded to the block's longest
+    n_hi; a power's parity sums are one reduction per parity of the block's
+    (w, t) view, each row masked with ``where=`` to 0..n_hi, which numpy sums
+    as the pairwise sum of that 1-D slice.  So each eta gets the bits it gets
+    alone, and each power the bits it gets summed alone.
 
-    A block in which some power of some row has not stopped runs again as a
-    whole, before the blocks after it, at doubled length up to
-    policy.hard_cap, re-split by ``_blocks``; its stopped rows get the same
-    bits again, since a longer row has the same prefix, peak and stop.  Past
-    hard_cap, ConvergenceError names the first such eta in grid order and
-    its lowest such power.  Terms past the float range raise NumericsError
-    at the first block that meets them.
+    An unconverged pair doubles its own n_hi, up to policy.hard_cap, and its
+    rows run again, re-split by ``_blocks``, before the later blocks; a
+    converged pair keeps its n_hi, and with it its bits.  If the first such
+    row of a block is at hard_cap, ConvergenceError names its eta and lowest
+    unconverged power.  Terms past the float range raise NumericsError at
+    the first block that meets them.
     """
     policy = policy or TruncationPolicy()
     xs = [eta * eta for eta in etas]
-    x_col = np.array(xs)[:, None]
-    log_x_col = np.array([math.log(x) for x in xs])[:, None]
-    # [power, (w, t), parity, eta]
+    x, log_x = np.array(xs), np.array([math.log(x) for x in xs])
+    # [power, (w, t), parity, eta] and [power, eta]
     sums = np.empty((len(powers), 2, 2, len(xs)))
-    n_hi = [min(_series_n_hi(M, x), policy.hard_cap) for x in xs]
-    row = _log_binomial(M, np.arange(max(n_hi, default=0) + 1, dtype=np.float64))
-    # (start, stop, _log_binomial prefix of the block's length), in grid order
-    work = [(start, stop, row[:max(n_hi[start:stop]) + 1]) for start, stop in _blocks(n_hi)]
+    n_hi = np.tile(_series_n_hi(M, x, log_x, policy.hard_cap), (len(powers), 1))
+    row = _log_binomial(M, np.arange(n_hi.max(initial=0) + 1, dtype=np.float64))
+    work = list(_blocks(n_hi[0].tolist()))
     while work:
-        start, stop, log_binomial = work.pop(0)
-        stops = _block_sums(M, x_col[start:stop], log_x_col[start:stop], log_binomial,
-                            powers, sums[..., start:stop])
-        overflow = ~np.isfinite(sums[:, 1, :, start:stop]).all(axis=1)
+        start, stop = work.pop(0)
+        block_n_hi = n_hi[:, start:stop]
+        length = int(block_n_hi.max()) + 1
+        if length > len(row):
+            row = _log_binomial(M, np.arange(length, dtype=np.float64))
+        last = _block_sums(M, x[start:stop, None], log_x[start:stop, None], row[:length],
+                           block_n_hi, powers, sums[..., start:stop])
+        t_sums = sums[:, 1, :, start:stop]
+        overflow = ~np.isfinite(t_sums).all(axis=1)
         if overflow.any():
             i, k = _first_failure(overflow, powers)
             raise NumericsError(
                 f"<a^{k}> series terms exceed the float range at eta={etas[start + i]}, M={M}")
-        if (stops >= 0).all():
+        open_pairs = last > _SERIES_RTOL * (t_sums[:, 0] + t_sums[:, 1])
+        if not open_pairs.any():
             continue
-        block_n_hi = len(log_binomial) - 1
-        if block_n_hi >= policy.hard_cap:
-            i, k = _first_failure(stops < 0, powers)
+        i, k = _first_failure(open_pairs, powers)
+        if block_n_hi[:, i].max() >= policy.hard_cap:
             raise ConvergenceError(f"<a^{k}> series needed more than {policy.hard_cap} terms "
                                    f"at eta={etas[start + i]}, M={M}")
-        block_n_hi = min(2 * block_n_hi, policy.hard_cap)
-        longer = _log_binomial(M, np.arange(block_n_hi + 1, dtype=np.float64))
-        work[:0] = [(start + a, start + b, longer)
-                    for a, b in _blocks([block_n_hi] * (stop - start))]
+        np.minimum(2 * block_n_hi, policy.hard_cap, out=block_n_hi, where=open_pairs)
+        # the rows from the first to the last with an unconverged pair
+        start, stop = start + i, stop - int(open_pairs.any(axis=0)[::-1].argmax())
+        work[:0] = [(start + a, start + b)
+                    for a, b in _blocks(n_hi[:, start:stop].max(axis=0).tolist())]
     by_power = {k: sums[slot].reshape(4, len(xs)) for slot, k in enumerate(powers)}
     return _SeriesSums(M, _overlap_columns(M, xs), by_power,
                        {k: phase_factor(theta) ** k for k in powers})
@@ -382,11 +380,12 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams,
     n_hi are evaluated at once from one ``_log_binomial`` row, with w
     scaled by its largest term: no term exceeds 1, and the terms near the
     peak cannot underflow at large M, however small the early ones get.
-    Each power's sums stop at its own index, the first n past the peak of
-    t_n = w_n F_n where t_n <= 1e-16 (t_0 + ... + t_n).  If n_hi holds no
-    such n, the eta's block runs again at doubled n_hi, up to
-    policy.hard_cap, and then ConvergenceError is raised (the ratio test
-    guarantees convergence for any eta < 1, but the term budget is finite).
+    n_hi starts at an a-priori bound, the weights' mean plus 9 sd plus the
+    length over which their geometric tail falls by 1e-16, and the sums
+    count once the last term t_{n_hi} = w F is at most 1e-16 of them.
+    Otherwise n_hi doubles, up to policy.hard_cap, and then ConvergenceError
+    is raised (the ratio test guarantees convergence for any eta < 1, but
+    the term budget is finite).
     Terms past the float range, at large k, raise NumericsError.
     """
     k = check_integer("power k", k, 1)
@@ -399,7 +398,7 @@ def quadrature_variances(phi: float, params: NBSParams,
     """Variances of X1 = (a + a^dag)/2 and X2 = (a - a^dag)/(2i); vacuum level is 1/4.
 
     <a> and <a^2> come from one weight pass, each power summed to its own
-    stop index, bit for bit what two ``a_pow_expectation`` calls give.
+    n_hi, bit for bit what two ``a_pow_expectation`` calls give.
     """
     _check_phi(phi)
     sums = _series_sums(params.M, (params.eta,), params.theta, (1, 2), policy)[0]

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, check_finite
+from .errors import DomainError, check_finite, check_real
 from .fock_core import TruncationPolicy
 from .nbs_states import NBSParams, _check_M, _check_phi, phase_factor, required_dimension
 from .statistics import _overlap_columns, _q_kernel, _series_sums, pn_closed_upto
@@ -57,6 +57,9 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "M", _check_M(self.M))
+        for name in ("theta", "eta_start", "eta_stop", "grid_step"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        object.__setattr__(self, "phis", tuple(check_real("phi", phi) for phi in self.phis))
         check_finite(eta_start=self.eta_start, eta_stop=self.eta_stop, grid_step=self.grid_step)
         if self.grid_step <= 0.0:
             raise DomainError(f"grid_step must be > 0, got {self.grid_step}")

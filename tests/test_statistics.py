@@ -7,10 +7,11 @@ rho = (1 - x)/(1 + x), still rational.
 """
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbstates import statistics, verification
@@ -326,6 +327,21 @@ def test_a_pow_term_budget_enforced():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("M, eta", [(2**53, 0.9999), (2000, 0.9999999999999999)])
+def test_a_priori_bound_past_the_intp_range_is_convergence_error(M, eta):
+    # the a-priori n_hi here is 4.5e19 and 1.1e19, past 2**63: it must be
+    # capped at hard_cap, not wrap to a negative index on its way to intp;
+    # in a grid, next to an eta of a few terms, it is the row that fails
+    message = rf"^<a\^{{}}> series needed more than 20000 terms at eta={eta}, M={M}$"
+    with pytest.raises(ConvergenceError, match=message.format(1)):
+        quadrature_variances(0.5, NBSParams(M=M, eta=eta))
+    with pytest.raises(ConvergenceError, match=message.format(2)):
+        a_pow_expectation(2, 0.5, NBSParams(M=M, eta=eta))
+    with pytest.raises(ConvergenceError, match=message.format(1)):
+        statistics._series_sums(M, (1e-8, eta, 1e-8))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k", (400, 401))
 def test_a_pow_past_the_float_range_is_numerics_error(k):
     # at M = 5, eta = 0.5 the t sums of k = 300 are 7.0e227 and those of
@@ -360,29 +376,30 @@ def test_series_sums_reproduce_a_pow_and_quadratures_bit_for_bit(M, eta, theta):
         assert sums.quadratures(phi) == quadrature_variances(phi, params)
 
 
-def _per_eta_loop(M, eta, powers):
-    # the series of one eta on 1-D arrays, doubling n_hi until every power
-    # has stopped: the reference the grid pass must match bit for bit
+def _per_eta_loop(M, eta, powers, cap=TruncationPolicy().hard_cap):
+    # the series of one eta on 1-D arrays: each power sums its terms 0..n_hi,
+    # from the a-priori n_hi, and doubles its own n_hi up to cap until its
+    # last term is at most 1e-16 of its sum; the reference the grid pass must
+    # match bit for bit
     x = eta * eta
+    first = min(int(M * x / (1.0 - x) + 9.0 * math.sqrt(M * x) / (1.0 - x)
+                    - math.log(1e-16) / -math.log(x)) + 4, cap)
     by_power = {}
-    n_hi = statistics._series_n_hi(M, x)
-    while len(by_power) < len(powers):
-        n = np.arange(n_hi + 1, dtype=np.float64)
-        log_w = _log_binomial(M, n) + n * math.log(x)
-        w = np.exp(log_w - log_w.max())
-        m = n + M
-        t = w * np.sqrt(x * m)
-        for k in range(1, max(powers) + 1):
-            if k > 1:
-                t = t * np.sqrt(x * (m + (k - 1)))
-            if k in powers and k not in by_power:
-                peak = int(t.argmax())
-                done = t[peak + 1:] <= 1e-16 * t.cumsum()[peak + 1:]
-                if done.any():
-                    stop = peak + 1 + int(done.argmax())
-                    by_power[k] = tuple(float(np.add.reduce(a[j:stop + 1:2]))
-                                        for a in (w, t) for j in (0, 1))
-        n_hi *= 2
+    for k in powers:
+        n_hi = first
+        while k not in by_power:
+            n = np.arange(n_hi + 1, dtype=np.float64)
+            log_w = _log_binomial(M, n) + n * math.log(x)
+            w = np.exp(log_w - log_w.max())
+            t = w
+            for j in range(k):
+                t = t * np.sqrt(x * (n + (M + j)))
+            sums = tuple(float(np.add.reduce(a[p::2])) for a in (w, t) for p in (0, 1))
+            if t[-1] <= 1e-16 * (sums[2] + sums[3]):
+                by_power[k] = sums
+            elif n_hi == cap:
+                raise ConvergenceError(f"<a^{k}> at eta={eta}")
+            n_hi = min(2 * n_hi, cap)
     return by_power
 
 
@@ -395,15 +412,20 @@ def test_series_grid_matches_the_per_eta_loop(M):
         assert row.by_power == _per_eta_loop(M, eta, (1, 2, 3))
 
 
+def _three_terms(M, x, log_x, hard_cap):
+    # a first guess of n_hi = 3 at every eta, in place of _series_n_hi
+    return np.full(x.shape, 3)
+
+
 _DOUBLING_POINTS = [(1, 0.2, 12), (2, 0.65, 48), (5, 0.6, 48)]
 
 
 @pytest.mark.parametrize("M, eta, cap", _DOUBLING_POINTS)
 def test_series_sums_keep_each_power_stop_across_doublings(monkeypatch, M, eta, cap):
     # from a first guess of 3 terms n_hi doubles 3, 6, 12, ...; at these
-    # points <a> stops within cap terms and <a^3> needs a later doubling, and
-    # the joint pass must still give each power the sums it gets alone
-    monkeypatch.setattr(statistics, "_series_n_hi", lambda M, x: 3)
+    # points <a> converges within cap terms and <a^3> needs a later doubling,
+    # and the joint pass must still give each power the sums it gets alone
+    monkeypatch.setattr(statistics, "_series_n_hi", _three_terms)
     params = NBSParams(M=M, eta=eta)
     _one_eta_sums(params, (1,), TruncationPolicy(hard_cap=cap))
     with pytest.raises(ConvergenceError):
@@ -425,14 +447,14 @@ def test_retried_blocks_keep_the_block_bound(monkeypatch):
     # retried several times, its block re-split at each doubling: each block
     # must stay within _BLOCK_TERMS (or be one row), and each row must be
     # what its eta gives alone
-    monkeypatch.setattr(statistics, "_series_n_hi", lambda M, x: 3)
+    monkeypatch.setattr(statistics, "_series_n_hi", _three_terms)
     etas = [0.01 + 0.96 * i / 2999 for i in range(3000)]
     shapes = []
     block_sums = statistics._block_sums
 
-    def recorded(M, x, log_x, log_binomial, powers, out):
+    def recorded(M, x, log_x, log_binomial, n_hi, powers, out):
         shapes.append((len(x), len(log_binomial)))
-        return block_sums(M, x, log_x, log_binomial, powers, out)
+        return block_sums(M, x, log_x, log_binomial, n_hi, powers, out)
 
     monkeypatch.setattr(statistics, "_block_sums", recorded)
     rows = statistics._series_sums(1, etas)
@@ -444,6 +466,38 @@ def test_retried_blocks_keep_the_block_bound(monkeypatch):
         assert n_rows * length <= statistics._BLOCK_TERMS or n_rows == 1
     for eta, row in zip(etas, rows):
         assert row.by_power == _one_eta_sums(NBSParams(M=1, eta=eta), (1, 2)).by_power
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(M=st.integers(1, 1000), etas=st.lists(st.floats(ETA_MIN, 0.95), min_size=1, max_size=5),
+       theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+# the first guess of n_hi is 11 at eta = 0.008 and too short, so its pairs
+# double; in the grid a converged row between two such rows runs again
+@example(M=3000, etas=[0.008], theta=0.0)
+@example(M=3000, etas=[0.008, 0.02, 0.008], theta=0.0)
+def test_series_rows_and_powers_keep_their_bits(M, etas, theta):
+    # the invariants the a-priori n_hi rests on: each grid row is its one-eta
+    # call, and each power summed with (1, 2, 3) is that power summed alone
+    lengths = []
+    block_sums = statistics._block_sums
+
+    def recorded(M, x, log_x, log_binomial, n_hi, powers, out):
+        lengths.append(len(log_binomial))
+        return block_sums(M, x, log_x, log_binomial, n_hi, powers, out)
+
+    with mock.patch.object(statistics, "_block_sums", recorded):
+        grid = statistics._series_sums(M, etas, theta, (1, 2, 3))
+    x = np.array([eta * eta for eta in etas])
+    log_x = np.array([math.log(v) for v in x])
+    retried = max(lengths) > statistics._series_n_hi(M, x, log_x, 20000).max() + 1
+    if M == 3000:
+        assert retried
+    for eta, row in zip(etas, grid):
+        params = NBSParams(M=M, eta=eta, theta=theta)
+        alone = _one_eta_sums(params, (1, 2, 3))
+        for k in (1, 2, 3):
+            assert _bits(row.by_power[k]) == _bits(alone.by_power[k]), (eta, k)
+            assert _bits(_one_eta_sums(params, (k,)).by_power[k]) == _bits(alone.by_power[k])
 
 
 def test_quadratures_name_the_power_that_ran_out_of_terms():
@@ -702,9 +756,13 @@ def _mpmath_var_x2_odd(M, eta, mp):
         return float(mp.mpf(1) / 4 + (mean - ea2) / 2)
 
 
-@pytest.mark.parametrize("M, eta", [(300, 0.9122), (300, 0.9422), (300, 0.9495), (1000, 0.93)])
+@pytest.mark.parametrize("M, eta", [(300, 0.9122), (300, 0.9422), (300, 0.9495), (1000, 0.93),
+                                    (1000, 0.95)])
 def test_var_x2_against_mpmath_fock_sum(M, eta):
+    # Var X2 cancels two numbers of size M x/(1-x) against the closed-form
+    # <N>: a series tail of 1e-16 left out shows up here as 3e-12 to 4e-12
+    # at M = 1000
     mp = pytest.importorskip("mpmath").mp
     want = _mpmath_var_x2_odd(M, eta, mp)
     got = quadrature_variances(math.pi, NBSParams(M=M, eta=eta))[1]
-    assert abs(got - want) <= 5e-10
+    assert abs(got - want) <= 2e-12

@@ -10,6 +10,7 @@ import pytest
 
 from nbstates.cli import _json_text, build_parser, load_config, main
 from nbstates.errors import ConfigError, DomainError, NumericsError
+from nbstates.fock_core import TruncationPolicy
 from nbstates.nbs_states import NBSParams, required_dimension, superposition
 from nbstates.statistics import pn_closed, q_closed, quadrature_variances
 from nbstates.sweeps import (FIG1_PHIS, SweepConfig, fig1_config, fig1_records,
@@ -149,6 +150,48 @@ def test_an_integral_non_int_m_is_stored_as_an_int(M):
                          for m in (M, int(M)))
         assert type(cfg.M) is int
         assert render_sweep_csv(records(cfg)) == render_sweep_csv(records(same_cfg))
+
+
+def test_a_float32_eta_is_squared_in_float64():
+    # a float32 eta is the float64 of its value: eta**2 is not rounded to 24
+    # bits, so q_closed is 1e-8 off without the conversion and pn_closed 1e-7
+    eta = np.float32(0.3)
+    params, same = NBSParams(M=5, eta=eta, theta=np.float32(0.7)), \
+        NBSParams(M=5, eta=float(eta), theta=float(np.float32(0.7)))
+    assert type(params.eta) is float and type(params.theta) is float and params == same
+    for got, want in ((q_closed(0.7, params), q_closed(0.7, same)),
+                      (pn_closed(3, 0.7, params), pn_closed(3, 0.7, same))):
+        assert type(got) is float and got.hex() == want.hex()
+    assert q_closed(0.7, params) == 0.6942517490262464
+    assert quadrature_variances(0.7, params) == quadrature_variances(0.7, same)
+
+
+def test_sweep_config_and_policy_store_python_numbers():
+    cfg = fig2_config(M=5, theta=np.float32(0.3), eta_start=np.float32(0.02),
+                      eta_stop=np.float32(0.5), grid_step=np.float32(0.02),
+                      phis=(np.float32(0.0), np.float64(1.5)))
+    same = fig2_config(M=5, theta=float(np.float32(0.3)), eta_start=float(np.float32(0.02)),
+                       eta_stop=float(np.float32(0.5)), grid_step=float(np.float32(0.02)),
+                       phis=(0.0, 1.5))
+    for name in ("theta", "eta_start", "eta_stop", "grid_step"):
+        assert type(getattr(cfg, name)) is float
+    assert all(type(phi) is float for phi in cfg.phis) and cfg == same
+    assert render_sweep_csv(fig2_records(cfg)) == render_sweep_csv(fig2_records(same))
+    policy = TruncationPolicy(tail_tolerance=np.float32(0.5), hard_cap=np.int64(50))
+    assert type(policy.hard_cap) is int and type(policy.tail_tolerance) is float
+
+
+@pytest.mark.parametrize("bad", ("0.3", 0.3 + 0j, None), ids=("str", "complex", "none"))
+def test_non_real_angles_and_etas_are_domain_errors(bad):
+    # a DomainError naming the field, not a raw TypeError from a comparison
+    for field in ("eta", "theta"):
+        with pytest.raises(DomainError, match=f"^{field} must be a real number"):
+            NBSParams(M=5, **{"eta": 0.3, field: bad})
+    for field in ("theta", "eta_start", "grid_step"):
+        with pytest.raises(DomainError, match=f"^{field} must be a real number"):
+            SweepConfig(M=5, **{field: bad})
+    with pytest.raises(DomainError, match="^phi must be a real number"):
+        SweepConfig(M=5, phis=(0.0, bad))
 
 
 @pytest.mark.parametrize("phi", (-0.1, 2.0 * math.pi + 1e-9, math.nan, math.inf))
