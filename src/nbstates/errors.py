@@ -74,7 +74,9 @@ def check_real(name: str, value) -> float:
 
 
 def check_finite(**values: complex) -> None:
-    """DomainError naming the first of ``values`` with a NaN or infinite part."""
+    """DomainError naming the first of ``values`` that is not a number, or is NaN or infinite."""
     for name, value in values.items():
+        if not isinstance(value, numbers.Complex):
+            raise DomainError(f"{name} must be a number, got {value!r}")
         if not cmath.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")

@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, ZeroNormError, check_finite, check_integer
+from .errors import (DimensionMismatchError, DomainError, ZeroNormError, check_finite,
+                     check_integer, check_real)
 from .fock_core import FockVector, TruncationPolicy, inner
 from .nbs_states import (NBSParams, _check_phi, _label_phases, nbs, partner_phase,
                          phase_factor, required_dimension)
@@ -37,6 +38,8 @@ class KerrParams:
     t: float
 
     def __post_init__(self):
+        for name in ("g1", "t"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         check_finite(g1=self.g1, t=self.t)
         if not (self.g1 > 0.0):
             raise DomainError(f"g1 must be > 0, got {self.g1}")
@@ -53,6 +56,8 @@ class DispersiveParams:
     t: float
 
     def __post_init__(self):
+        for name in ("phi", "g2", "t"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         check_finite(g2=self.g2, t=self.t)
         _check_phi(self.phi)
         if not (self.g2 > 0.0):
@@ -123,7 +128,7 @@ def kerr_generate(params: NBSParams, g1: float = 1.0,
         # size for the superposition the protocol lands on, not the bare NBS
         n_max = required_dimension(params, math.pi / 2.0, policy)
     start = nbs(params, n_max=n_max)
-    return kerr_evolve(start, replace(kerr, t=math.pi / (2.0 * g1)))
+    return kerr_evolve(start, replace(kerr, t=math.pi / (2.0 * kerr.g1)))
 
 
 def dispersive_protocol(params: NBSParams, disp: DispersiveParams,

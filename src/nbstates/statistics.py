@@ -23,8 +23,9 @@ kernel gives a whole column of a sweep the bits each eta gets alone.
 <a> and <a^2> are ratios of sums over one weight series, and those sums do
 not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
 serves both powers and every phi.  Each (power, eta) pair sums its terms up
-to an a-priori bound n_hi and checks only its last term; a pair whose last
-term is not negligible doubles its own n_hi, and its rows run again.  A
+to n_hi, a proved a-priori bound past which the last term and the whole tail
+are at most 1e-16 of the sum (``_series_n_hi``), so each block of etas is
+summed once; only a pair that hard_cap cuts short checks its last term.  A
 block of etas is summed as 2-D arrays, one ``where=``-masked reduction per
 parity, with the bits each eta gets alone.  A single (M, eta) is the one-row
 grid, and ``_SeriesSums`` turns the sums into <a^k> and the quadrature
@@ -39,7 +40,8 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericsError, check_finite, check_integer
+from .errors import (ConvergenceError, DomainError, NumericsError, check_finite, check_integer,
+                     check_real)
 from .fock_core import PhotonStats, TruncationPolicy
 from .nbs_states import (NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
                          _overlap, _overlap_terms, phase_factor)
@@ -80,6 +82,7 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
 def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     """G(lambda) = sum_n lambda^n P(n), defined for |lambda| * eta^2 < 1."""
     c = _cos_phi(phi)
+    lam = check_real("lam", lam)
     check_finite(lam=lam)
     M = params.M
     x, r0, d0 = _overlap_terms(M, params.eta * params.eta)[:3]
@@ -171,22 +174,39 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
 # annihilation-operator moments and quadratures
 # ---------------------------------------------------------------------------
 
-# a (power, eta) pair has converged once its last term is this small against its sum
+# the last term and the tail past it of a (power, eta) pair stay within this
+# fraction of its sum
 _SERIES_RTOL = 1e-16
 # most terms (rows x padded length) one block of an eta grid holds, so that
 # the 2-D arrays of a block stay small however large the grid
 _BLOCK_TERMS = 1 << 14
 
 
-def _series_n_hi(M: int, x: np.ndarray, log_x: np.ndarray, hard_cap: int) -> np.ndarray:
-    # the last index each eta's sum needs, a priori, at most hard_cap: the
-    # terms behave like a negative binomial pmf (mean M x/(1-x), sd
-    # sqrt(M x)/(1-x)) whose far tail falls by a factor x a step; capped as a
-    # float, since near eta = 1 the bound passes the range of intp
-    mean = M * x / (1.0 - x)
-    sd = np.sqrt(M * x) / (1.0 - x)
-    bound = mean + 9.0 * sd - math.log(_SERIES_RTOL) / -log_x
-    return np.minimum(bound, hard_cap - 4).astype(np.intp) + 4
+def _series_n_hi(M: int, x: np.ndarray, powers: Tuple[int, ...], hard_cap: int) -> np.ndarray:
+    # a proved [power, eta] bound on the last index each sum needs, at most
+    # hard_cap.  With m = M + n, the terms t_n = w_n F_n of power k step by
+    # t_{n+1}/t_n = x m/(n+1) sqrt(1 + k/m) <= rho(n) = x (m + k/2)/(n+1),
+    # which does not grow with n.  The weights w are a negative binomial pmf
+    # p_n up to a constant, with mean M x/(1-x) and sd sqrt(M x)/(1-x); from
+    # n1 = floor(mean + max(9 sd, k x/(2(1-x)))) + 1, rho(n1) < 1, so past n1
+    # the terms fall at least geometrically.  F grows with n, so the sum S
+    # is at least F_0 sum w, and t_{n1}/S <= p_{n1} F_{n1}/F_0, where p_{n1}
+    # is at most the Chernoff bound ((1-x)(M+n1)/M)^M (x(M+n1)/n1)^n1 and
+    # F_{n1}/F_0 at most ((M+n1)/M)^(k/2); a factor e more covers rounding.
+    # n_hi is n1 plus the steps at rate rho(n1) that bring both t_{n_hi} and
+    # the geometric tail past it, t_{n_hi} rho/(1-rho), to at most 1e-16 S.
+    half_k = np.array(powers, dtype=np.float64)[:, None] / 2.0
+    n1 = np.floor((M * x + np.maximum(9.0 * np.sqrt(M * x), half_k * x)) / (1.0 - x)) + 1.0
+    rho = x * (M + n1 + half_k) / (n1 + 1.0)
+    log_t1 = (M * np.log1p(-x) + (M + half_k) * np.log1p(n1 / M)
+              + n1 * np.log(x * (M + n1) / n1) + 1.0)
+    # NaN where rho(n1) rounds to 1 or more, and those pairs get hard_cap;
+    # capped as a float, since near eta = 1 the bound passes the range of intp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_tail = np.maximum(np.log(rho / (1.0 - rho)), 0.0)
+        steps = (math.log(_SERIES_RTOL) - log_t1 - log_tail) / np.log(rho)
+    n_hi = np.where(rho < 1.0, n1 + np.ceil(np.maximum(steps, 0.0)), hard_cap)
+    return np.minimum(n_hi, hard_cap).astype(np.intp)
 
 
 def _blocks(n_his: Sequence[int]) -> Iterator[Tuple[int, int]]:
@@ -259,11 +279,14 @@ class _SeriesSums:
 
 
 def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarray,
-                n_hi: np.ndarray, powers: Tuple[int, ...], out: np.ndarray) -> np.ndarray:
+                n_hi: np.ndarray, hard_cap: int, powers: Tuple[int, ...],
+                out: np.ndarray) -> np.ndarray:
     # the sums of every power at a block of rows (x, log x as columns), each
     # (power, row) pair over 0..n_hi[power, row] of the block's _log_binomial
     # prefix, written into out, the block's [power, (w, t), parity, row]
-    # slice; returns each pair's last term t_{n_hi}
+    # slice; returns the [power, row] mask of the pairs cut short at hard_cap
+    # whose last term t_{n_hi} is more than 1e-16 of their t sums, the only
+    # pairs whose bound does not prove them converged
     length = len(log_binomial)
     n = np.arange(length + max(powers) - 1, dtype=np.float64)
     log_w = log_binomial + n[:length] * log_x
@@ -276,7 +299,7 @@ def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarr
     # reads the one root column shifted by j, as M + n + j is exact
     root = np.sqrt(x * (n + M))
     np.multiply(w, root[:, :length], out=t)
-    last = np.empty(n_hi.shape)
+    open_pairs = n_hi == hard_cap
     with np.errstate(over="ignore"):
         for k in range(1, max(powers) + 1):
             if k > 1:
@@ -287,8 +310,10 @@ def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarr
             keep = n[:length] <= n_hi[slot][:, None]
             for p in (0, 1):
                 np.add.reduce(wt[:, :, p::2], axis=2, where=keep[:, p::2], out=out[slot, :, p])
-            last[slot] = t[np.arange(len(x)), n_hi[slot]]
-    return last
+            if open_pairs[slot].any():
+                last = t[np.arange(len(x)), n_hi[slot]]
+                open_pairs[slot] &= last > _SERIES_RTOL * out[slot, 1].sum(axis=0)
+    return open_pairs
 
 
 def _first_failure(failed: np.ndarray, powers: Tuple[int, ...]) -> Tuple[int, int]:
@@ -306,55 +331,42 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
     every eta.  w_n = C(M+n-1, n) x^n comes from one ``_log_binomial`` row,
     scaled by each eta's largest term; t = w sqrt(x m), then t sqrt(x (m+1)),
     ... (m = M + n) gives the terms of powers 1, 2, ... in turn.  Each
-    (power, eta) pair sums its terms 0..n_hi, n_hi from ``_series_n_hi``, and
-    has converged when t_{n_hi} <= 1e-16 (E[t] + O[t]).  The etas are taken
-    in grid order, in blocks (``_blocks``) padded to the block's longest
-    n_hi; a power's parity sums are one reduction per parity of the block's
-    (w, t) view, each row masked with ``where=`` to 0..n_hi, which numpy sums
-    as the pairwise sum of that 1-D slice.  So each eta gets the bits it gets
-    alone, and each power the bits it gets summed alone.
+    (power, eta) pair sums its terms 0..n_hi, n_hi from ``_series_n_hi``,
+    which proves that t_{n_hi} and the tail past it are at most 1e-16 of the
+    sum.  The etas are taken in grid order, once each, in blocks
+    (``_blocks``) padded to the block's longest n_hi; a power's parity sums
+    are one reduction per parity of the block's (w, t) view, each row masked
+    with ``where=`` to 0..n_hi, which numpy sums as the pairwise sum of that
+    1-D slice.  So each eta gets the bits it gets alone, and each power the
+    bits it gets summed alone.
 
-    An unconverged pair doubles its own n_hi, up to policy.hard_cap, and its
-    rows run again, re-split by ``_blocks``, before the later blocks; a
-    converged pair keeps its n_hi, and with it its bits.  If the first such
-    row of a block is at hard_cap, ConvergenceError names its eta and lowest
-    unconverged power.  Terms past the float range raise NumericsError at
-    the first block that meets them.
+    A pair whose bound passes policy.hard_cap is summed to hard_cap, and has
+    converged only if t_{hard_cap} <= 1e-16 (E[t] + O[t]); if not,
+    ConvergenceError names the first such eta and its lowest unconverged
+    power.  Terms past the float range raise NumericsError at the first
+    block that meets them.
     """
     policy = policy or TruncationPolicy()
     xs = [eta * eta for eta in etas]
     x, log_x = np.array(xs), np.array([math.log(x) for x in xs])
     # [power, (w, t), parity, eta] and [power, eta]
     sums = np.empty((len(powers), 2, 2, len(xs)))
-    n_hi = np.tile(_series_n_hi(M, x, log_x, policy.hard_cap), (len(powers), 1))
+    n_hi = _series_n_hi(M, x, powers, policy.hard_cap)
     row = _log_binomial(M, np.arange(n_hi.max(initial=0) + 1, dtype=np.float64))
-    work = list(_blocks(n_hi[0].tolist()))
-    while work:
-        start, stop = work.pop(0)
+    for start, stop in _blocks(n_hi.max(axis=0).tolist()):
         block_n_hi = n_hi[:, start:stop]
-        length = int(block_n_hi.max()) + 1
-        if length > len(row):
-            row = _log_binomial(M, np.arange(length, dtype=np.float64))
-        last = _block_sums(M, x[start:stop, None], log_x[start:stop, None], row[:length],
-                           block_n_hi, powers, sums[..., start:stop])
-        t_sums = sums[:, 1, :, start:stop]
-        overflow = ~np.isfinite(t_sums).all(axis=1)
+        open_pairs = _block_sums(M, x[start:stop, None], log_x[start:stop, None],
+                                 row[:block_n_hi.max() + 1], block_n_hi, policy.hard_cap,
+                                 powers, sums[..., start:stop])
+        overflow = ~np.isfinite(sums[:, 1, :, start:stop]).all(axis=1)
         if overflow.any():
             i, k = _first_failure(overflow, powers)
             raise NumericsError(
                 f"<a^{k}> series terms exceed the float range at eta={etas[start + i]}, M={M}")
-        open_pairs = last > _SERIES_RTOL * (t_sums[:, 0] + t_sums[:, 1])
-        if not open_pairs.any():
-            continue
-        i, k = _first_failure(open_pairs, powers)
-        if block_n_hi[:, i].max() >= policy.hard_cap:
+        if open_pairs.any():
+            i, k = _first_failure(open_pairs, powers)
             raise ConvergenceError(f"<a^{k}> series needed more than {policy.hard_cap} terms "
                                    f"at eta={etas[start + i]}, M={M}")
-        np.minimum(2 * block_n_hi, policy.hard_cap, out=block_n_hi, where=open_pairs)
-        # the rows from the first to the last with an unconverged pair
-        start, stop = start + i, stop - int(open_pairs.any(axis=0)[::-1].argmax())
-        work[:0] = [(start + a, start + b)
-                    for a, b in _blocks(n_hi[:, start:stop].max(axis=0).tolist())]
     by_power = {k: sums[slot].reshape(4, len(xs)) for slot, k in enumerate(powers)}
     return _SeriesSums(M, _overlap_columns(M, xs), by_power,
                        {k: phase_factor(theta) ** k for k in powers})
@@ -380,12 +392,13 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams,
     n_hi are evaluated at once from one ``_log_binomial`` row, with w
     scaled by its largest term: no term exceeds 1, and the terms near the
     peak cannot underflow at large M, however small the early ones get.
-    n_hi starts at an a-priori bound, the weights' mean plus 9 sd plus the
-    length over which their geometric tail falls by 1e-16, and the sums
-    count once the last term t_{n_hi} = w F is at most 1e-16 of them.
-    Otherwise n_hi doubles, up to policy.hard_cap, and then ConvergenceError
-    is raised (the ratio test guarantees convergence for any eta < 1, but
-    the term budget is finite).
+    n_hi is a proved a-priori bound (``_series_n_hi``): past the weights'
+    mean plus 9 sd, a Chernoff bound on the negative binomial tail and the
+    terms' ratio bound put the last term t_{n_hi} = w F and the geometric
+    tail past it at most 1e-16 of the sums, and the terms are summed once.
+    A bound past policy.hard_cap is cut to it, and ConvergenceError is
+    raised unless t_{hard_cap} is at most 1e-16 of the sums (the ratio test
+    guarantees convergence for any eta < 1, but the term budget is finite).
     Terms past the float range, at large k, raise NumericsError.
     """
     k = check_integer("power k", k, 1)

@@ -7,7 +7,7 @@ import pytest
 from nbstates.algebra import ParitySequence
 from nbstates.errors import DomainError
 from nbstates.fock_core import FockVector, TruncationPolicy, number_state, oracle_stats, tail_mass
-from nbstates.generation import fidelity
+from nbstates.generation import DispersiveParams, KerrParams, fidelity, kerr_generate
 from nbstates.nbs_states import (NBSParams, cat_state, coherent, nbs, nbs_inner_closed,
                                  required_dimension_cat, superposition)
 from nbstates.statistics import a_pow_expectation, generating_function, pn_closed
@@ -53,6 +53,15 @@ NAN, INF = math.nan, math.inf
     lambda: NBSParams(M=10 ** 5000, eta=0.3),
     lambda: NBSParams(M=10 ** 16, eta=1e-8),
     lambda: nbs_inner_closed(0.1, 0.2, 2 ** 53 + 1),
+    # not a real number where one is needed, or not a number at all
+    lambda: KerrParams(g1="x", t=1.0),
+    lambda: KerrParams(g1=1 + 1j, t=1.0),
+    lambda: DispersiveParams(phi=0.0, g2=1.0, t=1j),
+    lambda: DispersiveParams(phi=1j, g2=1.0, t=1.0),
+    lambda: kerr_generate(P, g1="x"),
+    lambda: generating_function(1j, 0.0, P),
+    lambda: generating_function("x", 0.0, P),
+    lambda: coherent("x"),
 ])
 def test_bad_scalar_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):

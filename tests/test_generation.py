@@ -44,6 +44,17 @@ def test_dispersive_params_validated():
             DispersiveParams(phi=0.0, g2=1.0, t=bad)
 
 
+def test_protocol_params_store_python_floats():
+    # a float32 argument is stored as the float64 of the same value, so the
+    # phases g1 t n^2 and g2 t n are taken in float64
+    kerr = KerrParams(g1=np.float32(0.3), t=np.float32(2.0))
+    disp = DispersiveParams(phi=np.float32(0.5), g2=np.float32(0.3), t=1)
+    for params, names in ((kerr, ("g1", "t")), (disp, ("phi", "g2", "t"))):
+        for name in names:
+            assert type(getattr(params, name)) is float, name
+    assert kerr.g1 == float(np.float32(0.3)) and disp.t == 1.0
+
+
 def test_kerr_evolve_zero_time_is_identity():
     v = nbs(NBSParams(M=4, eta=0.6), n_max=50)
     out = kerr_evolve(v, KerrParams(g1=3.0, t=0.0))

@@ -7,7 +7,6 @@ rho = (1 - x)/(1 + x), still rational.
 """
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from nbstates.statistics import (a_pow_expectation, closed_stats, generating_fun
                                  q_closed, q_limit, q_recursion_residual,
                                  quadrature_variances, second_moment_closed)
 from nbstates.sweeps import pn_table
+from test_verification import _mpmath_quadratures
 
 ORACLE_POLICY = TruncationPolicy(tail_tolerance=1e-14)
 
@@ -376,30 +376,32 @@ def test_series_sums_reproduce_a_pow_and_quadratures_bit_for_bit(M, eta, theta):
         assert sums.quadratures(phi) == quadrature_variances(phi, params)
 
 
+def _one_pair_terms(M, x, k, n_hi):
+    # the float64 terms w and t of power k over 0..n_hi of one eta on 1-D
+    # arrays, as a block computes them
+    n = np.arange(n_hi + 1, dtype=np.float64)
+    log_w = _log_binomial(M, n) + n * math.log(x)
+    w = np.exp(log_w - log_w.max())
+    t = w
+    for j in range(k):
+        t = t * np.sqrt(x * (n + (M + j)))
+    return w, t
+
+
 def _per_eta_loop(M, eta, powers, cap=TruncationPolicy().hard_cap):
     # the series of one eta on 1-D arrays: each power sums its terms 0..n_hi,
-    # from the a-priori n_hi, and doubles its own n_hi up to cap until its
-    # last term is at most 1e-16 of its sum; the reference the grid pass must
-    # match bit for bit
+    # n_hi the a-priori bound of that eta and power alone, and a power cut
+    # short at cap must have its last term at most 1e-16 of its sum; the
+    # reference the grid pass must match bit for bit
     x = eta * eta
-    first = min(int(M * x / (1.0 - x) + 9.0 * math.sqrt(M * x) / (1.0 - x)
-                    - math.log(1e-16) / -math.log(x)) + 4, cap)
     by_power = {}
     for k in powers:
-        n_hi = first
-        while k not in by_power:
-            n = np.arange(n_hi + 1, dtype=np.float64)
-            log_w = _log_binomial(M, n) + n * math.log(x)
-            w = np.exp(log_w - log_w.max())
-            t = w
-            for j in range(k):
-                t = t * np.sqrt(x * (n + (M + j)))
-            sums = tuple(float(np.add.reduce(a[p::2])) for a in (w, t) for p in (0, 1))
-            if t[-1] <= 1e-16 * (sums[2] + sums[3]):
-                by_power[k] = sums
-            elif n_hi == cap:
-                raise ConvergenceError(f"<a^{k}> at eta={eta}")
-            n_hi = min(2 * n_hi, cap)
+        n_hi = int(statistics._series_n_hi(M, np.array([x]), (k,), cap)[0, 0])
+        w, t = _one_pair_terms(M, x, k, n_hi)
+        sums = tuple(float(np.add.reduce(a[p::2])) for a in (w, t) for p in (0, 1))
+        if n_hi == cap and t[-1] > 1e-16 * (sums[2] + sums[3]):
+            raise ConvergenceError(f"<a^{k}> at eta={eta}")
+        by_power[k] = sums
     return by_power
 
 
@@ -412,86 +414,97 @@ def test_series_grid_matches_the_per_eta_loop(M):
         assert row.by_power == _per_eta_loop(M, eta, (1, 2, 3))
 
 
-def _three_terms(M, x, log_x, hard_cap):
-    # a first guess of n_hi = 3 at every eta, in place of _series_n_hi
-    return np.full(x.shape, 3)
-
-
-_DOUBLING_POINTS = [(1, 0.2, 12), (2, 0.65, 48), (5, 0.6, 48)]
-
-
-@pytest.mark.parametrize("M, eta, cap", _DOUBLING_POINTS)
-def test_series_sums_keep_each_power_stop_across_doublings(monkeypatch, M, eta, cap):
-    # from a first guess of 3 terms n_hi doubles 3, 6, 12, ...; at these
-    # points <a> converges within cap terms and <a^3> needs a later doubling,
-    # and the joint pass must still give each power the sums it gets alone
-    monkeypatch.setattr(statistics, "_series_n_hi", _three_terms)
-    params = NBSParams(M=M, eta=eta)
-    _one_eta_sums(params, (1,), TruncationPolicy(hard_cap=cap))
-    with pytest.raises(ConvergenceError):
-        _one_eta_sums(params, (3,), TruncationPolicy(hard_cap=cap))
-    joint = _one_eta_sums(params, (1, 2, 3))
-    for k in (1, 2, 3):
-        assert joint.by_power[k] == _one_eta_sums(params, (k,)).by_power[k]
-    # the etas of every point as one grid at this M: all rows start in one
-    # block and leave it after different numbers of doublings, and each row
-    # must be what its eta gives alone
-    etas = [0.02] + [e for _, e, _ in _DOUBLING_POINTS] + [0.9]
-    rows = statistics._series_sums(M, etas, powers=(1, 2, 3))
-    for e, row in zip(etas, rows):
-        assert row.by_power == _one_eta_sums(NBSParams(M=M, eta=e), (1, 2, 3)).by_power
-
-
-def test_retried_blocks_keep_the_block_bound(monkeypatch):
-    # from a first guess of 3 terms every row of a few thousand etas is
-    # retried several times, its block re-split at each doubling: each block
-    # must stay within _BLOCK_TERMS (or be one row), and each row must be
-    # what its eta gives alone
-    monkeypatch.setattr(statistics, "_series_n_hi", _three_terms)
-    etas = [0.01 + 0.96 * i / 2999 for i in range(3000)]
-    shapes = []
+def _recording_block_sums(calls):
+    # _block_sums that appends each call's (rows, padded length) to calls
     block_sums = statistics._block_sums
 
-    def recorded(M, x, log_x, log_binomial, n_hi, powers, out):
-        shapes.append((len(x), len(log_binomial)))
-        return block_sums(M, x, log_x, log_binomial, n_hi, powers, out)
+    def recorded(M, x, log_x, log_binomial, *rest):
+        calls.append((len(x), len(log_binomial)))
+        return block_sums(M, x, log_x, log_binomial, *rest)
+    return recorded
 
-    monkeypatch.setattr(statistics, "_block_sums", recorded)
-    rows = statistics._series_sums(1, etas)
-    # one block of all rows at first, then blocks re-split at 7, 13, 25, ... terms
+
+def test_series_blocks_keep_the_block_bound(monkeypatch):
+    # 3000 etas at M = 50 span n_hi from 7 to 2493, so the grid is cut into
+    # 43 blocks of many lengths, the largest 16380 terms: each block must
+    # stay within _BLOCK_TERMS (or be one row), and each row must be what its
+    # eta gives alone
+    etas = [0.01 + 0.96 * i / 2999 for i in range(3000)]
+    shapes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(statistics, "_block_sums", _recording_block_sums(shapes))
+        rows = statistics._series_sums(50, etas)
     lengths = [length for _, length in shapes]
-    assert shapes[0] == (3000, 4)
-    assert len(set(lengths)) > 5 and len(lengths) > 2 * len(set(lengths))
+    assert len(set(lengths)) > 5 and sum(n_rows for n_rows, _ in shapes) == 3000
     for n_rows, length in shapes:
         assert n_rows * length <= statistics._BLOCK_TERMS or n_rows == 1
     for eta, row in zip(etas, rows):
-        assert row.by_power == _one_eta_sums(NBSParams(M=1, eta=eta), (1, 2)).by_power
+        assert row.by_power == _one_eta_sums(NBSParams(M=50, eta=eta), (1, 2)).by_power
+
+
+_BOUND_POWERS = (1, 2, 3, 7)
+
+
+def _bound_grids():
+    # a seeded random domain: M log-uniform up to 1e5, half the etas uniform
+    # on (0, 1) and half log-uniform down to ETA_MIN; then the point where a
+    # heuristic n_hi of 11 was too short
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        M = int(round(10.0 ** rng.uniform(0.0, 5.0)))
+        etas = [float(e) for e in rng.uniform(0.0, 1.0, 10)]
+        etas += [float(10.0 ** e) for e in rng.uniform(math.log10(ETA_MIN), 0.0, 10)]
+        yield M, [max(eta, ETA_MIN) for eta in etas]
+    yield 3000, [0.008]
+
+
+def test_series_n_hi_is_a_proved_bound(monkeypatch):
+    # every (power, eta) pair the a-priori bound does not cut at hard_cap:
+    # its float64 terms have t_{n_hi} and the geometric tail past it,
+    # t_{n_hi} rho/(1 - rho) with rho = x (M + n_hi + k/2)/(n_hi + 1), at most
+    # 1e-16 of the sum; and the grid of the etas whose pairs all pass runs
+    # _block_sums exactly once per block of _blocks(n_hi)
+    cap = TruncationPolicy().hard_cap
+    checked = 0
+    for M, etas in _bound_grids():
+        x = np.array([eta * eta for eta in etas])
+        n_hi = statistics._series_n_hi(M, x, _BOUND_POWERS, cap)
+        for slot, k in enumerate(_BOUND_POWERS):
+            for xi, stop in zip(x.tolist(), n_hi[slot].tolist()):
+                if stop >= cap:
+                    continue
+                _, t = _one_pair_terms(M, xi, k, stop)
+                total = float(np.sum(t))
+                rho = xi * (M + stop + k / 2.0) / (stop + 1.0)
+                assert rho < 1.0, (M, xi, k)
+                # scaled up, since 1e-16 of a subnormal sum rounds to 0
+                assert t[-1] * 1e16 <= total, (M, xi, k)
+                assert t[-1] * rho / (1.0 - rho) * 1e16 <= total, (M, xi, k)
+                checked += 1
+        inside = (n_hi < cap).all(axis=0)
+        grid = [eta for eta, ok in zip(etas, inside.tolist()) if ok]
+        shapes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(statistics, "_block_sums", _recording_block_sums(shapes))
+            statistics._series_sums(M, grid, powers=_BOUND_POWERS)
+        row_n_hi = n_hi[:, inside].max(axis=0)
+        blocks = list(statistics._blocks(row_n_hi.tolist()))
+        assert shapes == [(stop - start, int(row_n_hi[start:stop].max()) + 1)
+                          for start, stop in blocks]
+    assert checked > 15000
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(M=st.integers(1, 1000), etas=st.lists(st.floats(ETA_MIN, 0.95), min_size=1, max_size=5),
        theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
-# the first guess of n_hi is 11 at eta = 0.008 and too short, so its pairs
-# double; in the grid a converged row between two such rows runs again
+# a heuristic n_hi of 11 was too short at eta = 0.008; in the grid a shorter
+# row sits between two such rows
 @example(M=3000, etas=[0.008], theta=0.0)
 @example(M=3000, etas=[0.008, 0.02, 0.008], theta=0.0)
 def test_series_rows_and_powers_keep_their_bits(M, etas, theta):
     # the invariants the a-priori n_hi rests on: each grid row is its one-eta
     # call, and each power summed with (1, 2, 3) is that power summed alone
-    lengths = []
-    block_sums = statistics._block_sums
-
-    def recorded(M, x, log_x, log_binomial, n_hi, powers, out):
-        lengths.append(len(log_binomial))
-        return block_sums(M, x, log_x, log_binomial, n_hi, powers, out)
-
-    with mock.patch.object(statistics, "_block_sums", recorded):
-        grid = statistics._series_sums(M, etas, theta, (1, 2, 3))
-    x = np.array([eta * eta for eta in etas])
-    log_x = np.array([math.log(v) for v in x])
-    retried = max(lengths) > statistics._series_n_hi(M, x, log_x, 20000).max() + 1
-    if M == 3000:
-        assert retried
+    grid = statistics._series_sums(M, etas, theta, (1, 2, 3))
     for eta, row in zip(etas, grid):
         params = NBSParams(M=M, eta=eta, theta=theta)
         alone = _one_eta_sums(params, (1, 2, 3))
@@ -736,33 +749,13 @@ def test_quadratures_huge_m_small_eta_in_bounded_memory(eta):
             assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
 
 
-def _mpmath_var_x2_odd(M, eta, mp):
-    """Var X2 of the phi = pi superposition at theta = 0 from a 45-digit Fock sum."""
-    with mp.workdps(45):
-        e = mp.mpf(eta)
-        peak_n = M * eta * eta / (1.0 - eta * eta)
-        b, top, cut = mp.mpf(1), mp.mpf(1), mp.mpf(10) ** -30
-        bare = [b]
-        while len(bare) < peak_n or b > cut * top:
-            n = len(bare) - 1
-            b = b * e * mp.sqrt(mp.mpf(M + n) / (n + 1))
-            top = max(top, b)
-            bare.append(b)
-        odd = [(n, bare[n]) for n in range(1, len(bare), 2)]
-        total = mp.fsum(c * c for _, c in odd)
-        mean = mp.fsum(n * c * c for n, c in odd) / total
-        ea2 = mp.fsum(bare[n] * mp.sqrt((n + 1) * (n + 2)) * bare[n + 2]
-                      for n, _ in odd if n + 2 < len(bare)) / total
-        return float(mp.mpf(1) / 4 + (mean - ea2) / 2)
-
-
 @pytest.mark.parametrize("M, eta", [(300, 0.9122), (300, 0.9422), (300, 0.9495), (1000, 0.93),
                                     (1000, 0.95)])
 def test_var_x2_against_mpmath_fock_sum(M, eta):
     # Var X2 cancels two numbers of size M x/(1-x) against the closed-form
     # <N>: a series tail of 1e-16 left out shows up here as 3e-12 to 4e-12
-    # at M = 1000
+    # at M = 1000, for the even state (phi = 0) as for the odd one (pi)
     mp = pytest.importorskip("mpmath").mp
-    want = _mpmath_var_x2_odd(M, eta, mp)
-    got = quadrature_variances(math.pi, NBSParams(M=M, eta=eta))[1]
-    assert abs(got - want) <= 2e-12
+    for phi, (_, want) in _mpmath_quadratures(M, eta, mp).items():
+        got = quadrature_variances(phi, NBSParams(M=M, eta=eta))[1]
+        assert abs(got - want) <= 2e-12, phi
