@@ -1,34 +1,27 @@
 """Deformed-oscillator structure carried by fixed-parity superpositions.
 
 A state supported on one parity class, |psi> = sum_m C(m) |p0 + 2m> with
-p0 in {0, 1}, satisfies an exact componentwise identity
+p0 in {0, 1}, has the structure function f defined by the componentwise
+identity
 
     even:  N |psi> = f(N) a^dag^2 |psi>,    f(N) = sqrt(N/(N-1)) C(N/2)/C(N/2-1)
     odd:   (N-1)|psi> = f(N) a^dag^2 |psi>, f(N) = sqrt((N-1)/N) C((N-1)/2)/C((N-3)/2)
 
 so the pair operators A+ = f(N) a^dag^2 and A- = (A+)^dag close a deformed
-algebra with structure function S(N) = f(N)^2 N (N-1).  The coefficients
-C(m) are not built here: a ParitySequence is the slice amplitudes[p0::2] of
-a vector made by a constructor in ``nbs_states`` (``even_nbs``, ``odd_nbs``,
+algebra with structure function S(N) = f(N)^2 N (N-1).  The identity and the
+algebra hold by construction for any coefficients; what a state adds is its
+S(N), which for the parity NBS has a closed form.  The coefficients C(m) are
+not built here: a ParitySequence is the slice amplitudes[p0::2] of a vector
+made by a constructor in ``nbs_states`` (``even_nbs``, ``odd_nbs``,
 ``even_coherent``, ...), so the truncation of that vector fixes how many
-ladder sites every check below covers.  The sequence carries its own f and
-S, read off its coefficient ratios, so every check takes the sequence alone;
-the pair-eigenvalue checks also take the NBS parameters whose eigenvalue
-they test.  The checks realize A+/-, the ladder-site number operator and S
-on those sites and measure how well the product and commutator relations
-hold.
+ladder sites f and S cover.  The pair-eigenvalue residuals take the sequence
+and the NBS parameters whose eigenvalue they test.
 
 Conventions that matter:
 
-* The ladder-site operator counts pairs (j = 0, 1, 2, ...), not photons; the
-  relations [N, A+-] = +-A+- only hold in that labeling.
-* For a complex state label f and S are complex.  An operator product
-  A+ A- is positive semidefinite, so its diagonal is compared against |S|,
-  while the literal (possibly complex) S stays available as
-  ``ParitySequence.s`` for formula-level checks.
-* a^2 corrupts the top two components of a truncated vector, so every
-  residual that involves lowering excludes them; the raising identity above
-  is truncation-clean and is checked on all components.
+* For a complex state label f and S are complex.
+* a^2 corrupts the top two components of a truncated vector, so the
+  pair-lowering residuals exclude them.
 """
 from __future__ import annotations
 
@@ -130,79 +123,9 @@ class ParitySequence:
         return fv * fv * n * (n - 1)
 
 
-def _check_poles(pole: np.ndarray) -> None:
-    # pole[m] marks a vanishing coefficient at pair index m
-    if pole.any():
-        raise PoleError(f"coefficient at pair index {int(np.argmax(pole))} vanishes")
-
-
 # ---------------------------------------------------------------------------
-# residual checks
+# pair-eigenvalue residuals
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GdoResiduals:
-    """Max-abs deviations of the realized pair operators from the algebra relations."""
-
-    commutator_raise: float
-    commutator_lower: float
-    product_raise: float
-    product_lower: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.commutator_raise, self.commutator_lower,
-                   self.product_raise, self.product_lower)
-
-
-def gdo_relations_check(seq: ParitySequence) -> GdoResiduals:
-    """Realize A+ = f(N) a^dag^2, A- = (A+)^dag on the parity sites and test the algebra.
-
-    With N counting ladder sites, the relations are [N, A+] = A+,
-    [N, A-] = -A-, (A- A+) diag = |S| one site up, (A+ A-) diag = |S| at the
-    site.  A+ has one nonzero diagonal, a_j = A+[j+1, j], so each relation is
-    compared entry by entry on it; every other matrix entry is exactly zero
-    on both sides.  Residuals are max-abs over the sites below the top two,
-    where truncation bends the products.  A pole anywhere raises PoleError.
-    """
-    sites = seq.coeffs.size
-    if sites < 4:
-        raise DomainError(f"n_max={seq.n_max} leaves too few ladder sites ({sites}) to check")
-    f = seq.f_values
-    _check_poles(np.isnan(f))
-
-    n = seq.photon_numbers[1:].astype(np.float64)
-    a_plus = f * np.sqrt((n - 1.0) * n)
-    a_minus = a_plus.conj()
-    j = np.arange(a_plus.size, dtype=np.float64)
-    # entries (j+1, j) of N A+ - A+ N - A+ and (j, j+1) of N A- - A- N + A-
-    comm_raise = (j + 1.0) * a_plus - a_plus * j - a_plus
-    comm_lower = j * a_minus - a_minus * (j + 1.0) + a_minus
-    # (A- A+)[j, j] = (A+ A-)[j+1, j+1] = |a_j|^2, against |S| at site j + 1
-    prod = a_plus.real ** 2 + a_plus.imag ** 2 - np.abs(f * f * n * (n - 1.0))
-    return GdoResiduals(
-        commutator_raise=float(np.max(np.abs(comm_raise[:sites - 3]))),
-        commutator_lower=float(np.max(np.abs(comm_lower[:sites - 3]))),
-        product_raise=float(np.max(np.abs(prod[:sites - 2]))),
-        product_lower=float(np.max(np.abs(prod[:sites - 3]))),
-    )
-
-
-def creation_identity_residual(seq: ParitySequence) -> float:
-    """Max-abs residual of N|psi> = f(N) a^dag^2 |psi> (even) or (N-1)|psi> = ... (odd).
-
-    a^dag^2 only pushes amplitude upward, so this identity is clean on every
-    retained component; no rows are excluded.  Sites whose lower neighbour
-    vanishes get no raised amplitude, so the pole of f there is never read.
-    """
-    c = seq.coeffs
-    below = c[:-1]
-    n = seq.photon_numbers.astype(np.float64)
-    lhs = (n - seq.offset) * c
-    rhs = np.zeros_like(c)
-    rhs[1:] = np.where(below != 0, seq.f_values * np.sqrt((n[1:] - 1.0) * n[1:]) * below, 0.0)
-    return float(np.max(np.abs(lhs - rhs)))
-
 
 def _a2(amps: np.ndarray) -> np.ndarray:
     out = np.zeros_like(amps)

@@ -43,7 +43,10 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
+        try:
+            arr = np.asarray(self.amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise DomainError("amplitudes must be numbers") from None
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("amplitudes must be a non-empty 1-D array")
         if not np.isfinite(arr).all():

@@ -98,6 +98,7 @@ def phase_factor(angle: float) -> complex:
     cancellations at phi in {0, pi} and the pi/2 normalization come out exact
     instead of carrying ~1e-16 dust from sin(pi).
     """
+    angle = check_real("angle", angle)
     c = math.cos(angle)
     s = math.sin(angle)
     if abs(c) == 1.0:
@@ -108,7 +109,7 @@ def phase_factor(angle: float) -> complex:
 
 
 def _check_phi(phi: float) -> None:
-    if not (0.0 <= phi <= TWO_PI):
+    if not (0.0 <= check_real("phi", phi) <= TWO_PI):
         raise DomainError(f"phi must lie in [0, 2*pi], got {phi}")
 
 

@@ -178,8 +178,10 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
 # fraction of its sum
 _SERIES_RTOL = 1e-16
 # most terms (rows x padded length) one block of an eta grid holds, so that
-# the 2-D arrays of a block stay small however large the grid
-_BLOCK_TERMS = 1 << 14
+# the 2-D arrays of a block stay small however large the grid: 64 KiB per
+# float64 array.  On a 2-vCPU VM under a 1 GiB address-space limit, 1 << 14
+# ran fig2 at M = 30..300 about 20% slower
+_BLOCK_TERMS = 1 << 13
 
 
 def _series_n_hi(M: int, x: np.ndarray, powers: Tuple[int, ...], hard_cap: int) -> np.ndarray:
@@ -210,18 +212,17 @@ def _series_n_hi(M: int, x: np.ndarray, powers: Tuple[int, ...], hard_cap: int) 
 
 
 def _blocks(n_his: Sequence[int]) -> Iterator[Tuple[int, int]]:
-    # [start, stop) runs of consecutive rows whose largest n_hi is at most
-    # twice the smallest, so padding at most doubles the work, and whose
-    # padded block holds at most _BLOCK_TERMS terms (always at least one row)
+    # [start, stop) runs of consecutive rows whose block, padded to its
+    # largest n_hi, holds at most _BLOCK_TERMS terms (always at least one row)
     start = 0
     while start < len(n_his):
-        lo = hi = n_his[start]
+        hi = n_his[start]
         stop = start + 1
         while stop < len(n_his):
-            new_lo, new_hi = min(lo, n_his[stop]), max(hi, n_his[stop])
-            if new_hi > 2 * new_lo or (stop + 1 - start) * (new_hi + 1) > _BLOCK_TERMS:
+            new_hi = max(hi, n_his[stop])
+            if (stop + 1 - start) * (new_hi + 1) > _BLOCK_TERMS:
                 break
-            lo, hi, stop = new_lo, new_hi, stop + 1
+            hi, stop = new_hi, stop + 1
         yield start, stop
         start = stop
 

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nbstates.algebra import (ParitySequence, creation_identity_residual, eigen_residual,
-                              gdo_relations_check, nonlinear_coherent_residual)
+from nbstates.algebra import ParitySequence, eigen_residual, nonlinear_coherent_residual
 from nbstates.errors import DomainError, PoleError
 from nbstates.fock_core import FockVector
 from nbstates.nbs_states import (NBSParams, even_coherent, even_nbs, odd_coherent, odd_nbs,
@@ -75,6 +74,16 @@ def test_even_nbs_s_formula():
         assert got == pytest.approx(want, rel=1e-11)
 
 
+def test_odd_nbs_s_formula():
+    # S(N) = (N-1)(M+N-1)(M+N-2) eta_c^4 / N, complex for theta != 0
+    p = NBSParams(M=5, eta=0.45, theta=1.1)
+    seq = ParitySequence.of(odd_nbs(p, n_max=N_MAX))
+    for n in (3, 5, 11, 41):
+        want = (n - 1) * (p.M + n - 1) * (p.M + n - 2) * p.eta_c ** 4 / n
+        got = seq.s(n)
+        assert got == pytest.approx(want, rel=1e-11)
+
+
 def test_structure_function_domain_checks():
     seq = ParitySequence.of(even_nbs(NBSParams(M=2, eta=0.3), n_max=20))
     for bad in (3, 0, -2, 2.5, 22):
@@ -92,25 +101,6 @@ def test_pole_on_vanishing_coefficient():
     assert seq.f(4) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
     with pytest.raises(PoleError, match="pair index 0"):
         seq.f(2)
-
-
-def test_gdo_relations_hold_for_all_sequences():
-    p = NBSParams(M=7, eta=0.5, theta=0.0)
-    pc = NBSParams(M=7, eta=0.5, theta=2.1)
-    alpha = complex(0.9, 0.7)
-    cases = [even_nbs(p, n_max=80), odd_nbs(p, n_max=80),
-             even_nbs(pc, n_max=80), odd_nbs(pc, n_max=80),
-             even_coherent(alpha, n_max=80), odd_coherent(alpha, n_max=80)]
-    for v in cases:
-        res = gdo_relations_check(ParitySequence.of(v))
-        assert res.max_residual < 1e-9
-
-
-def test_gdo_check_raises_on_a_vanishing_coefficient():
-    # even coefficients C = (1, 0, 1, 0, 1, 1): f is a pole one site up from C(1)
-    seq = ParitySequence.of(FockVector(np.array([1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1])))
-    with pytest.raises(PoleError, match="^coefficient at pair index 1 vanishes$"):
-        gdo_relations_check(seq)
 
 
 def test_subnormal_coefficients_are_not_poles():
@@ -131,27 +121,8 @@ def test_subnormal_coefficients_are_not_poles():
     normal = np.abs(below) >= np.finfo(float).tiny
     plain = np.sqrt(n / (n - 1.0)) * seq.coeffs[1:] / np.where(normal, below, 1.0)
     assert np.array_equal(seq.f_values[normal], plain[normal])
-    assert creation_identity_residual(seq) < 1e-15
-    with pytest.raises(PoleError, match="^coefficient at pair index 162 vanishes$"):
-        gdo_relations_check(seq)
-
-
-def test_gdo_needs_enough_sites():
-    p = NBSParams(M=3, eta=0.4)
-    seq = ParitySequence.of(even_nbs(p, n_max=4))
-    with pytest.raises(DomainError):
-        gdo_relations_check(seq)
-
-
-def test_creation_identity_clean_to_top_row():
-    rng = np.random.default_rng(88)
-    for _ in range(8):
-        p = NBSParams(M=int(rng.integers(1, 15)),
-                      eta=float(rng.uniform(0.1, 0.7)),
-                      theta=float(rng.uniform(0.0, 2.0 * math.pi)))
-        for build in (even_nbs, odd_nbs):
-            seq = ParitySequence.of(build(p, n_max=N_MAX))
-            assert creation_identity_residual(seq) < 1e-10
+    with pytest.raises(PoleError, match="pair index 162"):
+        seq.f(326)
 
 
 def test_pair_eigenvalue_residuals():

@@ -9,8 +9,10 @@ from nbstates.errors import DomainError
 from nbstates.fock_core import FockVector, TruncationPolicy, number_state, oracle_stats, tail_mass
 from nbstates.generation import DispersiveParams, KerrParams, fidelity, kerr_generate
 from nbstates.nbs_states import (NBSParams, cat_state, coherent, nbs, nbs_inner_closed,
+                                 partner_phase, phase_factor, required_dimension,
                                  required_dimension_cat, superposition)
-from nbstates.statistics import a_pow_expectation, generating_function, pn_closed
+from nbstates.statistics import (a_pow_expectation, generating_function, pn_closed, q_closed,
+                                 quadrature_variances)
 
 P = NBSParams(M=2, eta=0.3)
 NAN, INF = math.nan, math.inf
@@ -62,6 +64,13 @@ NAN, INF = math.nan, math.inf
     lambda: generating_function(1j, 0.0, P),
     lambda: generating_function("x", 0.0, P),
     lambda: coherent("x"),
+    lambda: q_closed("1", P),
+    lambda: quadrature_variances(1j, P),
+    lambda: superposition("x", P),
+    lambda: required_dimension(P, "x"),
+    lambda: partner_phase("x"),
+    lambda: phase_factor("x"),
+    lambda: FockVector(["a"]),
 ])
 def test_bad_scalar_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):

@@ -426,7 +426,7 @@ def _recording_block_sums(calls):
 
 def test_series_blocks_keep_the_block_bound(monkeypatch):
     # 3000 etas at M = 50 span n_hi from 7 to 2493, so the grid is cut into
-    # 43 blocks of many lengths, the largest 16380 terms: each block must
+    # 83 blocks of many lengths, the largest 8192 terms: each block must
     # stay within _BLOCK_TERMS (or be one row), and each row must be what its
     # eta gives alone
     etas = [0.01 + 0.96 * i / 2999 for i in range(3000)]

@@ -25,7 +25,7 @@ _PASS_AT_ANY_SCALE = {
 
 def test_tightened_bounds_fail_every_check_with_a_nonzero_residual():
     results = verification.run_suite(tol_scale=1e-12)
-    assert len({r.name for r in results}) == len(verification.CHECKS) == 30
+    assert len({r.name for r in results}) == len(verification.CHECKS) == 29
     assert {r.name for r in results if r.passed} == _PASS_AT_ANY_SCALE
     for r in results:
         if r.bound is None:
