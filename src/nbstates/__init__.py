@@ -62,7 +62,6 @@ from .statistics import (
     second_moment_closed,
 )
 from .generation import (
-    AtomFieldState,
     DispersiveOutcome,
     DispersiveParams,
     KerrParams,

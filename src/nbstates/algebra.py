@@ -14,26 +14,25 @@ S(N), which for the parity NBS has a closed form.  The coefficients C(m) are
 not built here: a ParitySequence is the slice amplitudes[p0::2] of a vector
 made by a constructor in ``nbs_states`` (``even_nbs``, ``odd_nbs``,
 ``even_coherent``, ...), so the truncation of that vector fixes how many
-ladder sites f and S cover.  The pair-eigenvalue residuals take the sequence
-and the NBS parameters whose eigenvalue they test.
+ladder sites f and S cover.  The pair-eigenvalue residual takes that vector
+itself and the NBS parameters whose eigenvalue it tests.
 
 Conventions that matter:
 
 * For a complex state label f and S are complex.
 * a^2 corrupts the top two components of a truncated vector, so the
-  pair-lowering residuals exclude them.
+  pair-eigenvalue residual excludes them.
 """
 from __future__ import annotations
 
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, PoleError, check_integer
-from .fock_core import FockVector
+from .fock_core import FockVector, apply_annihilate
 from .nbs_states import NBSParams
 
 _PARITIES = ("even", "odd")
@@ -44,7 +43,8 @@ class ParitySequence:
     """Coefficients C(m) of a state supported on photon numbers p0 + 2m.
 
     Build it with ``ParitySequence.of(vector)``: ``coeffs`` is the read-only
-    view ``vector.amplitudes[p0::2]``, and its length fixes n_max.
+    view ``vector.amplitudes[p0::2]``, and its length fixes how many ladder
+    sites f and S cover.
     """
 
     offset: int
@@ -72,15 +72,6 @@ class ParitySequence:
     def photon_numbers(self) -> np.ndarray:
         """p0 + 2m for every pair index m held."""
         return self.offset + 2 * np.arange(self.coeffs.size)
-
-    @property
-    def n_max(self) -> int:
-        return self.offset + 2 * (self.coeffs.size - 1)
-
-    def realize(self) -> FockVector:
-        amps = np.zeros(self.n_max + 1, dtype=np.complex128)
-        amps[self.offset::2] = self.coeffs
-        return FockVector(amps)
 
     @functools.cached_property
     def f_values(self) -> np.ndarray:
@@ -124,46 +115,22 @@ class ParitySequence:
 
 
 # ---------------------------------------------------------------------------
-# pair-eigenvalue residuals
+# pair-eigenvalue residual
 # ---------------------------------------------------------------------------
 
-def _a2(amps: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    n = np.arange(2, amps.size, dtype=np.float64)
-    out[:-2] = np.sqrt(n * (n - 1.0)) * amps[2:]
-    return out
-
-
-def _pair_lowering_residual(seq: ParitySequence,
-                            params: NBSParams) -> Tuple[np.ndarray, np.ndarray]:
-    """a^2 psi - lambda_N psi on the realized sequence, and F(N) = ((M+N)(M+N+1))^{-1/2}.
-
-    lambda_N = eta_c^2 / F(N) is the pair eigenvalue; the top two rows are dropped.
-    """
-    v = seq.realize().amplitudes
-    if v.size < 3:
-        raise DomainError(f"n_max={v.size - 1} leaves no row below the top two to check")
-    n = np.arange(v.size - 2, dtype=np.float64)
-    root = np.sqrt((params.M + n) * (params.M + n + 1.0))
-    return _a2(v)[:-2] - root * params.eta_c ** 2 * v[:-2], 1.0 / root
-
-
-def eigen_residual(seq: ParitySequence, params: NBSParams) -> float:
+def eigen_residual(v: FockVector, params: NBSParams) -> float:
     """Residual of a^2 |psi> = sqrt((M+N)(M+N+1)) eta_c^2 |psi>, top two rows excluded.
 
-    Both parity NBS of ``params`` satisfy it.
+    The bare NBS of ``params`` and both its parity states satisfy it.  With
+    F(N) = ((M+N)(M+N+1))^{-1/2} it reads F(N) a^2 |psi> = eta_c^2 |psi>, the
+    sense in which the parity NBS are nonlinear coherent states of the
+    pair-lowering operator; that form's residual is this one weighted by
+    F < 1, so it is never the larger.
     """
-    resid, _ = _pair_lowering_residual(seq, params)
-    return float(np.max(np.abs(resid)))
-
-
-def nonlinear_coherent_residual(seq: ParitySequence, params: NBSParams) -> float:
-    """Residual of F(N) a^2 |psi> = eta_c^2 |psi> with F(N) = ((M+N)(M+N+1))^{-1/2}.
-
-    This is the sense in which the parity NBS pair behaves as nonlinear
-    coherent states of the pair-lowering operator.  F(N) (a^2 - lambda_N) psi
-    equals F(N) a^2 psi - eta_c^2 psi, so this is the eigen residual
-    weighted by F.
-    """
-    resid, f_of_n = _pair_lowering_residual(seq, params)
-    return float(np.max(np.abs(f_of_n * resid)))
+    if len(v) < 3:
+        raise DomainError(f"n_max={v.n_max} leaves no row below the top two to check")
+    lowered = apply_annihilate(apply_annihilate(v)).amplitudes[:-2]
+    amps = v.amplitudes[:-2]
+    n = np.arange(amps.size, dtype=np.float64)
+    root = np.sqrt((params.M + n) * (params.M + n + 1.0))
+    return float(np.max(np.abs(lowered - root * params.eta_c ** 2 * amps)))

@@ -20,14 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, DomainError, ZeroNormError, check_finite,
-                     check_integer, check_real)
+from .errors import DomainError, ZeroNormError, check_finite, check_integer, check_real
 from .fock_core import FockVector, TruncationPolicy, inner
 from .nbs_states import (NBSParams, _check_phi, _label_phases, nbs, partner_phase,
                          phase_factor, required_dimension)
-
-# how far ||g||^2 + ||e||^2 may drift from 1 before the joint state is rejected
-NORM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,26 +63,9 @@ class DispersiveParams:
 
 
 @dataclass(frozen=True)
-class AtomFieldState:
-    """Joint atom-field state written as |g> (x) g_branch + |e> (x) e_branch."""
-
-    g_branch: FockVector
-    e_branch: FockVector
-
-    def __post_init__(self):
-        if len(self.g_branch) != len(self.e_branch):
-            raise DimensionMismatchError(
-                f"branch lengths differ: {len(self.g_branch)} vs {len(self.e_branch)}")
-        total = self.g_branch.norm() ** 2 + self.e_branch.norm() ** 2
-        if abs(total - 1.0) > NORM_SLACK:
-            raise DomainError(f"joint state norm^2 = {total} is not 1 within {NORM_SLACK}")
-
-
-@dataclass(frozen=True)
 class DispersiveOutcome:
-    """Post-pulse joint state plus both conditional field states and their probabilities."""
+    """Both conditional field states after the pulse and measurement, and their probabilities."""
 
-    joint: AtomFieldState
     projected_g: FockVector
     projected_e: FockVector
     prob_g: float
@@ -147,8 +126,8 @@ def dispersive_protocol(params: NBSParams, disp: DispersiveParams,
         n_max = max(d_g, required_dimension(params, partner_phase(disp.phi), policy))
     n_max = check_integer("n_max", n_max, 0)
     _check_phase("g2 t n_max", disp.g2 * disp.t * n_max)
-    # the truncated NBS keeps norm^2 = 1 - tail; renormalize so the joint
-    # state is a unit vector whatever the tail tolerance or forced n_max
+    # the truncated NBS keeps norm^2 = 1 - tail; renormalize so that
+    # prob_g + prob_e = 1 whatever the tail tolerance or forced n_max
     start = nbs(params, n_max=n_max)
     base = start.amplitudes / start.norm()
     rotated = base * _label_phases(-disp.g2 * disp.t, np.arange(n_max + 1))
@@ -165,9 +144,7 @@ def dispersive_protocol(params: NBSParams, disp: DispersiveParams,
     if prob_g < floor or prob_e < floor:
         raise ZeroNormError(
             f"measurement branch has vanishing probability (p_g={prob_g}, p_e={prob_e})")
-    joint = AtomFieldState(g_branch=FockVector(g_row), e_branch=FockVector(e_row))
     return DispersiveOutcome(
-        joint=joint,
         projected_g=FockVector(g_row / math.sqrt(prob_g)),
         projected_e=FockVector(e_row / math.sqrt(prob_e)),
         prob_g=prob_g,

@@ -25,25 +25,26 @@ not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
 serves both powers and every phi.  Each (power, eta) pair sums its terms up
 to n_hi, a proved a-priori bound past which the last term and the whole tail
 are at most 1e-16 of the sum (``_series_n_hi``), so each block of etas is
-summed once; only a pair that hard_cap cuts short checks its last term.  A
-block of etas is summed as 2-D arrays, one ``where=``-masked reduction per
-parity, with the bits each eta gets alone.  A single (M, eta) is the one-row
-grid, and ``_SeriesSums`` turns the sums into <a^k> and the quadrature
-variances with the same kind of kernel, one phi for the whole grid.
+summed once; only a pair that the term budget cuts short checks its last
+term.  A block of etas is summed as 2-D arrays, one ``where=``-masked
+reduction per parity, with the bits each eta gets alone.  A single (M, eta)
+is the one-row grid, and ``_SeriesSums`` turns the sums into <a^k> and the
+quadrature variances with the same kind of kernel, one phi for the whole
+grid.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (ConvergenceError, DomainError, NumericsError, check_finite, check_integer,
                      check_real)
-from .fock_core import PhotonStats, TruncationPolicy
-from .nbs_states import (NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
+from .fock_core import HARD_CAP_DEFAULT, PhotonStats
+from .nbs_states import (M_MAX, NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
                          _overlap, _overlap_terms, phase_factor)
 
 
@@ -63,8 +64,14 @@ def _pn_kernel(n: np.ndarray, phi: float, params: NBSParams) -> np.ndarray:
 
 
 def pn_closed(n: int, phi: float, params: NBSParams) -> float:
-    """P(n) for the superposition; exactly 0 on the parity-forbidden indices."""
+    """P(n) for the superposition; exactly 0 on the parity-forbidden indices.
+
+    n is at most 2**53, where the float64 n the kernel reads is still exact.
+    """
     n = check_integer("photon number", n, 0)
+    if n > M_MAX:
+        # the bit length, since str() of a huge int raises ValueError
+        raise DomainError(f"photon number must be at most 2**53, got a {n.bit_length()}-bit n")
     return float(_pn_kernel(np.array([n], dtype=np.float64), phi, params)[0])
 
 
@@ -177,6 +184,8 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
 # the last term and the tail past it of a (power, eta) pair stay within this
 # fraction of its sum
 _SERIES_RTOL = 1e-16
+# most terms one (power, eta) pair sums, and the largest power k
+_SERIES_TERMS = HARD_CAP_DEFAULT
 # most terms (rows x padded length) one block of an eta grid holds, so that
 # the 2-D arrays of a block stay small however large the grid: 64 KiB per
 # float64 array.  On a 2-vCPU VM under a 1 GiB address-space limit, 1 << 14
@@ -324,8 +333,7 @@ def _first_failure(failed: np.ndarray, powers: Tuple[int, ...]) -> Tuple[int, in
 
 
 def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
-                 powers: Tuple[int, ...] = (1, 2),
-                 policy: Optional[TruncationPolicy] = None) -> _SeriesSums:
+                 powers: Tuple[int, ...] = (1, 2)) -> _SeriesSums:
     """The sums of every power in ``powers`` at each eta of a grid at fixed (M, theta).
 
     The caller has checked that (M, eta, theta) are valid ``NBSParams`` for
@@ -341,23 +349,22 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
     1-D slice.  So each eta gets the bits it gets alone, and each power the
     bits it gets summed alone.
 
-    A pair whose bound passes policy.hard_cap is summed to hard_cap, and has
-    converged only if t_{hard_cap} <= 1e-16 (E[t] + O[t]); if not,
+    A pair whose bound passes _SERIES_TERMS is summed to that cap, and has
+    converged only if t_{cap} <= 1e-16 (E[t] + O[t]); if not,
     ConvergenceError names the first such eta and its lowest unconverged
     power.  Terms past the float range raise NumericsError at the first
     block that meets them.
     """
-    policy = policy or TruncationPolicy()
     xs = [eta * eta for eta in etas]
     x, log_x = np.array(xs), np.array([math.log(x) for x in xs])
     # [power, (w, t), parity, eta] and [power, eta]
     sums = np.empty((len(powers), 2, 2, len(xs)))
-    n_hi = _series_n_hi(M, x, powers, policy.hard_cap)
+    n_hi = _series_n_hi(M, x, powers, _SERIES_TERMS)
     row = _log_binomial(M, np.arange(n_hi.max(initial=0) + 1, dtype=np.float64))
     for start, stop in _blocks(n_hi.max(axis=0).tolist()):
         block_n_hi = n_hi[:, start:stop]
         open_pairs = _block_sums(M, x[start:stop, None], log_x[start:stop, None],
-                                 row[:block_n_hi.max() + 1], block_n_hi, policy.hard_cap,
+                                 row[:block_n_hi.max() + 1], block_n_hi, _SERIES_TERMS,
                                  powers, sums[..., start:stop])
         overflow = ~np.isfinite(sums[:, 1, :, start:stop]).all(axis=1)
         if overflow.any():
@@ -366,15 +373,14 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
                 f"<a^{k}> series terms exceed the float range at eta={etas[start + i]}, M={M}")
         if open_pairs.any():
             i, k = _first_failure(open_pairs, powers)
-            raise ConvergenceError(f"<a^{k}> series needed more than {policy.hard_cap} terms "
+            raise ConvergenceError(f"<a^{k}> series needed more than {_SERIES_TERMS} terms "
                                    f"at eta={etas[start + i]}, M={M}")
     by_power = {k: sums[slot].reshape(4, len(xs)) for slot, k in enumerate(powers)}
     return _SeriesSums(M, _overlap_columns(M, xs), by_power,
                        {k: phase_factor(theta) ** k for k in powers})
 
 
-def a_pow_expectation(k: int, phi: float, params: NBSParams,
-                      policy: Optional[TruncationPolicy] = None) -> complex:
+def a_pow_expectation(k: int, phi: float, params: NBSParams) -> complex:
     """<a^k> on the superposition as a ratio of two sums over one weight series.
 
     With w_n = C(M+n-1, n) x^n (the negative binomial weights, up to a
@@ -397,23 +403,25 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams,
     mean plus 9 sd, a Chernoff bound on the negative binomial tail and the
     terms' ratio bound put the last term t_{n_hi} = w F and the geometric
     tail past it at most 1e-16 of the sums, and the terms are summed once.
-    A bound past policy.hard_cap is cut to it, and ConvergenceError is
-    raised unless t_{hard_cap} is at most 1e-16 of the sums (the ratio test
-    guarantees convergence for any eta < 1, but the term budget is finite).
-    Terms past the float range, at large k, raise NumericsError.
+    A bound past the term budget ``_SERIES_TERMS`` is cut to it, and ConvergenceError
+    is raised unless the last term is at most 1e-16 of the sums (the ratio
+    test guarantees convergence for any eta < 1, but the budget is finite).
+    A power k past that budget raises DomainError before any term is built;
+    terms past the float range, at large k, raise NumericsError.
     """
     k = check_integer("power k", k, 1)
+    if k > _SERIES_TERMS:
+        raise DomainError(f"power k must be at most {_SERIES_TERMS}, got {k}")
     _check_phi(phi)
-    return _series_sums(params.M, (params.eta,), params.theta, (k,), policy)[0].a_pow(k, phi)
+    return _series_sums(params.M, (params.eta,), params.theta, (k,))[0].a_pow(k, phi)
 
 
-def quadrature_variances(phi: float, params: NBSParams,
-                         policy: Optional[TruncationPolicy] = None) -> Tuple[float, float]:
+def quadrature_variances(phi: float, params: NBSParams) -> Tuple[float, float]:
     """Variances of X1 = (a + a^dag)/2 and X2 = (a - a^dag)/(2i); vacuum level is 1/4.
 
     <a> and <a^2> come from one weight pass, each power summed to its own
     n_hi, bit for bit what two ``a_pow_expectation`` calls give.
     """
     _check_phi(phi)
-    sums = _series_sums(params.M, (params.eta,), params.theta, (1, 2), policy)[0]
+    sums = _series_sums(params.M, (params.eta,), params.theta, (1, 2))[0]
     return tuple(map(float, sums.quadratures(phi)))

@@ -4,24 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from nbstates.algebra import ParitySequence, eigen_residual, nonlinear_coherent_residual
+from nbstates.algebra import ParitySequence, eigen_residual
 from nbstates.errors import DomainError, PoleError
 from nbstates.fock_core import FockVector
-from nbstates.nbs_states import (NBSParams, even_coherent, even_nbs, odd_coherent, odd_nbs,
-                                 superposition)
+from nbstates.nbs_states import (NBSParams, even_coherent, even_nbs, nbs, odd_coherent,
+                                 odd_nbs, superposition)
 
 N_MAX = 160
 
 
-def test_sequences_realize_the_parity_states():
+def test_sequences_are_the_parity_slices_of_the_states():
     p = NBSParams(M=6, eta=0.5, theta=0.8)
     alpha = 1.4 * complex(math.cos(0.3), math.sin(0.3))
     for v in (even_nbs(p, n_max=N_MAX), odd_nbs(p, n_max=N_MAX),
               even_coherent(alpha, n_max=N_MAX), odd_coherent(alpha, n_max=N_MAX)):
         seq = ParitySequence.of(v)
-        np.testing.assert_array_equal(seq.realize().amplitudes,
-                                      v.amplitudes[:seq.n_max + 1])
-        assert np.all(v.amplitudes[seq.n_max + 1:] == 0)
+        np.testing.assert_array_equal(seq.coeffs, v.amplitudes[seq.offset::2])
+        assert np.all(v.amplitudes[1 - seq.offset::2] == 0)
 
 
 def test_parity_sequence_bookkeeping():
@@ -29,16 +28,14 @@ def test_parity_sequence_bookkeeping():
     assert seq.offset == 0
     assert seq.parity == "even"
     assert seq.photon_numbers[3] == 6
-    assert seq.n_max == 8
+    assert seq.photon_numbers[-1] == 8
     odd = ParitySequence.of(odd_nbs(NBSParams(M=2, eta=0.4), n_max=9))
     assert odd.offset == 1
     assert odd.parity == "odd"
     assert odd.photon_numbers[3] == 7
-    assert odd.n_max == 9
+    assert odd.photon_numbers[-1] == 9
     with pytest.raises(ValueError):
         odd.coeffs[0] = 1.0
-    v = odd.realize().amplitudes
-    assert np.all(v[0::2] == 0)
 
 
 def test_parity_is_inferred_from_exact_zeros():
@@ -126,27 +123,19 @@ def test_subnormal_coefficients_are_not_poles():
 
 
 def test_pair_eigenvalue_residuals():
+    # the bare NBS satisfies the pair-eigenvalue equation as well
     for M, eta, theta in ((1, 0.3, 0.0), (5, 0.6, 1.0), (30, 0.2, math.pi)):
         p = NBSParams(M=M, eta=eta, theta=theta)
-        for build in (even_nbs, odd_nbs):
-            seq = ParitySequence.of(build(p))
-            assert eigen_residual(seq, p) < 1e-10
-            assert nonlinear_coherent_residual(seq, p) < 1e-10
+        for build in (even_nbs, odd_nbs, nbs):
+            assert eigen_residual(build(p), p) < 1e-10
     p = NBSParams(M=1, eta=0.3)
-    for build in (even_nbs, odd_nbs):
-        for residual in (eigen_residual, nonlinear_coherent_residual):
-            with pytest.raises(DomainError):
-                residual(ParitySequence.of(build(p, n_max=1)), p)
+    for build in (even_nbs, odd_nbs, nbs):
+        with pytest.raises(DomainError):
+            eigen_residual(build(p, n_max=1), p)
 
 
 def test_eigen_residual_detects_wrong_state():
-    # same amplitudes but M bumped in the scale: residual must be visible
-    p = NBSParams(M=4, eta=0.5)
-    v = ParitySequence.of(even_nbs(p, n_max=120)).realize().amplitudes
-    n = np.arange(121, dtype=np.float64)
-    wrong = np.sqrt((p.M + 1 + n) * (p.M + 1 + n + 1.0)) * p.eta_c ** 2
-    lowered = np.zeros_like(v)
-    k = np.arange(2, v.size, dtype=np.float64)
-    lowered[:-2] = np.sqrt(k * (k - 1.0)) * v[2:]
-    gap = np.max(np.abs(lowered[:-2] - wrong[:-2] * v[:-2]))
-    assert gap > 1e-4
+    # the M = 4 state checked against the eigenvalue of M = 5 must show
+    v = even_nbs(NBSParams(M=4, eta=0.5), n_max=120)
+    assert eigen_residual(v, NBSParams(M=5, eta=0.5)) > 1e-4
+    assert eigen_residual(v, NBSParams(M=4, eta=0.5)) < 1e-10

@@ -134,6 +134,13 @@ def test_pn_rejects_bad_index():
         pn_closed(-1, 0.0, p)
     with pytest.raises(DomainError):
         pn_closed(1.5, 0.0, p)
+    # past 2**53 the float64 n rounds an odd n to even, and 10**400 passes
+    # the float range
+    huge = NBSParams(M=2 ** 53, eta=math.sqrt(0.5))
+    with pytest.raises(DomainError):
+        pn_closed(2 ** 53 + 1, 0.0, huge)
+    with pytest.raises(DomainError):
+        pn_closed(10 ** 400, 0.0, p)
 
 
 def test_generating_function_normalization_and_series():
@@ -315,22 +322,22 @@ def test_odd_moment_vanishes_on_parity_eigenstates():
 
 def test_a_pow_rejects_bad_power():
     p = NBSParams(M=2, eta=0.3)
-    for k in (0, -1, 1.5):
+    # a power past the term budget is refused before any array is built
+    for k in (0, -1, 1.5, 20001, 10 ** 18):
         with pytest.raises(DomainError):
             a_pow_expectation(k, 0.0, p)
 
 
 def test_a_pow_term_budget_enforced():
-    tight = TruncationPolicy(hard_cap=50)
     with pytest.raises(ConvergenceError):
-        a_pow_expectation(1, 0.0, NBSParams(M=10, eta=0.999), tight)
+        a_pow_expectation(1, 0.0, NBSParams(M=10, eta=0.999))
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("M, eta", [(2**53, 0.9999), (2000, 0.9999999999999999)])
 def test_a_priori_bound_past_the_intp_range_is_convergence_error(M, eta):
     # the a-priori n_hi here is 4.5e19 and 1.1e19, past 2**63: it must be
-    # capped at hard_cap, not wrap to a negative index on its way to intp;
+    # capped at the term budget, not wrap to a negative index on its way to intp;
     # in a grid, next to an eta of a few terms, it is the row that fails
     message = rf"^<a\^{{}}> series needed more than 20000 terms at eta={eta}, M={M}$"
     with pytest.raises(ConvergenceError, match=message.format(1)):
@@ -358,9 +365,9 @@ _SUMS_GRID = [(M, eta, theta) for M in (1, 7, 50, 300, 1000)
 _SUMS_PHIS = (0.0, math.pi / 4.0, math.pi / 2.0, 2.0, math.pi, 2.0 * math.pi)
 
 
-def _one_eta_sums(params, powers, policy=None):
+def _one_eta_sums(params, powers):
     # the series sums at one (M, eta, theta): the one-row case of a grid
-    return statistics._series_sums(params.M, (params.eta,), params.theta, powers, policy)[0]
+    return statistics._series_sums(params.M, (params.eta,), params.theta, powers)[0]
 
 
 @pytest.mark.parametrize("M, eta, theta", _SUMS_GRID)
@@ -388,7 +395,7 @@ def _one_pair_terms(M, x, k, n_hi):
     return w, t
 
 
-def _per_eta_loop(M, eta, powers, cap=TruncationPolicy().hard_cap):
+def _per_eta_loop(M, eta, powers, cap=statistics._SERIES_TERMS):
     # the series of one eta on 1-D arrays: each power sums its terms 0..n_hi,
     # n_hi the a-priori bound of that eta and power alone, and a power cut
     # short at cap must have its last term at most 1e-16 of its sum; the
@@ -459,12 +466,12 @@ def _bound_grids():
 
 
 def test_series_n_hi_is_a_proved_bound(monkeypatch):
-    # every (power, eta) pair the a-priori bound does not cut at hard_cap:
+    # every (power, eta) pair the a-priori bound does not cut at the budget:
     # its float64 terms have t_{n_hi} and the geometric tail past it,
     # t_{n_hi} rho/(1 - rho) with rho = x (M + n_hi + k/2)/(n_hi + 1), at most
     # 1e-16 of the sum; and the grid of the etas whose pairs all pass runs
     # _block_sums exactly once per block of _blocks(n_hi)
-    cap = TruncationPolicy().hard_cap
+    cap = statistics._SERIES_TERMS
     checked = 0
     for M, etas in _bound_grids():
         x = np.array([eta * eta for eta in etas])
@@ -513,25 +520,25 @@ def test_series_rows_and_powers_keep_their_bits(M, etas, theta):
             assert _bits(_one_eta_sums(params, (k,)).by_power[k]) == _bits(alone.by_power[k])
 
 
-def test_quadratures_name_the_power_that_ran_out_of_terms():
+def test_quadratures_name_the_power_that_ran_out_of_terms(monkeypatch):
     # 28 terms hold <a> at M = 1, eta = 0.5 but not <a^2>
     p = NBSParams(M=1, eta=0.5)
-    cap = TruncationPolicy(hard_cap=28)
-    a_pow_expectation(1, 0.0, p, cap)
+    monkeypatch.setattr(statistics, "_SERIES_TERMS", 28)
+    a_pow_expectation(1, 0.0, p)
     with pytest.raises(ConvergenceError) as err:
-        quadrature_variances(0.0, p, cap)
+        quadrature_variances(0.0, p)
     assert str(err.value) == "<a^2> series needed more than 28 terms at eta=0.5, M=1"
 
 
-def test_series_grid_names_the_first_eta_that_ran_out_of_terms():
+def test_series_grid_names_the_first_eta_that_ran_out_of_terms(monkeypatch):
     # at M = 1 and 28 terms, eta = 0.3 converges, 0.5 runs out at <a^2> and
     # 0.7 already at <a>: the grid names the first failing eta in grid order
-    cap = TruncationPolicy(hard_cap=28)
-    statistics._series_sums(1, (0.3,), policy=cap)
+    monkeypatch.setattr(statistics, "_SERIES_TERMS", 28)
+    statistics._series_sums(1, (0.3,))
     with pytest.raises(ConvergenceError, match=r"^<a\^1> series .* at eta=0\.7, M=1$"):
-        statistics._series_sums(1, (0.7,), policy=cap)
+        statistics._series_sums(1, (0.7,))
     with pytest.raises(ConvergenceError) as err:
-        statistics._series_sums(1, (0.3, 0.5, 0.7), policy=cap)
+        statistics._series_sums(1, (0.3, 0.5, 0.7))
     assert str(err.value) == "<a^2> series needed more than 28 terms at eta=0.5, M=1"
 
 
