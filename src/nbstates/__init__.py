@@ -63,8 +63,6 @@ from .statistics import (
 )
 from .generation import (
     DispersiveOutcome,
-    DispersiveParams,
-    KerrParams,
     dispersive_protocol,
     fidelity,
     kerr_evolve,

@@ -17,11 +17,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import Collection, List, Optional
 
 from .errors import ConfigError, DomainError, NumericsError
-from .generation import DispersiveParams, dispersive_protocol, fidelity, kerr_generate
+from .generation import dispersive_protocol, fidelity, kerr_generate
 from .nbs_states import NBSParams, partner_phase, superposition
 from . import sweeps
 
@@ -58,8 +57,6 @@ _OPTIONS = {
     "grid_step": (float, dict(help="eta grid step")),
     "out": (str, dict(help="output path (default: stdout)")),
     "protocol": (str, dict(choices=("kerr", "dispersive"))),
-    "g1": (float, dict(help="Kerr strength")),
-    "g2": (float, dict(help="dispersive coupling")),
     "g2t": (float, dict(help="dispersive phase g2*t")),
     "tolerance": (float, dict(help="scale factor applied to every numeric bound")),
     "seed": (int, dict(help="seed for randomized checks")),
@@ -167,32 +164,24 @@ def cmd_generate(args) -> int:
     params = _nbs_params(opts, "generate")
 
     if protocol == "kerr":
-        for stray in ("phi", "g2", "g2t"):
+        for stray in ("phi", "g2t"):
             if stray in opts:
                 raise ConfigError(f"{stray} is not used by the kerr protocol")
-        g1 = opts.get("g1", 1.0)
-        out_state = kerr_generate(params, g1=g1)
+        out_state = kerr_generate(params)
         target = superposition(math.pi / 2.0, params, n_max=out_state.n_max)
         report = {
             "protocol": "kerr",
             "M": params.M,
             "eta": params.eta,
             "theta": params.theta,
-            "g1": g1,
-            "t": math.pi / (2.0 * g1),
             "target_phi": math.pi / 2.0,
             "fidelity": fidelity(out_state, target),
             "amplitudes": _complex_pairs(out_state.amplitudes),
         }
     else:
-        if "g1" in opts:
-            raise ConfigError("g1 is not used by the dispersive protocol")
         phi = _one_phi(opts, "dispersive generation")
-        g2 = opts.get("g2", 1.0)
         g2t = opts.get("g2t", math.pi)
-        # validate g2 before g2t is divided by it
-        disp = replace(DispersiveParams(phi=phi, g2=g2, t=0.0), t=g2t / g2)
-        outcome = dispersive_protocol(params, disp)
+        outcome = dispersive_protocol(params, phi, g2t)
         target_g = superposition(phi, params, n_max=outcome.projected_g.n_max)
         target_e = superposition(partner_phase(phi), params, n_max=outcome.projected_e.n_max)
         report = {
@@ -201,7 +190,6 @@ def cmd_generate(args) -> int:
             "eta": params.eta,
             "theta": params.theta,
             "phi": phi,
-            "g2": g2,
             "g2t": g2t,
             "success_prob_g": outcome.prob_g,
             "success_prob_e": outcome.prob_e,
@@ -242,12 +230,12 @@ def cmd_verify(args) -> int:
 
 _COMMANDS = (
     ("fig1", "Mandel Q vs eta sweep (default M=30)", cmd_fig,
-     ("M", "theta", "phi", "eta_start", "eta_stop", "grid_step", "out")),
+     ("M", "phi", "eta_start", "eta_stop", "grid_step", "out")),
     ("fig2", "X2 variance vs eta sweep (default M=50)", cmd_fig,
      ("M", "theta", "phi", "eta_start", "eta_stop", "grid_step", "out")),
     ("pn", "photon number distribution table", cmd_pn, ("M", "eta", "phi", "out")),
     ("generate", "run a generation protocol, report JSON", cmd_generate,
-     ("protocol", "M", "eta", "theta", "phi", "g1", "g2", "g2t", "out")),
+     ("protocol", "M", "eta", "theta", "phi", "g2t", "out")),
     ("verify", "run the full check suite", cmd_verify, ("tolerance", "seed", "out")),
 )
 
@@ -258,7 +246,8 @@ def build_parser() -> _Parser:
                                  "for NBS parity superpositions")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, keys in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        # no prefix matching: --g2 would otherwise be read as --g2t
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for key in keys:
             parse, flag = _OPTIONS[key]
             if flag is not None:

@@ -15,6 +15,11 @@ can escape.
 import cmath
 import numbers
 
+# Every integer up to 2**53 is a float64, and 2**53 + 1 is not.  An index,
+# size or M past it would be rounded once read as a float, and a size past it
+# would reach numpy, which raises its own ValueError when it sizes the array.
+INT_MAX = 2 ** 53
+
 
 class DomainError(ValueError):
     """Input violates a documented parameter or dimension constraint."""
@@ -49,14 +54,19 @@ class ZeroNormError(NumericsError):
 
 
 def check_integer(name: str, value, minimum: int) -> int:
-    """``value`` as an int, or DomainError unless it is a finite integer >= minimum."""
+    """``value`` as an int, or DomainError unless it is an integer in [minimum, 2**53]."""
     try:
         ok = int(value) == value and value >= minimum
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value}")
-    return int(value)
+    value = int(value)
+    if value > INT_MAX:
+        # the bit length, since str() of a huge int raises ValueError
+        raise DomainError(f"{name} must be at most 2**53 (past it a float64 skips integers), "
+                          f"got a {value.bit_length()}-bit {name}")
+    return value
 
 
 def check_real(name: str, value) -> float:

@@ -45,17 +45,6 @@ from .fock_core import FockVector, TruncationPolicy
 TWO_PI = 2.0 * math.pi
 # smallest eta whose square is still a normal float
 ETA_MIN = math.sqrt(sys.float_info.min)
-# largest M for which M + 1 is still a distinct float
-M_MAX = 2 ** 53
-
-
-def _check_M(M) -> int:
-    M = check_integer("M", M, 1)
-    if M > M_MAX:
-        # the bit length, since str() of a huge int raises ValueError
-        raise DomainError("M must be at most 2**53 (M + 1 rounds to M above it), "
-                          f"got a {M.bit_length()}-bit M")
-    return M
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,7 @@ class NBSParams:
     def __post_init__(self):
         # stored as the int and floats the checks return, so that 3.0 and
         # np.int64(3) are 3 and a float32 eta is squared in float64
-        object.__setattr__(self, "M", _check_M(self.M))
+        object.__setattr__(self, "M", check_integer("M", self.M, 1))
         object.__setattr__(self, "eta", check_real("eta", self.eta))
         object.__setattr__(self, "theta", check_real("theta", self.theta))
         if not (0.0 < self.eta < 1.0):
@@ -108,9 +97,12 @@ def phase_factor(angle: float) -> complex:
     return complex(c, s)
 
 
-def _check_phi(phi: float) -> None:
-    if not (0.0 <= check_real("phi", phi) <= TWO_PI):
+def _check_phi(phi: float) -> float:
+    """phi as a Python float, or DomainError unless it lies in [0, 2*pi]."""
+    phi = check_real("phi", phi)
+    if not (0.0 <= phi <= TWO_PI):
         raise DomainError(f"phi must lie in [0, 2*pi], got {phi}")
+    return phi
 
 
 def _cos_phi(phi: float) -> float:
@@ -452,7 +444,7 @@ def nbs_inner_closed(alpha: complex, beta: complex, M: int) -> complex:
     cancel, its log is log1p(-|a|^2) + log1p(-|b|^2) - log1p(|a b|^2 - 2 Re(conj(a) b)),
     with no plain log of a number near 1.  The phase is -M arg(1 - conj(a) b).
     """
-    _check_M(M)
+    check_integer("M", M, 1)
     check_finite(alpha=alpha, beta=beta)
     if abs(alpha) >= 1.0 or abs(beta) >= 1.0:
         raise DomainError("NBS labels must have modulus < 1")

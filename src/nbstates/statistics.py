@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, NumericsError, check_finite, check_integer,
                      check_real)
 from .fock_core import HARD_CAP_DEFAULT, PhotonStats
-from .nbs_states import (M_MAX, NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
+from .nbs_states import (NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
                          _overlap, _overlap_terms, phase_factor)
 
 
@@ -69,9 +69,6 @@ def pn_closed(n: int, phi: float, params: NBSParams) -> float:
     n is at most 2**53, where the float64 n the kernel reads is still exact.
     """
     n = check_integer("photon number", n, 0)
-    if n > M_MAX:
-        # the bit length, since str() of a huge int raises ValueError
-        raise DomainError(f"photon number must be at most 2**53, got a {n.bit_length()}-bit n")
     return float(_pn_kernel(np.array([n], dtype=np.float64), phi, params)[0])
 
 

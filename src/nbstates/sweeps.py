@@ -24,9 +24,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_real
+from .errors import DomainError, check_finite, check_integer, check_real
 from .fock_core import TruncationPolicy
-from .nbs_states import NBSParams, _check_M, _check_phi, phase_factor, required_dimension
+from .nbs_states import NBSParams, _check_phi, phase_factor, required_dimension
 from .statistics import _overlap_columns, _q_kernel, _series_sums, pn_closed_upto
 
 FIG1_PHIS = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
@@ -56,7 +56,7 @@ class SweepConfig:
     grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self):
-        object.__setattr__(self, "M", _check_M(self.M))
+        object.__setattr__(self, "M", check_integer("M", self.M, 1))
         for name in ("theta", "eta_start", "eta_stop", "grid_step"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         object.__setattr__(self, "phis", tuple(check_real("phi", phi) for phi in self.phis))

@@ -452,9 +452,9 @@ def check_structure_function_formula():
 @check("kerr-quarter-period-fidelity", 1e-10)
 def check_kerr_generation():
     worst = 0.0
-    for M, eta, theta, g1 in ((5, 0.4, 1.2, 1.0), (30, 0.2, math.pi, 2.5)):
+    for M, eta, theta in ((5, 0.4, 1.2), (30, 0.2, math.pi)):
         params = NBSParams(M=M, eta=eta, theta=theta)
-        out = generation.kerr_generate(params, g1=g1)
+        out = generation.kerr_generate(params)
         target = nbs_states.superposition(math.pi / 2.0, params, n_max=out.n_max)
         worst = max(worst, 1.0 - generation.fidelity(out, target))
     return worst
@@ -476,8 +476,7 @@ def check_dispersive_generation():
     r = nbs_states.nbs_parity_overlap(params)
     worst = 0.0
     for phi in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi):
-        disp = generation.DispersiveParams(phi=phi, g2=1.0, t=math.pi)
-        out = generation.dispersive_protocol(params, disp)
+        out = generation.dispersive_protocol(params, phi)
         target_g = nbs_states.superposition(phi, params, n_max=out.projected_g.n_max)
         target_e = nbs_states.superposition(nbs_states.partner_phase(phi), params,
                                             n_max=out.projected_e.n_max)
@@ -492,7 +491,7 @@ def check_dispersive_generation():
        note="phi=0, t=0 leaves the e-branch empty and must raise")
 def check_dispersive_zero_norm_guard():
     return _raises(ZeroNormError, generation.dispersive_protocol, NBSParams(M=3, eta=0.5),
-                   generation.DispersiveParams(phi=0.0, g2=1.0, t=0.0))
+                   0.0, 0.0)
 
 
 @check("hard-cap-truncation-raises", note="dimension demand beyond hard_cap must raise")

@@ -7,12 +7,12 @@ import pytest
 from nbstates.algebra import ParitySequence
 from nbstates.errors import DomainError
 from nbstates.fock_core import FockVector, TruncationPolicy, number_state, oracle_stats, tail_mass
-from nbstates.generation import DispersiveParams, KerrParams, fidelity, kerr_generate
+from nbstates.generation import dispersive_protocol, fidelity, kerr_evolve, kerr_generate
 from nbstates.nbs_states import (NBSParams, cat_state, coherent, nbs, nbs_inner_closed,
                                  partner_phase, phase_factor, required_dimension,
                                  required_dimension_cat, superposition)
-from nbstates.statistics import (a_pow_expectation, generating_function, pn_closed, q_closed,
-                                 quadrature_variances)
+from nbstates.statistics import (a_pow_expectation, generating_function, pn_closed,
+                                 pn_closed_upto, q_closed, quadrature_variances)
 
 P = NBSParams(M=2, eta=0.3)
 NAN, INF = math.nan, math.inf
@@ -56,11 +56,11 @@ NAN, INF = math.nan, math.inf
     lambda: NBSParams(M=10 ** 16, eta=1e-8),
     lambda: nbs_inner_closed(0.1, 0.2, 2 ** 53 + 1),
     # not a real number where one is needed, or not a number at all
-    lambda: KerrParams(g1="x", t=1.0),
-    lambda: KerrParams(g1=1 + 1j, t=1.0),
-    lambda: DispersiveParams(phi=0.0, g2=1.0, t=1j),
-    lambda: DispersiveParams(phi=1j, g2=1.0, t=1.0),
-    lambda: kerr_generate(P, g1="x"),
+    lambda: kerr_evolve(FockVector([1.0, 0.0]), "x"),
+    lambda: kerr_evolve(FockVector([1.0, 0.0]), 1 + 1j),
+    lambda: dispersive_protocol(P, 0.0, 1j),
+    lambda: dispersive_protocol(P, 1j),
+    lambda: kerr_generate(P, n_max="x"),
     lambda: generating_function(1j, 0.0, P),
     lambda: generating_function("x", 0.0, P),
     lambda: coherent("x"),
@@ -75,3 +75,30 @@ NAN, INF = math.nan, math.inf
 def test_bad_scalar_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+# Every integer a caller hands in is at most 2**53, past which a float64
+# skips integers.  Past it a forced size used to reach numpy, which raised a
+# raw ValueError ("array is too big", "Maximum allowed size exceeded") or
+# MemoryError, and a hard_cap of 10**400 a raw OverflowError in the sizing
+# bisection.
+_SIZED = {
+    "nbs": lambda k: nbs(P, n_max=k),
+    "superposition": lambda k: superposition(0.0, P, n_max=k),
+    "coherent": lambda k: coherent(0.5, n_max=k),
+    "number_state": lambda k: number_state(0, k),
+    "kerr_generate": lambda k: kerr_generate(P, n_max=k),
+    "dispersive_protocol": lambda k: dispersive_protocol(P, 0.0, n_max=k),
+    "pn_closed_upto": lambda k: pn_closed_upto(k, 0.0, P),
+    "hard_cap": lambda k: required_dimension(P, None, TruncationPolicy(hard_cap=k)),
+    "pn_closed": lambda k: pn_closed(k, 0.0, P),
+    "M": lambda k: NBSParams(M=k, eta=0.3),
+}
+
+
+@pytest.mark.parametrize("size", (2 ** 53 + 1, 2 ** 62, 10 ** 400),
+                         ids=("2**53+1", "2**62", "10**400"))
+@pytest.mark.parametrize("entry", sorted(_SIZED))
+def test_oversized_integers_raise_domain_error(entry, size):
+    with pytest.raises(DomainError, match=r"at most 2\*\*53"):
+        _SIZED[entry](size)

@@ -7,77 +7,74 @@ import pytest
 
 from nbstates.errors import DimensionMismatchError, DomainError, ZeroNormError
 from nbstates.fock_core import TruncationPolicy, inner, number_state
-from nbstates.generation import (DispersiveParams, KerrParams, dispersive_protocol, fidelity,
-                                 kerr_evolve, kerr_generate)
+from nbstates.generation import dispersive_protocol, fidelity, kerr_evolve, kerr_generate
 from nbstates.nbs_states import NBSParams, nbs, photon_distribution, superposition
 
 POLICY = TruncationPolicy(tail_tolerance=1e-14)
 
 
-def test_kerr_params_validated():
-    with pytest.raises(DomainError):
-        KerrParams(g1=0.0, t=1.0)
-    with pytest.raises(DomainError):
-        KerrParams(g1=-2.0, t=1.0)
-    with pytest.raises(DomainError):
-        KerrParams(g1=1.0, t=-0.1)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(DomainError):
-            KerrParams(g1=bad, t=1.0)
-        with pytest.raises(DomainError):
-            KerrParams(g1=1.0, t=bad)
+# negative, not finite, complex (even with a zero imaginary part), or not a number
+BAD_PHASES = (-0.1, -math.inf, math.inf, math.nan, 1j, 1 + 0j, "x")
 
 
-def test_dispersive_params_validated():
-    for bad in (-0.1, 2.0 * math.pi + 0.1):
-        with pytest.raises(DomainError):
-            DispersiveParams(phi=bad, g2=1.0, t=1.0)
-    with pytest.raises(DomainError):
-        DispersiveParams(phi=0.0, g2=0.0, t=1.0)
-    with pytest.raises(DomainError):
-        DispersiveParams(phi=0.0, g2=1.0, t=-1.0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(DomainError):
-            DispersiveParams(phi=0.0, g2=bad, t=1.0)
-        with pytest.raises(DomainError):
-            DispersiveParams(phi=0.0, g2=1.0, t=bad)
+def test_kerr_phase_validated():
+    v = nbs(NBSParams(M=2, eta=0.3), n_max=10)
+    for g1t in BAD_PHASES:
+        with pytest.raises(DomainError, match="g1t"):
+            kerr_evolve(v, g1t)
 
 
-def test_protocol_params_store_python_floats():
-    # a float32 argument is stored as the float64 of the same value, so the
-    # phases g1 t n^2 and g2 t n are taken in float64
-    kerr = KerrParams(g1=np.float32(0.3), t=np.float32(2.0))
-    disp = DispersiveParams(phi=np.float32(0.5), g2=np.float32(0.3), t=1)
-    for params, names in ((kerr, ("g1", "t")), (disp, ("phi", "g2", "t"))):
-        for name in names:
-            assert type(getattr(params, name)) is float, name
-    assert kerr.g1 == float(np.float32(0.3)) and disp.t == 1.0
+def test_dispersive_phase_validated():
+    p = NBSParams(M=2, eta=0.3)
+    for g2t in BAD_PHASES:
+        with pytest.raises(DomainError, match="g2t"):
+            dispersive_protocol(p, 1.0, g2t)
+    for phi in (-0.1, 2.0 * math.pi + 0.1):
+        with pytest.raises(DomainError, match="phi"):
+            dispersive_protocol(p, phi, 1.0)
+
+
+def test_protocol_phases_store_python_floats():
+    # a float32 phase is taken as the float64 of the same value, so the
+    # largest phases g1t n_max^2 and g2t n_max are formed in float64: in
+    # float32 both would overflow past 3.4e38
+    p = NBSParams(M=4, eta=0.6)
+    big = np.float32(3e38)
+    v = nbs(p, n_max=50)
+    assert np.array_equal(kerr_evolve(v, big).amplitudes, kerr_evolve(v, float(big)).amplitudes)
+    got = dispersive_protocol(p, np.float32(0.5), big, n_max=50)
+    want = dispersive_protocol(p, float(np.float32(0.5)), float(big), n_max=50)
+    assert np.array_equal(got.projected_g.amplitudes, want.projected_g.amplitudes)
+    assert np.array_equal(got.projected_e.amplitudes, want.projected_e.amplitudes)
 
 
 def test_kerr_evolve_zero_time_is_identity():
     v = nbs(NBSParams(M=4, eta=0.6), n_max=50)
-    out = kerr_evolve(v, KerrParams(g1=3.0, t=0.0))
+    out = kerr_evolve(v, 0.0)
     assert np.array_equal(out.amplitudes, v.amplitudes)
 
 
 def test_kerr_evolve_number_state_phase():
     v = number_state(3, 6)
-    out = kerr_evolve(v, KerrParams(g1=1.0, t=0.1))
+    out = kerr_evolve(v, 0.1)
     assert out.amplitudes[3] == pytest.approx(cmath.exp(-0.9j), rel=1e-15)
     assert np.all(out.amplitudes[:3] == 0) and np.all(out.amplitudes[4:] == 0)
 
 
+# the phase is a coupling g times a time t: at 1e300 * 1e300 it is inf, and
+# at the other pair it is finite but its product with n_max^2 (Kerr) or
+# n_max (dispersive) is not
 @pytest.mark.parametrize("g1, t", ((1e300, 1e300), (1e300, 1e6)))
 def test_kerr_phase_past_the_float_range_is_domain_error(g1, t):
     v = nbs(NBSParams(M=2, eta=0.3))
-    with pytest.raises(DomainError, match="g1 t n_max\\^2"):
-        kerr_evolve(v, KerrParams(g1=g1, t=t))
+    with pytest.raises(DomainError, match="g1t"):
+        kerr_evolve(v, g1 * t)
 
 
 @pytest.mark.parametrize("g2, t", ((1e300, 1e300), (1e300, 1e8)))
 def test_dispersive_phase_past_the_float_range_is_domain_error(g2, t):
-    with pytest.raises(DomainError, match="g2 t n_max"):
-        dispersive_protocol(NBSParams(M=2, eta=0.3), DispersiveParams(phi=1.0, g2=g2, t=t))
+    with pytest.raises(DomainError, match="g2t"):
+        dispersive_protocol(NBSParams(M=2, eta=0.3), 1.0, g2 * t)
 
 
 def test_kerr_quarter_period_hits_half_pi_superposition():
@@ -88,13 +85,6 @@ def test_kerr_quarter_period_hits_half_pi_superposition():
         assert fidelity(made, target) == pytest.approx(1.0, abs=1e-13)
         # the leftover global phase is exactly -pi/4
         assert cmath.phase(inner(target, made)) == pytest.approx(-math.pi / 4.0, abs=1e-12)
-
-
-def test_kerr_result_independent_of_g1():
-    p = NBSParams(M=5, eta=0.5)
-    a = kerr_generate(p, g1=1.0, n_max=80)
-    b = kerr_generate(p, g1=2.5, n_max=80)
-    np.testing.assert_allclose(a.amplitudes, b.amplitudes, rtol=0, atol=1e-14)
 
 
 def test_kerr_preserves_photon_distribution():
@@ -108,8 +98,7 @@ def test_kerr_preserves_photon_distribution():
 def test_dispersive_projections_are_the_superpositions():
     for phi in (0.0, math.pi / 2.0, 2.0, math.pi):
         p = NBSParams(M=4, eta=0.5, theta=0.3)
-        out = dispersive_protocol(p, DispersiveParams(phi=phi, g2=2.0, t=math.pi / 2.0),
-                                  policy=POLICY)
+        out = dispersive_protocol(p, phi, policy=POLICY)
         dim = out.projected_g.n_max
         want_g = superposition(phi, p, n_max=dim)
         phi_opp = phi + math.pi if phi <= math.pi else phi - math.pi
@@ -119,10 +108,9 @@ def test_dispersive_projections_are_the_superpositions():
 
 
 def test_dispersive_branches_keep_exact_parity_zeros():
-    # g2 t = pi flips the sign of odd n exactly; a complex power (-1+0j)**n
+    # g2t = pi flips the sign of odd n exactly; a complex power (-1+0j)**n
     # would leave ~1e-14 on the forbidden class by n ~ 5000
-    out = dispersive_protocol(NBSParams(M=50, eta=0.99),
-                              DispersiveParams(phi=0.0, g2=1.0, t=math.pi))
+    out = dispersive_protocol(NBSParams(M=50, eta=0.99), 0.0)
     assert out.projected_g.n_max > 5000
     assert not out.projected_g.amplitudes[1::2].any()
     assert not out.projected_e.amplitudes[0::2].any()
@@ -131,14 +119,14 @@ def test_dispersive_branches_keep_exact_parity_zeros():
 def test_dispersive_frozen_probabilities():
     # phi = 0, x = 0.25, M = 3: parity overlap is 0.6^3, so p_g = 0.608
     p = NBSParams(M=3, eta=0.5)
-    out = dispersive_protocol(p, DispersiveParams(phi=0.0, g2=1.0, t=math.pi), policy=POLICY)
+    out = dispersive_protocol(p, 0.0, policy=POLICY)
     assert out.prob_g == pytest.approx(0.608, rel=1e-12)
     assert out.prob_e == pytest.approx(0.392, rel=1e-12)
 
 
 def test_dispersive_probabilities_sum_to_one_off_resonance():
     p = NBSParams(M=7, eta=0.45, theta=0.9)
-    out = dispersive_protocol(p, DispersiveParams(phi=1.3, g2=1.0, t=1.7), policy=POLICY)
+    out = dispersive_protocol(p, 1.3, 1.7, policy=POLICY)
     assert out.prob_g + out.prob_e == pytest.approx(1.0, abs=1e-12)
     assert out.projected_g.norm() == pytest.approx(1.0, abs=1e-12)
     assert out.projected_e.norm() == pytest.approx(1.0, abs=1e-12)
@@ -150,17 +138,16 @@ def test_dispersive_coarse_truncation_is_accepted(sizing):
     # the truncated base misses 2e-8 (tail 1e-6) or 4e-3 (n_max = 5) of its
     # norm^2; the protocol renormalizes it, so the branch probabilities
     # still sum to 1
-    out = dispersive_protocol(NBSParams(M=3, eta=0.5),
-                              DispersiveParams(phi=0.0, g2=1.0, t=math.pi), **sizing)
+    out = dispersive_protocol(NBSParams(M=3, eta=0.5), 0.0, **sizing)
     assert out.prob_g + out.prob_e == pytest.approx(1.0, abs=1e-12)
     assert out.projected_g.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dispersive_dead_branch_rejected():
-    # t = 0 and phi = 0 leaves nothing in the e-branch after the pulse
+    # g2t = 0 and phi = 0 leaves nothing in the e-branch after the pulse
     p = NBSParams(M=3, eta=0.5)
     with pytest.raises(ZeroNormError):
-        dispersive_protocol(p, DispersiveParams(phi=0.0, g2=1.0, t=0.0))
+        dispersive_protocol(p, 0.0, 0.0)
 
 
 def test_fidelity_clamps_and_checks_dimensions():

@@ -311,12 +311,11 @@ def test_generate_kerr_json(tmp_path):
     report = json.loads(out.read_text())
     assert report["protocol"] == "kerr"
     assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
-    assert report["t"] == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 def test_generate_kerr_rejects_dispersive_flags(capsys):
     rc = main(["generate", "--protocol", "kerr", "--M", "4", "--eta", "0.5",
-               "--g2", "1.0"])
+               "--g2t", "1.0"])
     assert rc == 1
     assert "not used by the kerr protocol" in capsys.readouterr().err
 
@@ -338,6 +337,18 @@ def test_generate_dispersive_rejects_g1(capsys):
                "--g1", "2.0"])
     assert rc == 1
     assert "g1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--protocol", "kerr", "--M", "4", "--eta", "0.5", "--g1", "2"],
+    ["generate", "--protocol", "dispersive", "--M", "3", "--eta", "0.5", "--g2", "1"],
+    ["fig1", "--theta", "0.3"],
+], ids=("g1", "g2", "fig1-theta"))
+def test_removed_flags_exit_1_with_one_line(argv, capsys):
+    # the protocols take only their phase g2t, and fig1's Mandel Q does not depend on theta
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unrecognized arguments: ") and err.count("\n") == 1
 
 
 def test_generate_requires_protocol():
@@ -394,19 +405,13 @@ def test_non_finite_grid_step_exit_code(capsys):
 
 
 def test_non_finite_generation_rates_exit_code(capsys):
-    assert main(["generate", "--protocol", "kerr", "--M", "2", "--eta", "0.3",
-                 "--g1", "inf"]) == 1
-    assert "g1 must be finite" in capsys.readouterr().err
-    assert main(["generate", "--protocol", "dispersive", "--M", "2", "--eta", "0.3",
-                 "--g2t", "nan"]) == 1
-    assert "t must be finite" in capsys.readouterr().err
-    # a zero rate is rejected before anything divides by it
-    assert main(["generate", "--protocol", "kerr", "--M", "4", "--eta", "0.5",
-                 "--g1", "0"]) == 1
-    assert capsys.readouterr().err == "domain error: g1 must be > 0, got 0.0\n"
+    for bad in ("inf", "nan"):
+        assert main(["generate", "--protocol", "dispersive", "--M", "2", "--eta", "0.3",
+                     "--g2t", bad]) == 1
+        assert capsys.readouterr().err == f"domain error: g2t must be finite, got {bad}\n"
     assert main(["generate", "--protocol", "dispersive", "--M", "4", "--eta", "0.5",
-                 "--g2", "0"]) == 1
-    assert capsys.readouterr().err == "domain error: g2 must be > 0, got 0.0\n"
+                 "--g2t", "-1"]) == 1
+    assert capsys.readouterr().err == "domain error: g2t must be >= 0, got -1.0\n"
 
 
 def test_verify_rejects_non_finite_tolerance(capsys):
@@ -527,19 +532,18 @@ _THETA = (("--theta",), "theta", float, "_StoreAction")
 _PHI = (("--phi",), "phi", float, "_AppendAction")
 _OUT = (("--out",), "out", str, "_StoreAction")
 _CONFIG = (("--config",), "config", str, "_StoreAction")
-_FIG_FLAGS = {_M, _THETA, _PHI, (("--grid-step",), "grid_step", float, "_StoreAction"),
-              _OUT, _CONFIG}
-_FIG_CONFIG_KEYS = {"M", "theta", "phi", "eta_start", "eta_stop", "grid_step", "out"}
+_FIG_FLAGS = {_M, _PHI, (("--grid-step",), "grid_step", float, "_StoreAction"), _OUT, _CONFIG}
+_FIG_CONFIG_KEYS = {"M", "phi", "eta_start", "eta_stop", "grid_step", "out"}
 
+# fig1 takes no theta: Mandel Q does not depend on it
 CLI_CONTRACT = {
     "fig1": (_FIG_FLAGS, _FIG_CONFIG_KEYS),
-    "fig2": (_FIG_FLAGS, _FIG_CONFIG_KEYS),
+    "fig2": (_FIG_FLAGS | {_THETA}, _FIG_CONFIG_KEYS | {"theta"}),
     "pn": ({_M, _ETA, _PHI, _OUT, _CONFIG}, {"M", "eta", "phi", "out"}),
     "generate": (
         {(("--protocol",), "protocol", str, "_StoreAction"), _M, _ETA, _THETA, _PHI,
-         (("--g1",), "g1", float, "_StoreAction"), (("--g2",), "g2", float, "_StoreAction"),
          (("--g2t",), "g2t", float, "_StoreAction"), _OUT, _CONFIG},
-        {"protocol", "M", "eta", "theta", "phi", "g1", "g2", "g2t", "out"}),
+        {"protocol", "M", "eta", "theta", "phi", "g2t", "out"}),
     "verify": (
         {(("--tolerance",), "tolerance", float, "_StoreAction"),
          (("--seed",), "seed", int, "_StoreAction"),
