@@ -27,7 +27,6 @@ from .fock_core import (
     inner,
     number_state,
     oracle_stats,
-    tail_mass,
 )
 from .nbs_states import (
     NBSParams,

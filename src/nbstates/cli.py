@@ -162,6 +162,7 @@ def cmd_generate(args) -> int:
     if protocol not in ("kerr", "dispersive"):
         raise ConfigError("generate requires protocol = kerr or dispersive")
     params = _nbs_params(opts, "generate")
+    report = {"protocol": protocol, "M": params.M, "eta": params.eta, "theta": params.theta}
 
     if protocol == "kerr":
         for stray in ("phi", "g2t"):
@@ -169,34 +170,19 @@ def cmd_generate(args) -> int:
                 raise ConfigError(f"{stray} is not used by the kerr protocol")
         out_state = kerr_generate(params)
         target = superposition(math.pi / 2.0, params, n_max=out_state.n_max)
-        report = {
-            "protocol": "kerr",
-            "M": params.M,
-            "eta": params.eta,
-            "theta": params.theta,
-            "target_phi": math.pi / 2.0,
-            "fidelity": fidelity(out_state, target),
-            "amplitudes": _complex_pairs(out_state.amplitudes),
-        }
+        report.update(target_phi=math.pi / 2.0, fidelity=fidelity(out_state, target))
     else:
         phi = _one_phi(opts, "dispersive generation")
         g2t = opts.get("g2t", math.pi)
         outcome = dispersive_protocol(params, phi, g2t)
-        target_g = superposition(phi, params, n_max=outcome.projected_g.n_max)
+        out_state = outcome.projected_g
+        target_g = superposition(phi, params, n_max=out_state.n_max)
         target_e = superposition(partner_phase(phi), params, n_max=outcome.projected_e.n_max)
-        report = {
-            "protocol": "dispersive",
-            "M": params.M,
-            "eta": params.eta,
-            "theta": params.theta,
-            "phi": phi,
-            "g2t": g2t,
-            "success_prob_g": outcome.prob_g,
-            "success_prob_e": outcome.prob_e,
-            "fidelity_g": fidelity(outcome.projected_g, target_g),
-            "fidelity_e": fidelity(outcome.projected_e, target_e),
-            "amplitudes": _complex_pairs(outcome.projected_g.amplitudes),
-        }
+        report.update(phi=phi, g2t=g2t, success_prob_g=outcome.prob_g,
+                      success_prob_e=outcome.prob_e,
+                      fidelity_g=fidelity(out_state, target_g),
+                      fidelity_e=fidelity(outcome.projected_e, target_e))
+    report["amplitudes"] = _complex_pairs(out_state.amplitudes)
     _write_text(opts.get("out"), _json_text(report, sort_keys=True))
     return 0
 

@@ -60,10 +60,12 @@ def check_integer(name: str, value, minimum: int) -> int:
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
+        if isinstance(value, int) and value < -INT_MAX:
+            # the bit length, since str() of a huge int raises ValueError
+            value = f"a {value.bit_length()}-bit negative integer"
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value}")
     value = int(value)
     if value > INT_MAX:
-        # the bit length, since str() of a huge int raises ValueError
         raise DomainError(f"{name} must be at most 2**53 (past it a float64 skips integers), "
                           f"got a {value.bit_length()}-bit {name}")
     return value

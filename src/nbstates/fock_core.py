@@ -120,14 +120,6 @@ def apply_number(v: FockVector) -> FockVector:
     return FockVector(np.arange(c.size, dtype=np.float64) * c)
 
 
-def tail_mass(v: FockVector, start: int) -> float:
-    """Probability mass sitting at index >= start (unnormalized)."""
-    start = check_integer("start", start, 0)
-    if start >= len(v):
-        return 0.0
-    return float(np.sum(np.abs(v.amplitudes[start:]) ** 2))
-
-
 def oracle_stats(v: FockVector) -> PhotonStats:
     """Moments by direct summation of |c_n|^2, normalizing by the vector norm.
 

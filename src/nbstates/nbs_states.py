@@ -198,20 +198,19 @@ def _grown_n_max(weight_log, ratio, boost: float, policy: TruncationPolicy) -> i
     ``ratio(n)`` must give w(n+1)/w(n) and be non-increasing, so once it drops
     below 1 (at the mode) the tail is dominated by a geometric series:
     sum_{k>n} w(k) <= w(n) * rho / (1 - rho).  Past the mode both w(n) and
-    rho shrink, so this bound is monotone too, and the index is found by two
-    bisections over [0, hard_cap]: one for the mode, one from there for the
-    bound.  That is O(log hard_cap) evaluations of ``ratio`` and
-    ``weight_log``, and the same index a scan from n = 0 would stop at.
+    rho shrink, so this bound is monotone too.  "Past the mode and the bound
+    below tolerance" is then False up to one index and True from it on, and
+    one bisection over [0, hard_cap] finds that index: O(log hard_cap)
+    evaluations of ``ratio`` and ``weight_log``, and the same index a scan
+    from n = 0 would stop at.
     """
     tol = policy.tail_tolerance / boost
 
-    def tail_bound(n: int) -> float:
+    def done(n: int) -> bool:
         rho = ratio(n)
-        return math.exp(weight_log(n)) * rho / (1.0 - rho)
+        return rho < 1.0 and math.exp(weight_log(n)) * rho / (1.0 - rho) < tol
 
-    candidates = range(policy.hard_cap + 1)
-    mode = bisect_left(candidates, True, key=lambda n: ratio(n) < 1.0)
-    n = bisect_left(candidates, True, lo=mode, key=lambda n: tail_bound(n) < tol)
+    n = bisect_left(range(policy.hard_cap + 1), True, key=done)
     if n > policy.hard_cap:
         raise TruncationError(
             f"needed more than hard_cap={policy.hard_cap} components to reach tail {policy.tail_tolerance}"

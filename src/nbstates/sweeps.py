@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +35,6 @@ DEFAULT_ETA_STOP = 0.95
 DEFAULT_GRID_STEP = 0.01
 # largest eta grid a sweep may ask for
 MAX_GRID_POINTS = 10 ** 5
-
-
-def format_value(x: Optional[float]) -> str:
-    """17-significant-digit rendering; None becomes the literal 'undefined'."""
-    if x is None:
-        return "undefined"
-    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ class SweepConfig:
         object.__setattr__(self, "M", check_integer("M", self.M, 1))
         for name in ("theta", "eta_start", "eta_stop", "grid_step"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        object.__setattr__(self, "phis", tuple(check_real("phi", phi) for phi in self.phis))
+        object.__setattr__(self, "phis", tuple(_check_phi(phi) for phi in self.phis))
         check_finite(eta_start=self.eta_start, eta_stop=self.eta_stop, grid_step=self.grid_step)
         if self.grid_step <= 0.0:
             raise DomainError(f"grid_step must be > 0, got {self.grid_step}")
@@ -71,8 +64,6 @@ class SweepConfig:
                 f"grid_step {self.grid_step} gives more than {MAX_GRID_POINTS} eta points")
         if len(self.phis) == 0:
             raise DomainError("at least one phi value is required")
-        for phi in self.phis:
-            _check_phi(phi)
 
 
 def grid_etas(cfg: SweepConfig) -> List[float]:
@@ -135,22 +126,22 @@ def fig2_records(cfg: SweepConfig) -> SweepTable:
 
 def render_sweep_csv(table: SweepTable) -> str:
     """The table as CSV rows, one block of rows per phi in grid order."""
-    etas = [format_value(eta) for eta in table.etas]
+    etas = [f"{eta:.17g}" for eta in table.etas]
     lines = ["eta,phi,M,quantity,value"]
     for phi, column in zip(table.phis, table.values):
-        middle = f",{format_value(phi)},{table.M},{table.quantity},"
+        middle = f",{phi:.17g},{table.M},{table.quantity},"
         lines.extend(f"{eta}{middle}{value:.17g}" for eta, value in zip(etas, column.tolist()))
     return "\n".join(lines) + "\n"
 
 
 def pn_table(phi: float, params: NBSParams,
-             policy: Optional[TruncationPolicy] = None) -> List[Tuple[int, float]]:
-    """(n, P(n)) rows out to the policy-selected truncation for this state."""
-    n_max = required_dimension(params, phi, policy)
-    return list(enumerate(pn_closed_upto(n_max, phi, params).tolist()))
+             policy: Optional[TruncationPolicy] = None) -> np.ndarray:
+    """P(n) for n = 0..n_max, indexed by n, out to the policy-selected truncation."""
+    return pn_closed_upto(required_dimension(params, phi, policy), phi, params)
 
 
-def render_pn_csv(rows: Sequence[Tuple[int, float]]) -> str:
+def render_pn_csv(pn: np.ndarray) -> str:
+    """The table as CSV rows ``n,P(n)``, one per index."""
     lines = ["n,pn"]
-    lines.extend(f"{n},{p:.17g}" for n, p in rows)
+    lines.extend(f"{n},{p:.17g}" for n, p in enumerate(pn.tolist()))
     return "\n".join(lines) + "\n"

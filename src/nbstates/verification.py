@@ -250,7 +250,7 @@ def check_pn_closed_matches_amplitudes():
 @check("pn-table-sums-to-one", 1e-10)
 def check_pn_sums_to_one():
     params = NBSParams(M=30, eta=0.6)
-    return max(abs(sum(p for _, p in sweeps.pn_table(phi, params, ORACLE_POLICY)) - 1.0)
+    return max(abs(sum(sweeps.pn_table(phi, params, ORACLE_POLICY).tolist()) - 1.0)
                for phi in (0.0, math.pi / 2.0, math.pi))
 
 
@@ -258,9 +258,9 @@ def check_pn_sums_to_one():
 def check_generating_function():
     params = NBSParams(M=4, eta=0.6)
     phi = math.pi / 4.0
-    rows = sweeps.pn_table(phi, params, ORACLE_POLICY)
+    pn = sweeps.pn_table(phi, params, ORACLE_POLICY).tolist()
     return max(abs(statistics.generating_function(lam, phi, params)
-                   - sum(p * lam ** n for n, p in rows))
+                   - sum(p * lam ** n for n, p in enumerate(pn)))
                for lam in (-0.9, -0.3, 0.0, 0.5, 0.99, 1.0))
 
 

@@ -12,7 +12,6 @@ from nbstates.fock_core import (
     inner,
     number_state,
     oracle_stats,
-    tail_mass,
 )
 
 
@@ -87,15 +86,6 @@ def test_adjointness_of_truncated_ladders():
         b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         u, v = FockVector(a), FockVector(b)
         assert inner(u, apply_annihilate(v)) == pytest.approx(inner(apply_create(u), v))
-
-
-def test_tail_mass():
-    v = FockVector([1.0, 1.0, 1.0, 1.0])
-    assert tail_mass(v, 2) == pytest.approx(2.0)
-    assert tail_mass(v, 0) == pytest.approx(4.0)
-    assert tail_mass(v, 99) == 0.0
-    with pytest.raises(DomainError):
-        tail_mass(v, -1)
 
 
 def test_number_state_stats_are_exact():

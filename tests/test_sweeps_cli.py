@@ -13,9 +13,8 @@ from nbstates.errors import ConfigError, DomainError, NumericsError
 from nbstates.fock_core import TruncationPolicy
 from nbstates.nbs_states import NBSParams, required_dimension, superposition
 from nbstates.statistics import pn_closed, q_closed, quadrature_variances
-from nbstates.sweeps import (FIG1_PHIS, SweepConfig, fig1_config, fig1_records,
-                             fig2_config, fig2_records, format_value,
-                             grid_etas, pn_table, render_pn_csv,
+from nbstates.sweeps import (FIG1_PHIS, SweepConfig, SweepTable, fig1_config, fig1_records,
+                             fig2_config, fig2_records, grid_etas, pn_table, render_pn_csv,
                              render_sweep_csv)
 
 # ---------------------------------------------------------------------------
@@ -44,12 +43,17 @@ def test_grid_stops_below_eta_one(tmp_path):
         ["0.90000000000000002", "0.95000000000000007"]
 
 
-def test_format_value_round_trips():
+def test_csv_floats_round_trip():
     rng = np.random.default_rng(3)
-    for x in rng.uniform(-5, 5, size=20):
-        assert float(format_value(float(x))) == float(x)
-    assert format_value(None) == "undefined"
-    assert format_value(0.0) == "0"
+    etas = rng.uniform(-5, 5, size=20).tolist() + [0.0]
+    phis = tuple(rng.uniform(-5, 5, size=3).tolist())
+    values = [rng.uniform(-5, 5, size=len(etas)) for _ in phis]
+    rows = render_sweep_csv(SweepTable(etas, phis, values, 7, "q")).splitlines()[1:]
+    fields = [row.split(",") for row in rows]
+    assert [float(f[0]) for f in fields] == etas * len(phis)
+    assert [float(f[1]) for f in fields] == [phi for phi in phis for _ in etas]
+    assert [float(f[4]) for f in fields] == np.concatenate(values).tolist()
+    assert fields[len(etas) - 1][0] == "0"
 
 
 def test_fig1_records_layout():
@@ -219,14 +223,16 @@ def test_sweep_config_accepts_grid_at_point_cap():
 
 
 def test_pn_table_and_rendering():
-    rows = pn_table(0.0, NBSParams(M=3, eta=0.4))
-    assert rows[0][0] == 0
-    assert all(n == i for i, (n, _) in enumerate(rows))
-    text = render_pn_csv(rows)
-    lines = text.splitlines()
+    params = NBSParams(M=3, eta=0.4)
+    table = pn_table(0.0, params)
+    assert table.size == required_dimension(params, 0.0) + 1
+    lines = render_pn_csv(table).splitlines()
     assert lines[0] == "n,pn"
     assert lines[2] == "1,0"  # odd slots vanish identically at phi = 0
-    total = sum(p for _, p in rows)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(n) for n, _ in rows] == list(range(table.size))
+    assert [float(p) for _, p in rows] == table.tolist()
+    total = sum(table.tolist())
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
