@@ -8,11 +8,13 @@ Two families matter for callers (and for the CLI exit-code mapping):
   guarantee could not be met (series failed to converge, a truncation cap was
   hit, a projection came out with zero norm).
 
-The checks at the end turn a bad scalar argument into a ``DomainError``
-before a raw ``ValueError``, ``TypeError``, ``OverflowError`` or ``IndexError``
-can escape.
+The input contract: a public function checks each scalar argument once, where
+it enters, with one of the three checkers below, and goes on with the Python
+int, finite float or finite complex it returns; private helpers take checked
+values.  Bad input raises DomainError, never a raw error or a numpy warning.
 """
 import cmath
+import math
 import numbers
 
 # Every integer up to 2**53 is a float64, and 2**53 + 1 is not.  An index,
@@ -56,7 +58,9 @@ class ZeroNormError(NumericsError):
 def check_integer(name: str, value, minimum: int) -> int:
     """``value`` as an int, or DomainError unless it is an integer in [minimum, 2**53]."""
     try:
-        ok = int(value) == value and value >= minimum
+        # int() of a complex number warns or raises, so it is refused first
+        ok = (not (isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real))
+              and int(value) == value and value >= minimum)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -72,23 +76,27 @@ def check_integer(name: str, value, minimum: int) -> int:
 
 
 def check_real(name: str, value) -> float:
-    """``value`` as a Python float, or DomainError unless it is a real number in the float range.
+    """``value`` as a finite Python float (a float32 as its float64), or DomainError."""
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DomainError(f"{name} lies past the float range") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
 
-    A numpy float32 comes back as the float64 of the same value, so the
-    arithmetic on it afterwards is float64 arithmetic.
-    """
-    if not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+
+def check_complex(name: str, value) -> complex:
+    """``value`` as a finite Python complex, or DomainError unless it is a number."""
+    if not isinstance(value, numbers.Complex):
+        raise DomainError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = complex(value)
     except OverflowError:
         raise DomainError(f"{name} lies past the float range") from None
-
-
-def check_finite(**values: complex) -> None:
-    """DomainError naming the first of ``values`` that is not a number, or is NaN or infinite."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Complex):
-            raise DomainError(f"{name} must be a number, got {value!r}")
-        if not cmath.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value

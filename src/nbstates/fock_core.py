@@ -45,8 +45,8 @@ class FockVector:
     def __post_init__(self):
         try:
             arr = np.asarray(self.amplitudes, dtype=np.complex128)
-        except (TypeError, ValueError):
-            raise DomainError("amplitudes must be numbers") from None
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("amplitudes must be numbers in the float range") from None
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("amplitudes must be a non-empty 1-D array")
         if not np.isfinite(arr).all():

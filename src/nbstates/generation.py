@@ -24,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ZeroNormError, check_finite, check_integer, check_real
+from .errors import DomainError, ZeroNormError, check_integer, check_real
 from .fock_core import FockVector, TruncationPolicy, inner
-from .nbs_states import (NBSParams, _check_phi, _label_phases, nbs, partner_phase,
-                         phase_factor, required_dimension)
+from .nbs_states import (NBSParams, _check_phi, _label_phases, _phase_factor, nbs,
+                         partner_phase, required_dimension)
 
 
 @dataclass(frozen=True)
@@ -45,26 +45,21 @@ def fidelity(u: FockVector, v: FockVector) -> float:
     return min(abs(inner(u, v)), 1.0)
 
 
-def _real_phase(name: str, phase) -> float:
-    """``phase`` as a Python float, or DomainError unless it is a finite real >= 0."""
+def _check_phase(name: str, phase, multiple: int, multiple_name: str) -> float:
+    # phase as a float; DomainError unless it is >= 0 and phase * multiple is finite
     phase = check_real(name, phase)
-    check_finite(**{name: phase})
     if phase < 0.0:
         raise DomainError(f"{name} must be >= 0, got {phase}")
+    largest = phase * multiple
+    if not math.isfinite(largest):
+        raise DomainError(f"the largest phase {name} {multiple_name} = {largest} "
+                          "is not a finite float")
     return phase
-
-
-def _check_phase(name: str, phase: float) -> None:
-    # DomainError unless the largest phase a protocol applies is a finite float
-    if not math.isfinite(phase):
-        raise DomainError(f"the largest phase {name} = {phase} is not a finite float")
 
 
 def kerr_evolve(v: FockVector, g1t: float) -> FockVector:
     """Apply exp(-i g1t N^2) componentwise; DomainError unless g1t n_max^2 is finite."""
-    g1t = _real_phase("g1t", g1t)
-    n_max = len(v) - 1
-    _check_phase("g1t n_max^2", g1t * n_max * n_max)
+    g1t = _check_phase("g1t", g1t, v.n_max * v.n_max, "n_max^2")
     n = np.arange(len(v), dtype=np.float64)
     return FockVector(v.amplitudes * np.exp(-1j * g1t * n * n))
 
@@ -94,14 +89,14 @@ def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
     and DomainError unless the phase g2t n_max is a finite float.
     """
     phi = _check_phi(phi)
-    g2t = _real_phase("g2t", g2t)
     if n_max is None:
         # the conditional states are parity superpositions; size for the
         # widest of the two so either projection is representable
         d_g = required_dimension(params, phi, policy)
         n_max = max(d_g, required_dimension(params, partner_phase(phi), policy))
-    n_max = check_integer("n_max", n_max, 0)
-    _check_phase("g2t n_max", g2t * n_max)
+    else:
+        n_max = check_integer("n_max", n_max, 0)
+    g2t = _check_phase("g2t", g2t, n_max, "n_max")
     # the truncated NBS keeps norm^2 = 1 - tail; renormalize so that
     # prob_g + prob_e = 1 whatever the tail tolerance or forced n_max
     start = nbs(params, n_max=n_max)
@@ -109,7 +104,7 @@ def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
     rotated = base * _label_phases(-g2t, np.arange(n_max + 1))
 
     f_g = base / math.sqrt(2.0)
-    f_e = phase_factor(phi) * rotated / math.sqrt(2.0)
+    f_e = _phase_factor(phi) * rotated / math.sqrt(2.0)
     # pi-pulse: |g> -> (|g> - |e>)/sqrt2, |e> -> (|g> + |e>)/sqrt2
     g_row = (f_g + f_e) / math.sqrt(2.0)
     e_row = (f_e - f_g) / math.sqrt(2.0)

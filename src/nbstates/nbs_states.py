@@ -30,6 +30,7 @@ instead of a scan from n = 0.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from bisect import bisect_left
@@ -38,13 +39,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (DomainError, TruncationError, ZeroNormError, check_finite, check_integer,
+from .errors import (DomainError, TruncationError, ZeroNormError, check_complex, check_integer,
                      check_real)
 from .fock_core import FockVector, TruncationPolicy
 
 TWO_PI = 2.0 * math.pi
 # smallest eta whose square is still a normal float
 ETA_MIN = math.sqrt(sys.float_info.min)
+_DEFAULT_POLICY = TruncationPolicy()
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,6 @@ class NBSParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        # stored as the int and floats the checks return, so that 3.0 and
-        # np.int64(3) are 3 and a float32 eta is squared in float64
         object.__setattr__(self, "M", check_integer("M", self.M, 1))
         object.__setattr__(self, "eta", check_real("eta", self.eta))
         object.__setattr__(self, "theta", check_real("theta", self.theta))
@@ -77,7 +77,7 @@ class NBSParams:
 
     @property
     def eta_c(self) -> complex:
-        return self.eta * phase_factor(self.theta)
+        return self.eta * _phase_factor(self.theta)
 
 
 def phase_factor(angle: float) -> complex:
@@ -87,7 +87,11 @@ def phase_factor(angle: float) -> complex:
     cancellations at phi in {0, pi} and the pi/2 normalization come out exact
     instead of carrying ~1e-16 dust from sin(pi).
     """
-    angle = check_real("angle", angle)
+    return _phase_factor(check_real("angle", angle))
+
+
+def _phase_factor(angle: float) -> complex:
+    # phase_factor of a checked angle
     c = math.cos(angle)
     s = math.sin(angle)
     if abs(c) == 1.0:
@@ -106,14 +110,13 @@ def _check_phi(phi: float) -> float:
 
 
 def _cos_phi(phi: float) -> float:
-    # c = cos(phi) of a checked phi, exactly +-1 or 0 on the axes
-    _check_phi(phi)
-    return phase_factor(phi).real
+    # c = cos(phi) of a phi it checks, exactly +-1 or 0 on the axes
+    return _phase_factor(_check_phi(phi)).real
 
 
 def partner_phase(phi: float) -> float:
     """phi + pi wrapped back into [0, 2*pi]: the phase of the opposite-parity partner."""
-    _check_phi(phi)
+    phi = _check_phi(phi)
     return phi + math.pi if phi <= math.pi else phi - math.pi
 
 
@@ -148,8 +151,8 @@ def nbs_parity_overlap(params: NBSParams) -> float:
 
 
 def _parity_norm(phi: float, r: float, r_minus_1: float) -> float:
-    # (2 (1 + cos(phi) r))^{-1/2} for two components with overlap r
-    denom = 2.0 * _one_plus_c_r(_cos_phi(phi), r, r_minus_1)
+    # (2 (1 + cos(phi) r))^{-1/2} for two components with overlap r, at a checked phi
+    denom = 2.0 * _one_plus_c_r(_phase_factor(phi).real, r, r_minus_1)
     if denom <= 0.0:
         raise ZeroNormError(f"superposition norm vanished at phi={phi}, component overlap {r!r}")
     # sqrt of the reciprocal is correctly rounded where 1/sqrt is an ulp off
@@ -168,13 +171,13 @@ def _truncated(amps: np.ndarray) -> FockVector:
 def _parity_superposition(base: np.ndarray, phi: float, r: float, r_minus_1: float) -> FockVector:
     """Normalized amplitudes of |b> + e^{i phi} |b'>, where b'_n = (-1)^n b_n and <b'|b> = r."""
     sign = np.where(np.arange(base.size) % 2 == 0, 1.0, -1.0)
-    factor = 1.0 + phase_factor(phi) * sign
+    factor = 1.0 + _phase_factor(phi) * sign
     return _truncated(_parity_norm(phi, r, r_minus_1) * base * factor)
 
 
 def normalization_constant(phi: float, params: NBSParams) -> float:
     """N with |phi;eta_c,M> = N (|eta_c,M> + e^{i phi} |-eta_c,M>); N = (2(1+cos(phi) r))^{-1/2}."""
-    return _parity_norm(phi, *_overlap_terms(params.M, params.eta * params.eta)[1:3])
+    return _parity_norm(_check_phi(phi), *_overlap_terms(params.M, params.eta * params.eta)[1:3])
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +224,11 @@ def _grown_n_max(weight_log, ratio, boost: float, policy: TruncationPolicy) -> i
 def required_dimension(params: NBSParams, phi: Optional[float] = None,
                        policy: Optional[TruncationPolicy] = None) -> int:
     """n_max for an NBS (phi=None) or a parity superposition with the given phi."""
-    policy = policy or TruncationPolicy()
+    policy = policy or _DEFAULT_POLICY
     x = params.eta * params.eta
     M = params.M
     # |parity factor|^2 <= 4 and the norm divides by 2(1+c r)
-    boost = 1.0 if phi is None else \
-        2.0 / _one_plus_c_r(_cos_phi(phi), *_overlap_terms(M, x)[1:3])
+    boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_cos_phi(phi), *_overlap_terms(M, x)[1:3])
     return _grown_n_max(
         lambda n: _nb_log_weight(M, n, x),
         lambda n: (M + n) * x / (n + 1),
@@ -235,11 +237,11 @@ def required_dimension(params: NBSParams, phi: Optional[float] = None,
     )
 
 
-def _label_intensity(alpha: complex) -> float:
-    """|alpha|^2 of a coherent label; DomainError unless it is a finite float."""
-    check_finite(alpha=alpha)
+def _check_label(alpha) -> Tuple[complex, float]:
+    """(alpha, |alpha|^2) of a coherent label; DomainError unless both are finite."""
+    alpha = check_complex("alpha", alpha)
     try:
-        return abs(alpha) ** 2
+        return alpha, abs(alpha) ** 2
     except OverflowError:
         raise DomainError(f"|alpha|^2 overflows a float for alpha = {alpha}") from None
 
@@ -247,8 +249,8 @@ def _label_intensity(alpha: complex) -> float:
 def required_dimension_cat(alpha: complex, phi: Optional[float] = None,
                            policy: Optional[TruncationPolicy] = None) -> int:
     """n_max for a coherent state (phi=None) or a two-component cat."""
-    aa = _label_intensity(alpha)
-    policy = policy or TruncationPolicy()
+    aa = _check_label(alpha)[1]
+    policy = policy or _DEFAULT_POLICY
     if aa == 0.0:
         return 2
     boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_cos_phi(phi), *_overlap(2.0 * aa))
@@ -324,14 +326,14 @@ _AXIS_UNITS = (1, 1j, -1, -1j)
 
 
 def _label_phases(theta: float, n: np.ndarray) -> np.ndarray:
-    """exp(i theta n) for integer n, each of modulus 1 to within an ulp.
+    """exp(i theta n) for integer n and a checked theta, each of modulus 1 to within an ulp.
 
     Labels that ``phase_factor`` snaps onto an axis get exact powers of
     +-1 and +-i, so parity cancellations stay exact; any other label takes
     cos and sin of theta * n, which, unlike a complex power, does not let the
     modulus drift from 1 as n grows.
     """
-    unit = phase_factor(theta)
+    unit = _phase_factor(theta)
     if unit in _AXIS_UNITS:
         return np.array(_AXIS_UNITS, dtype=np.complex128)[(_AXIS_UNITS.index(unit) * n) % 4]
     angle = theta * n
@@ -342,7 +344,6 @@ def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
     """Amplitudes (1-x)^{M/2} C(M+n-1,n)^{1/2} eta_c^n for n = 0..n_max."""
     M, eta = params.M, params.eta
     x = eta * eta
-    n_max = check_integer("n_max", n_max, 0)
     n = np.arange(n_max + 1)
     logmag = 0.5 * _log_binomial(M, n) + n * math.log(eta) + 0.5 * M * math.log1p(-x)
     amps = np.exp(logmag).astype(np.complex128)
@@ -354,8 +355,8 @@ def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
 def nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
         n_max: Optional[int] = None) -> FockVector:
     """Negative binomial state, sized by the truncation policy unless n_max is forced."""
-    if n_max is None:
-        n_max = required_dimension(params, None, policy)
+    n_max = required_dimension(params, None, policy) if n_max is None else \
+        check_integer("n_max", n_max, 0)
     return _truncated(_nbs_base(params, n_max))
 
 
@@ -367,9 +368,9 @@ def superposition(phi: float, params: NBSParams,
     phi = 0 keeps only even n (amplitudes at odd n are exactly zero); phi = pi
     keeps only odd n; phi = pi/2 reproduces the bare NBS photon distribution.
     """
-    _check_phi(phi)
-    if n_max is None:
-        n_max = required_dimension(params, phi, policy)
+    phi = _check_phi(phi)
+    n_max = required_dimension(params, phi, policy) if n_max is None else \
+        check_integer("n_max", n_max, 0)
     return _parity_superposition(_nbs_base(params, n_max), phi,
                                  *_overlap_terms(params.M, params.eta * params.eta)[1:3])
 
@@ -386,9 +387,8 @@ def odd_nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
     return superposition(math.pi, params, policy, n_max)
 
 
-def _coherent_base(alpha: complex, n_max: int) -> np.ndarray:
-    aa = _label_intensity(alpha)
-    n_max = check_integer("n_max", n_max, 0)
+def _coherent_base(alpha: complex, aa: float, n_max: int) -> np.ndarray:
+    # amplitudes of |alpha> for n = 0..n_max, given |alpha|^2 = aa
     n = np.arange(n_max + 1)
     if alpha == 0:
         amps = np.zeros(n_max + 1, dtype=np.complex128)
@@ -401,22 +401,23 @@ def _coherent_base(alpha: complex, n_max: int) -> np.ndarray:
 
 def coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,
              n_max: Optional[int] = None) -> FockVector:
-    if n_max is None:
-        n_max = required_dimension_cat(alpha, None, policy)
-    return _truncated(_coherent_base(alpha, n_max))
+    alpha, aa = _check_label(alpha)
+    n_max = required_dimension_cat(alpha, None, policy) if n_max is None else \
+        check_integer("n_max", n_max, 0)
+    return _truncated(_coherent_base(alpha, aa, n_max))
 
 
 def cat_state(alpha: complex, phi: float,
               policy: Optional[TruncationPolicy] = None,
               n_max: Optional[int] = None) -> FockVector:
     """Normalized N0 (|alpha> + e^{i phi} |-alpha>)."""
-    _check_phi(phi)
+    phi = _check_phi(phi)
+    alpha, aa = _check_label(alpha)
     if alpha == 0:
         raise DomainError("cat state requires alpha != 0")
-    if n_max is None:
-        n_max = required_dimension_cat(alpha, phi, policy)
-    return _parity_superposition(_coherent_base(alpha, n_max), phi,
-                                 *_overlap(2.0 * _label_intensity(alpha)))
+    n_max = required_dimension_cat(alpha, phi, policy) if n_max is None else \
+        check_integer("n_max", n_max, 0)
+    return _parity_superposition(_coherent_base(alpha, aa, n_max), phi, *_overlap(2.0 * aa))
 
 
 def even_coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,
@@ -443,11 +444,10 @@ def nbs_inner_closed(alpha: complex, beta: complex, M: int) -> complex:
     cancel, its log is log1p(-|a|^2) + log1p(-|b|^2) - log1p(|a b|^2 - 2 Re(conj(a) b)),
     with no plain log of a number near 1.  The phase is -M arg(1 - conj(a) b).
     """
-    check_integer("M", M, 1)
-    check_finite(alpha=alpha, beta=beta)
+    M = check_integer("M", M, 1)
+    alpha, beta = check_complex("alpha", alpha), check_complex("beta", beta)
     if abs(alpha) >= 1.0 or abs(beta) >= 1.0:
         raise DomainError("NBS labels must have modulus < 1")
-    import cmath
     overlap = alpha.conjugate() * beta
     q = 1.0 - overlap
     d = abs(alpha - beta) ** 2 / abs(q) ** 2

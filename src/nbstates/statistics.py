@@ -41,11 +41,10 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, NumericsError, check_finite, check_integer,
-                     check_real)
+from .errors import ConvergenceError, DomainError, NumericsError, check_integer, check_real
 from .fock_core import HARD_CAP_DEFAULT, PhotonStats
 from .nbs_states import (NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
-                         _overlap, _overlap_terms, phase_factor)
+                         _overlap, _overlap_terms, _phase_factor)
 
 
 def q_limit(phi: float) -> float:
@@ -54,9 +53,8 @@ def q_limit(phi: float) -> float:
     return c if abs(c) == 1.0 else 0.0
 
 
-def _pn_kernel(n: np.ndarray, phi: float, params: NBSParams) -> np.ndarray:
-    # P(n) at each integer-valued float of n; exactly +0.0 where the parity forbids n
-    c = _cos_phi(phi)
+def _pn_kernel(n: np.ndarray, c: float, params: NBSParams) -> np.ndarray:
+    # P(n) at each integer-valued float of n, at cos(phi) = c; +0.0 where parity forbids n
     M = params.M
     x, r0, d0 = _overlap_terms(M, params.eta * params.eta)[:3]
     weight = np.exp(_log_binomial(M, n) + n * math.log(x) + M * math.log1p(-x))
@@ -69,7 +67,7 @@ def pn_closed(n: int, phi: float, params: NBSParams) -> float:
     n is at most 2**53, where the float64 n the kernel reads is still exact.
     """
     n = check_integer("photon number", n, 0)
-    return float(_pn_kernel(np.array([n], dtype=np.float64), phi, params)[0])
+    return float(_pn_kernel(np.array([n], dtype=np.float64), _cos_phi(phi), params)[0])
 
 
 def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
@@ -80,14 +78,13 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
     entries are exactly 0.
     """
     size = check_integer("n_max", n_max, 0) + 1
-    return _pn_kernel(np.arange(size, dtype=np.float64), phi, params)
+    return _pn_kernel(np.arange(size, dtype=np.float64), _cos_phi(phi), params)
 
 
 def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     """G(lambda) = sum_n lambda^n P(n), defined for |lambda| * eta^2 < 1."""
     c = _cos_phi(phi)
     lam = check_real("lam", lam)
-    check_finite(lam=lam)
     M = params.M
     x, r0, d0 = _overlap_terms(M, params.eta * params.eta)[:3]
     if abs(lam) * x >= 1.0:
@@ -269,13 +266,13 @@ class _SeriesSums:
         return re * rot.real - im * rot.imag, re * rot.imag + im * rot.real
 
     def a_pow(self, k: int, phi: float) -> complex:
-        """<a^k> at phi from the sums of power k of one eta."""
-        unit = phase_factor(phi)
+        """<a^k> at a checked phi from the sums of power k of one eta."""
+        unit = _phase_factor(phi)
         return complex(*self._a_pow(k, unit.real, unit.imag))
 
     def quadratures(self, phi: float):
-        """(Var X1, Var X2) at phi from the sums of powers 1 and 2, one entry per eta."""
-        unit = phase_factor(phi)
+        """(Var X1, Var X2) at a checked phi from the sums of powers 1 and 2, one entry per eta."""
+        unit = _phase_factor(phi)
         c, s = unit.real, unit.imag
         mean = _mean_kernel(c, self.M, *self.terms)
         a_re, a_im = self._a_pow(1, c, s)
@@ -374,7 +371,7 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
                                    f"at eta={etas[start + i]}, M={M}")
     by_power = {k: sums[slot].reshape(4, len(xs)) for slot, k in enumerate(powers)}
     return _SeriesSums(M, _overlap_columns(M, xs), by_power,
-                       {k: phase_factor(theta) ** k for k in powers})
+                       {k: _phase_factor(theta) ** k for k in powers})
 
 
 def a_pow_expectation(k: int, phi: float, params: NBSParams) -> complex:
@@ -409,7 +406,7 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams) -> complex:
     k = check_integer("power k", k, 1)
     if k > _SERIES_TERMS:
         raise DomainError(f"power k must be at most {_SERIES_TERMS}, got {k}")
-    _check_phi(phi)
+    phi = _check_phi(phi)
     return _series_sums(params.M, (params.eta,), params.theta, (k,))[0].a_pow(k, phi)
 
 
@@ -419,6 +416,6 @@ def quadrature_variances(phi: float, params: NBSParams) -> Tuple[float, float]:
     <a> and <a^2> come from one weight pass, each power summed to its own
     n_hi, bit for bit what two ``a_pow_expectation`` calls give.
     """
-    _check_phi(phi)
+    phi = _check_phi(phi)
     sums = _series_sums(params.M, (params.eta,), params.theta, (1, 2))[0]
     return tuple(map(float, sums.quadratures(phi)))

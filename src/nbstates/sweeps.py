@@ -24,9 +24,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_integer, check_real
+from .errors import DomainError, check_integer, check_real
 from .fock_core import TruncationPolicy
-from .nbs_states import NBSParams, _check_phi, phase_factor, required_dimension
+from .nbs_states import NBSParams, _check_phi, _phase_factor, required_dimension
 from .statistics import _overlap_columns, _q_kernel, _series_sums, pn_closed_upto
 
 FIG1_PHIS = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
@@ -53,7 +53,6 @@ class SweepConfig:
         for name in ("theta", "eta_start", "eta_stop", "grid_step"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         object.__setattr__(self, "phis", tuple(_check_phi(phi) for phi in self.phis))
-        check_finite(eta_start=self.eta_start, eta_stop=self.eta_stop, grid_step=self.grid_step)
         if self.grid_step <= 0.0:
             raise DomainError(f"grid_step must be > 0, got {self.grid_step}")
         if not (0.0 < self.eta_start <= self.eta_stop < 1.0):
@@ -112,7 +111,7 @@ def fig1_records(cfg: SweepConfig) -> SweepTable:
     etas = _checked_grid(cfg)
     terms = _overlap_columns(cfg.M, [eta * eta for eta in etas])
     return SweepTable(etas, cfg.phis,
-                      [_q_kernel(phase_factor(phi).real, cfg.M, *terms) for phi in cfg.phis],
+                      [_q_kernel(_phase_factor(phi).real, cfg.M, *terms) for phi in cfg.phis],
                       cfg.M, "mandel_q")
 
 

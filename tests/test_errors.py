@@ -72,10 +72,37 @@ NAN, INF = math.nan, math.inf
     lambda: FockVector(["a"]),
     # below the minimum and past Python's 4300-digit limit for str()
     lambda: number_state(-10 ** 5000, 4),
+    # an int past the float range where a complex label or amplitude is read
+    lambda: coherent(10 ** 400),
+    lambda: cat_state(10 ** 400, 0.0),
+    lambda: nbs_inner_closed(10 ** 400, 0.2, 3),
+    lambda: FockVector([10 ** 400]),
+    lambda: phase_factor(INF),
+    # a complex integer argument, refused before int() can warn on it
+    lambda: NBSParams(M=np.complex64(3.7), eta=0.5),
 ])
 def test_bad_scalar_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+# a numpy scalar is taken as the Python number of the same value, so the
+# arithmetic on it is Python float arithmetic; a float16 label used to stay
+# float16 through the sizing and overflow there, and a float32 phi used to
+# come back from partner_phase as a float32
+@pytest.mark.parametrize("given, expected", [
+    (lambda: coherent(np.float16(0.3)), lambda: coherent(float(np.float16(0.3)))),
+    (lambda: cat_state(np.float16(1.0), 0.0), lambda: cat_state(1.0, 0.0)),
+    (lambda: nbs_inner_closed(0.1, 0.2, np.True_), lambda: nbs_inner_closed(0.1, 0.2, 1)),
+    (lambda: partner_phase(np.float32(1.0)), lambda: 1.0 + math.pi),
+], ids=("coherent-float16", "cat_state-float16", "nbs_inner_closed-bool_", "partner_phase-float32"))
+def test_numpy_scalars_give_what_the_equal_python_numbers_give(given, expected):
+    got, want = given(), expected()
+    assert type(got) is type(want)
+    if isinstance(want, FockVector):
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+    else:
+        assert got == want
 
 
 # Every integer a caller hands in is at most 2**53, past which a float64

@@ -200,8 +200,10 @@ def test_non_real_angles_and_etas_are_domain_errors(bad):
 
 @pytest.mark.parametrize("phi", (-0.1, 2.0 * math.pi + 1e-9, math.nan, math.inf))
 def test_sweep_config_rejects_phi_outside_0_2pi(phi):
-    # rejected before any row is evaluated, whatever the order of evaluation
-    with pytest.raises(DomainError, match="phi must lie"):
+    # rejected before any row is evaluated, whatever the order of evaluation;
+    # NaN and inf are named as not finite, like every other non-finite input
+    message = "phi must lie" if math.isfinite(phi) else "phi must be finite"
+    with pytest.raises(DomainError, match=message):
         SweepConfig(M=30, phis=(0.0, phi))
 
 
@@ -396,6 +398,31 @@ def test_bad_config_value_fails_with_one_line(tmp_path, capsys, line, key):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}:1: bad value for {key!r}: ")
     assert err.count("\n") == 1
+
+
+# a valid config per command, each of whose numeric keys in turn is replaced
+# by a hostile value
+_VALID_CONFIGS = {
+    "pn": dict(M="5", eta="0.5", phi="0"),
+    "fig2": dict(M="5", theta="0", phi="0", eta_start="0.1", eta_stop="0.2", grid_step="0.05"),
+    "generate": dict(protocol="dispersive", M="2", eta="0.3", theta="0", phi="0.5", g2t="3"),
+}
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "1e400", "7" * 5000, "1j"),
+                         ids=("nan", "inf", "1e400", "5000-digits", "1j"))
+@pytest.mark.parametrize("command", sorted(_VALID_CONFIGS))
+def test_hostile_config_values_fail_with_one_line(tmp_path, capsys, command, value):
+    cfg = tmp_path / "run.cfg"
+    for key in _VALID_CONFIGS[command]:
+        if key == "protocol":
+            continue
+        text = {**_VALID_CONFIGS[command], key: value}
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        assert main([command, "--config", str(cfg)]) == 1, key
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n"), (key, err)
+        assert "Traceback" not in err, key
 
 
 def test_domain_error_exit_code(capsys):
