@@ -8,6 +8,7 @@ reference for the analytic expressions elsewhere in the package.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,14 +45,19 @@ class FockVector:
 
     def __post_init__(self):
         try:
-            arr = np.asarray(self.amplitudes, dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError("amplitudes must be numbers in the float range") from None
+            raw = np.asarray(self.amplitudes)
+            with np.errstate(over="raise"):  # a longdouble past the float range
+                arr = raw.astype(np.complex128)
+        except (TypeError, ValueError, OverflowError, FloatingPointError):
+            raw = None
+        # the cast also takes a str or bytes amplitude, and None as nan
+        if raw is None or raw.dtype.kind not in "biufcO" or raw.dtype.kind == "O" and not all(
+                isinstance(a, numbers.Number) for a in raw.flat):
+            raise DomainError("amplitudes must be numbers in the float range")
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("amplitudes must be a non-empty 1-D array")
         if not np.isfinite(arr).all():
             raise DomainError("amplitudes must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 

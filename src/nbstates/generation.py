@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ZeroNormError, check_integer, check_real
-from .fock_core import FockVector, TruncationPolicy, inner
+from .fock_core import FockVector, inner
 from .nbs_states import (NBSParams, _check_phi, _label_phases, _phase_factor, nbs,
                          partner_phase, required_dimension)
 
@@ -64,8 +64,7 @@ def kerr_evolve(v: FockVector, g1t: float) -> FockVector:
     return FockVector(v.amplitudes * np.exp(-1j * g1t * n * n))
 
 
-def kerr_generate(params: NBSParams, policy: Optional[TruncationPolicy] = None,
-                  n_max: Optional[int] = None) -> FockVector:
+def kerr_generate(params: NBSParams, n_max: Optional[int] = None) -> FockVector:
     """Evolve a bare NBS for the quarter period g1t = pi/2.
 
     In exact arithmetic the result is exp(-i pi/4) * superposition(pi/2,
@@ -75,12 +74,11 @@ def kerr_generate(params: NBSParams, policy: Optional[TruncationPolicy] = None,
     """
     if n_max is None:
         # size for the superposition the protocol lands on, not the bare NBS
-        n_max = required_dimension(params, math.pi / 2.0, policy)
+        n_max = required_dimension(params, math.pi / 2.0)
     return kerr_evolve(nbs(params, n_max=n_max), math.pi / 2.0)
 
 
 def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
-                        policy: Optional[TruncationPolicy] = None,
                         n_max: Optional[int] = None) -> DispersiveOutcome:
     """Prepare the atom with phase phi, apply the dispersive phase g2t, pulse and measure.
 
@@ -92,8 +90,8 @@ def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
     if n_max is None:
         # the conditional states are parity superpositions; size for the
         # widest of the two so either projection is representable
-        d_g = required_dimension(params, phi, policy)
-        n_max = max(d_g, required_dimension(params, partner_phase(phi), policy))
+        n_max = max(required_dimension(params, phi),
+                    required_dimension(params, partner_phase(phi)))
     else:
         n_max = check_integer("n_max", n_max, 0)
     g2t = _check_phase("g2t", g2t, n_max, "n_max")

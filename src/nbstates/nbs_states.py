@@ -195,7 +195,7 @@ def _nb_log_weight(M: int, n: int, x: float) -> float:
     return log_c + n * math.log(x) + M * math.log1p(-x)
 
 
-def _grown_n_max(weight_log, ratio, boost: float, policy: TruncationPolicy) -> int:
+def _grown_n_max(weight_log, ratio, boost: float, policy: Optional[TruncationPolicy]) -> int:
     """Smallest index with a provable tail bound below tolerance, plus 2 padding.
 
     ``ratio(n)`` must give w(n+1)/w(n) and be non-increasing, so once it drops
@@ -205,8 +205,9 @@ def _grown_n_max(weight_log, ratio, boost: float, policy: TruncationPolicy) -> i
     below tolerance" is then False up to one index and True from it on, and
     one bisection over [0, hard_cap] finds that index: O(log hard_cap)
     evaluations of ``ratio`` and ``weight_log``, and the same index a scan
-    from n = 0 would stop at.
+    from n = 0 would stop at.  ``policy`` None is ``TruncationPolicy()``.
     """
+    policy = policy or _DEFAULT_POLICY
     tol = policy.tail_tolerance / boost
 
     def done(n: int) -> bool:
@@ -223,8 +224,7 @@ def _grown_n_max(weight_log, ratio, boost: float, policy: TruncationPolicy) -> i
 
 def required_dimension(params: NBSParams, phi: Optional[float] = None,
                        policy: Optional[TruncationPolicy] = None) -> int:
-    """n_max for an NBS (phi=None) or a parity superposition with the given phi."""
-    policy = policy or _DEFAULT_POLICY
+    """n_max for an NBS (phi=None) or a parity superposition; policy=None is TruncationPolicy()."""
     x = params.eta * params.eta
     M = params.M
     # |parity factor|^2 <= 4 and the norm divides by 2(1+c r)
@@ -248,9 +248,8 @@ def _check_label(alpha) -> Tuple[complex, float]:
 
 def required_dimension_cat(alpha: complex, phi: Optional[float] = None,
                            policy: Optional[TruncationPolicy] = None) -> int:
-    """n_max for a coherent state (phi=None) or a two-component cat."""
+    """n_max for a coherent state (phi=None) or a two-component cat, as ``required_dimension``."""
     aa = _check_label(alpha)[1]
-    policy = policy or _DEFAULT_POLICY
     if aa == 0.0:
         return 2
     boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_cos_phi(phi), *_overlap(2.0 * aa))
@@ -352,39 +351,32 @@ def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
     return amps
 
 
-def nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
-        n_max: Optional[int] = None) -> FockVector:
-    """Negative binomial state, sized by the truncation policy unless n_max is forced."""
-    n_max = required_dimension(params, None, policy) if n_max is None else \
-        check_integer("n_max", n_max, 0)
+def nbs(params: NBSParams, n_max: Optional[int] = None) -> FockVector:
+    """Negative binomial state on 0..n_max; n_max=None sizes it by ``required_dimension``."""
+    n_max = required_dimension(params) if n_max is None else check_integer("n_max", n_max, 0)
     return _truncated(_nbs_base(params, n_max))
 
 
-def superposition(phi: float, params: NBSParams,
-                  policy: Optional[TruncationPolicy] = None,
-                  n_max: Optional[int] = None) -> FockVector:
+def superposition(phi: float, params: NBSParams, n_max: Optional[int] = None) -> FockVector:
     """Normalized N(|eta_c,M> + e^{i phi}|-eta_c,M>).
 
     phi = 0 keeps only even n (amplitudes at odd n are exactly zero); phi = pi
     keeps only odd n; phi = pi/2 reproduces the bare NBS photon distribution.
     """
     phi = _check_phi(phi)
-    n_max = required_dimension(params, phi, policy) if n_max is None else \
-        check_integer("n_max", n_max, 0)
+    n_max = required_dimension(params, phi) if n_max is None else check_integer("n_max", n_max, 0)
     return _parity_superposition(_nbs_base(params, n_max), phi,
                                  *_overlap_terms(params.M, params.eta * params.eta)[1:3])
 
 
-def even_nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
-             n_max: Optional[int] = None) -> FockVector:
+def even_nbs(params: NBSParams, n_max: Optional[int] = None) -> FockVector:
     """Even-photon-number NBS; identical to superposition(0, ...)."""
-    return superposition(0.0, params, policy, n_max)
+    return superposition(0.0, params, n_max)
 
 
-def odd_nbs(params: NBSParams, policy: Optional[TruncationPolicy] = None,
-            n_max: Optional[int] = None) -> FockVector:
+def odd_nbs(params: NBSParams, n_max: Optional[int] = None) -> FockVector:
     """Odd-photon-number NBS; identical to superposition(pi, ...)."""
-    return superposition(math.pi, params, policy, n_max)
+    return superposition(math.pi, params, n_max)
 
 
 def _coherent_base(alpha: complex, aa: float, n_max: int) -> np.ndarray:
@@ -399,35 +391,29 @@ def _coherent_base(alpha: complex, aa: float, n_max: int) -> np.ndarray:
     return np.exp(logmag) * _label_phases(math.atan2(alpha.imag, alpha.real), n)
 
 
-def coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,
-             n_max: Optional[int] = None) -> FockVector:
+def coherent(alpha: complex, n_max: Optional[int] = None) -> FockVector:
     alpha, aa = _check_label(alpha)
-    n_max = required_dimension_cat(alpha, None, policy) if n_max is None else \
-        check_integer("n_max", n_max, 0)
+    n_max = required_dimension_cat(alpha) if n_max is None else check_integer("n_max", n_max, 0)
     return _truncated(_coherent_base(alpha, aa, n_max))
 
 
-def cat_state(alpha: complex, phi: float,
-              policy: Optional[TruncationPolicy] = None,
-              n_max: Optional[int] = None) -> FockVector:
+def cat_state(alpha: complex, phi: float, n_max: Optional[int] = None) -> FockVector:
     """Normalized N0 (|alpha> + e^{i phi} |-alpha>)."""
     phi = _check_phi(phi)
     alpha, aa = _check_label(alpha)
     if alpha == 0:
         raise DomainError("cat state requires alpha != 0")
-    n_max = required_dimension_cat(alpha, phi, policy) if n_max is None else \
+    n_max = required_dimension_cat(alpha, phi) if n_max is None else \
         check_integer("n_max", n_max, 0)
     return _parity_superposition(_coherent_base(alpha, aa, n_max), phi, *_overlap(2.0 * aa))
 
 
-def even_coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,
-                  n_max: Optional[int] = None) -> FockVector:
-    return cat_state(alpha, 0.0, policy, n_max)
+def even_coherent(alpha: complex, n_max: Optional[int] = None) -> FockVector:
+    return cat_state(alpha, 0.0, n_max)
 
 
-def odd_coherent(alpha: complex, policy: Optional[TruncationPolicy] = None,
-                 n_max: Optional[int] = None) -> FockVector:
-    return cat_state(alpha, math.pi, policy, n_max)
+def odd_coherent(alpha: complex, n_max: Optional[int] = None) -> FockVector:
+    return cat_state(alpha, math.pi, n_max)
 
 
 def photon_distribution(v: FockVector) -> np.ndarray:

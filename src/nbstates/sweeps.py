@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import DomainError, check_integer, check_real
-from .fock_core import TruncationPolicy
 from .nbs_states import NBSParams, _check_phi, _phase_factor, required_dimension
 from .statistics import _overlap_columns, _q_kernel, _series_sums, pn_closed_upto
 
@@ -52,7 +51,11 @@ class SweepConfig:
         object.__setattr__(self, "M", check_integer("M", self.M, 1))
         for name in ("theta", "eta_start", "eta_stop", "grid_step"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        object.__setattr__(self, "phis", tuple(_check_phi(phi) for phi in self.phis))
+        try:
+            phis = tuple(self.phis)
+        except TypeError:
+            raise DomainError(f"phis must be a sequence, not {type(self.phis).__name__}") from None
+        object.__setattr__(self, "phis", tuple(_check_phi(phi) for phi in phis))
         if self.grid_step <= 0.0:
             raise DomainError(f"grid_step must be > 0, got {self.grid_step}")
         if not (0.0 < self.eta_start <= self.eta_stop < 1.0):
@@ -133,10 +136,9 @@ def render_sweep_csv(table: SweepTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pn_table(phi: float, params: NBSParams,
-             policy: Optional[TruncationPolicy] = None) -> np.ndarray:
-    """P(n) for n = 0..n_max, indexed by n, out to the policy-selected truncation."""
-    return pn_closed_upto(required_dimension(params, phi, policy), phi, params)
+def pn_table(phi: float, params: NBSParams) -> np.ndarray:
+    """P(n) for n = 0..n_max, indexed by n, with n_max = ``required_dimension(params, phi)``."""
+    return pn_closed_upto(required_dimension(params, phi), phi, params)
 
 
 def render_pn_csv(pn: np.ndarray) -> str:

@@ -181,7 +181,8 @@ def check_vacuum_q_undefined():
 
 @check("coherent-state-poisson-moments", 1e-10)
 def check_coherent_poissonian():
-    st = oracle_stats(nbs_states.coherent(1.3, ORACLE_POLICY))
+    st = oracle_stats(nbs_states.coherent(
+        1.3, n_max=nbs_states.required_dimension_cat(1.3, None, ORACLE_POLICY)))
     return max(abs(st.mandel_q), abs(st.mean - 1.69))
 
 
@@ -250,15 +251,19 @@ def check_pn_closed_matches_amplitudes():
 @check("pn-table-sums-to-one", 1e-10)
 def check_pn_sums_to_one():
     params = NBSParams(M=30, eta=0.6)
-    return max(abs(sum(sweeps.pn_table(phi, params, ORACLE_POLICY).tolist()) - 1.0)
-               for phi in (0.0, math.pi / 2.0, math.pi))
+    worst = 0.0
+    for phi in (0.0, math.pi / 2.0, math.pi):
+        n_max = nbs_states.required_dimension(params, phi, ORACLE_POLICY)
+        worst = max(worst, abs(sum(statistics.pn_closed_upto(n_max, phi, params).tolist()) - 1.0))
+    return worst
 
 
 @check("generating-function-vs-series", 1e-10)
 def check_generating_function():
     params = NBSParams(M=4, eta=0.6)
     phi = math.pi / 4.0
-    pn = sweeps.pn_table(phi, params, ORACLE_POLICY).tolist()
+    pn = statistics.pn_closed_upto(
+        nbs_states.required_dimension(params, phi, ORACLE_POLICY), phi, params).tolist()
     return max(abs(statistics.generating_function(lam, phi, params)
                    - sum(p * lam ** n for n, p in enumerate(pn)))
                for lam in (-0.9, -0.3, 0.0, 0.5, 0.99, 1.0))
@@ -288,7 +293,8 @@ _ORACLE_QUANTITIES = ("mean", "second", "q", "var_x1", "var_x2")
 
 def _oracle_moments(phi: float, params: NBSParams):
     """The ``_ORACLE_QUANTITIES`` summed over the built state; no closed form enters."""
-    v = nbs_states.superposition(phi, params, ORACLE_POLICY)
+    v = nbs_states.superposition(
+        phi, params, n_max=nbs_states.required_dimension(params, phi, ORACLE_POLICY))
     ref = oracle_stats(v)
     # <a> and <a^2> take the same normalization oracle_stats gives the moments:
     # at theta = 0 the X2 variance cancels <a^2> against the mean
@@ -420,8 +426,9 @@ def check_ladder_suite():
 def check_coherent_pair_eigenvalue():
     alpha = 1.3 * nbs_states.phase_factor(0.4)
     worst = 0.0
-    for build in (nbs_states.even_coherent, nbs_states.odd_coherent):
-        v = build(alpha, ORACLE_POLICY)
+    for phi in (0.0, math.pi):
+        v = nbs_states.cat_state(
+            alpha, phi, n_max=nbs_states.required_dimension_cat(alpha, phi, ORACLE_POLICY))
         lowered = apply_annihilate(apply_annihilate(v)).amplitudes
         expect = alpha * alpha * v.amplitudes
         worst = max(worst, float(np.abs(lowered[:-2] - expect[:-2]).max()))

@@ -13,6 +13,7 @@ from nbstates.nbs_states import (NBSParams, cat_state, coherent, nbs, nbs_inner_
                                  required_dimension_cat, superposition)
 from nbstates.statistics import (a_pow_expectation, generating_function, pn_closed,
                                  pn_closed_upto, q_closed, quadrature_variances)
+from nbstates.sweeps import SweepConfig
 
 P = NBSParams(M=2, eta=0.3)
 NAN, INF = math.nan, math.inf
@@ -80,10 +81,25 @@ NAN, INF = math.nan, math.inf
     lambda: phase_factor(INF),
     # a complex integer argument, refused before int() can warn on it
     lambda: NBSParams(M=np.complex64(3.7), eta=0.5),
+    # a lone angle where a sequence of them belongs
+    lambda: SweepConfig(M=3, phis=0.5),
 ])
 def test_bad_scalar_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+# numpy's complex cast parses a str or bytes amplitude, reads None as nan and
+# warns when a longdouble overflows it
+@pytest.mark.parametrize("amplitudes", [
+    lambda: ["1", 1],
+    lambda: [b"1", 1],
+    lambda: [None, 1],
+    lambda: [np.longdouble("1e400"), 1],
+], ids=("str", "bytes", "None", "longdouble-1e400"))
+def test_amplitudes_must_be_numbers(amplitudes):
+    with pytest.raises(DomainError, match="amplitudes must be numbers"):
+        FockVector(amplitudes())
 
 
 # a numpy scalar is taken as the Python number of the same value, so the

@@ -8,9 +8,17 @@ import pytest
 from nbstates.errors import DimensionMismatchError, DomainError, ZeroNormError
 from nbstates.fock_core import TruncationPolicy, inner, number_state
 from nbstates.generation import dispersive_protocol, fidelity, kerr_evolve, kerr_generate
-from nbstates.nbs_states import NBSParams, nbs, photon_distribution, superposition
+from nbstates.nbs_states import (NBSParams, nbs, partner_phase, photon_distribution,
+                                 required_dimension, superposition)
 
 POLICY = TruncationPolicy(tail_tolerance=1e-14)
+
+
+def _dispersive_n_max(p, phi, policy=POLICY):
+    # the size dispersive_protocol picks under its default policy, under this one:
+    # the wider of the two branch superpositions
+    return max(required_dimension(p, phi, policy),
+               required_dimension(p, partner_phase(phi), policy))
 
 
 # negative, not finite, complex (even with a zero imaginary part), or not a number
@@ -80,7 +88,7 @@ def test_dispersive_phase_past_the_float_range_is_domain_error(g2, t):
 def test_kerr_quarter_period_hits_half_pi_superposition():
     for M, eta, theta in ((1, 0.3, 0.0), (6, 0.55, 1.2), (20, 0.4, 4.0)):
         p = NBSParams(M=M, eta=eta, theta=theta)
-        made = kerr_generate(p, policy=POLICY)
+        made = kerr_generate(p, n_max=required_dimension(p, math.pi / 2.0, POLICY))
         target = superposition(math.pi / 2.0, p, n_max=made.n_max)
         assert fidelity(made, target) == pytest.approx(1.0, abs=1e-13)
         # the leftover global phase is exactly -pi/4
@@ -98,7 +106,7 @@ def test_kerr_preserves_photon_distribution():
 def test_dispersive_projections_are_the_superpositions():
     for phi in (0.0, math.pi / 2.0, 2.0, math.pi):
         p = NBSParams(M=4, eta=0.5, theta=0.3)
-        out = dispersive_protocol(p, phi, policy=POLICY)
+        out = dispersive_protocol(p, phi, n_max=_dispersive_n_max(p, phi))
         dim = out.projected_g.n_max
         want_g = superposition(phi, p, n_max=dim)
         phi_opp = phi + math.pi if phi <= math.pi else phi - math.pi
@@ -119,21 +127,23 @@ def test_dispersive_branches_keep_exact_parity_zeros():
 def test_dispersive_frozen_probabilities():
     # phi = 0, x = 0.25, M = 3: parity overlap is 0.6^3, so p_g = 0.608
     p = NBSParams(M=3, eta=0.5)
-    out = dispersive_protocol(p, 0.0, policy=POLICY)
+    out = dispersive_protocol(p, 0.0, n_max=_dispersive_n_max(p, 0.0))
     assert out.prob_g == pytest.approx(0.608, rel=1e-12)
     assert out.prob_e == pytest.approx(0.392, rel=1e-12)
 
 
 def test_dispersive_probabilities_sum_to_one_off_resonance():
     p = NBSParams(M=7, eta=0.45, theta=0.9)
-    out = dispersive_protocol(p, 1.3, 1.7, policy=POLICY)
+    out = dispersive_protocol(p, 1.3, 1.7, n_max=_dispersive_n_max(p, 1.3))
     assert out.prob_g + out.prob_e == pytest.approx(1.0, abs=1e-12)
     assert out.projected_g.norm() == pytest.approx(1.0, abs=1e-12)
     assert out.projected_e.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("sizing", [dict(policy=TruncationPolicy(tail_tolerance=1e-6)),
-                                    dict(n_max=5)])
+@pytest.mark.parametrize("sizing", [
+    dict(n_max=_dispersive_n_max(NBSParams(M=3, eta=0.5), 0.0,
+                                 TruncationPolicy(tail_tolerance=1e-6))),
+    dict(n_max=5)])
 def test_dispersive_coarse_truncation_is_accepted(sizing):
     # the truncated base misses 2e-8 (tail 1e-6) or 4e-3 (n_max = 5) of its
     # norm^2; the protocol renormalizes it, so the branch probabilities

@@ -230,6 +230,7 @@ def test_required_dimension_at_huge_m(M, eta, n_max):
 def _scan_n_max(weight_log, ratio, boost, policy):
     # reference: the linear scan from n = 0 that the bisection in
     # nbs_states._grown_n_max replaced
+    policy = policy or TruncationPolicy()
     tol = policy.tail_tolerance / boost
     for n in range(policy.hard_cap + 1):
         rho = ratio(n)

@@ -18,7 +18,8 @@ from nbstates.errors import ConvergenceError, DomainError, NumericsError
 from nbstates.fock_core import (FockVector, TruncationPolicy, apply_annihilate,
                                 inner, oracle_stats)
 from nbstates.nbs_states import (ETA_MIN, NBSParams, _log_binomial, _one_plus_c_r, _overlap,
-                                 phase_factor, photon_distribution, superposition)
+                                 phase_factor, photon_distribution, required_dimension,
+                                 superposition)
 from nbstates.statistics import (a_pow_expectation, closed_stats, generating_function,
                                  mean_closed, pn_closed, pn_closed_upto,
                                  q_closed, q_limit, q_recursion_residual,
@@ -27,6 +28,11 @@ from nbstates.sweeps import pn_table
 from test_verification import _mpmath_quadratures
 
 ORACLE_POLICY = TruncationPolicy(tail_tolerance=1e-14)
+
+
+def _oracle_superposition(phi, p):
+    # the superposition sized for the oracle's tighter tail
+    return superposition(phi, p, n_max=required_dimension(p, phi, ORACLE_POLICY))
 
 
 def test_frozen_rationals_at_half_pi():
@@ -51,7 +57,7 @@ def test_closed_stats_match_oracle():
                       eta=float(rng.uniform(0.05, 0.9)),
                       theta=float(rng.uniform(0.0, 2.0 * math.pi)))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        ref = oracle_stats(superposition(phi, p, ORACLE_POLICY))
+        ref = oracle_stats(_oracle_superposition(phi, p))
         got = closed_stats(phi, p)
         assert got.mean == pytest.approx(ref.mean, rel=1e-11, abs=1e-13)
         assert got.second_moment == pytest.approx(ref.second_moment, rel=1e-11, abs=1e-13)
@@ -61,7 +67,7 @@ def test_closed_stats_match_oracle():
 def test_pn_matches_amplitudes():
     p = NBSParams(M=7, eta=0.55, theta=1.3)
     for phi in (0.0, math.pi / 2.0, 2.2, math.pi):
-        v = superposition(phi, p, ORACLE_POLICY)
+        v = _oracle_superposition(phi, p)
         probs = photon_distribution(v)
         closed = np.array([pn_closed(n, phi, p) for n in range(len(v))])
         np.testing.assert_allclose(closed, probs, rtol=1e-12, atol=1e-15)
@@ -78,12 +84,13 @@ def test_pn_parity_zeros_exact():
 
 @pytest.mark.parametrize("M", (1, 50, 1000))
 def test_pn_table_is_bit_identical_to_pn_closed(M):
-    # the one-pass table and the per-n closed form must not drift apart
+    # the one-pass table (pn_table's body, here sized past the default hard
+    # cap) and the per-n closed form must not drift apart
     wide = TruncationPolicy(hard_cap=10 ** 6)
     for eta in (0.05, 0.5, 0.9, 0.995):
         params = NBSParams(M=M, eta=eta)
         for phi in (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi):
-            table = pn_table(phi, params, wide)
+            table = pn_closed_upto(required_dimension(params, phi, wide), phi, params)
             assert table.dtype == np.float64 and table.ndim == 1
             closed = np.array([pn_closed(n, phi, params) for n in range(table.size)])
             assert np.array_equal(table.view(np.int64), closed.view(np.int64))
@@ -300,7 +307,7 @@ def test_a_pow_matches_ladder_oracle():
                       theta=float(rng.uniform(0.0, 2.0 * math.pi)))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         k = int(rng.integers(1, 4))
-        v = superposition(phi, p, ORACLE_POLICY)
+        v = _oracle_superposition(phi, p)
         want = _a_pow_oracle(v, k)
         got = a_pow_expectation(k, phi, p)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -681,7 +688,7 @@ def test_quadratures_match_oracle():
                       eta=float(rng.uniform(0.05, 0.8)),
                       theta=float(rng.uniform(0.0, 2.0 * math.pi)))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        v = superposition(phi, p, ORACLE_POLICY)
+        v = _oracle_superposition(phi, p)
         mean = oracle_stats(v).mean
         ea = _a_pow_oracle(v, 1)
         ea2 = _a_pow_oracle(v, 2)
