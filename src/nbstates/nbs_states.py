@@ -128,18 +128,22 @@ def _overlap(s: float) -> Tuple[float, float]:
 def _overlap_terms(M: int, x: float) -> Tuple[float, float, float, float, float]:
     # (x, r0, r0 - 1, r1, r1 - 1) for the overlaps r_j = exp(-2 (M + j) atanh x)
     # of |eta_c, M + j> with |-eta_c, M + j>: every transcendental of the
-    # parity norm, P(n), <N> and Q at one eta.  Written out rather than
-    # through _overlap, since sweeps call it once per grid eta.
+    # parity norm, P(n), <N> and Q at one eta.  statistics._overlap_columns
+    # forms the same five over an eta grid.
     u = math.atanh(x)
     s0 = 2.0 * M * u
     s1 = 2.0 * (M + 1) * u
     return x, math.exp(-s0), math.expm1(-s0), math.exp(-s1), math.expm1(-s1)
 
 
-def _one_plus_c_r(c: float, r, r_minus_1):
+def _one_plus_c_r(c, r, r_minus_1):
     # 1 + c r for an overlap r = e^{-s} given with r - 1 = expm1(-s), written to
     # survive c near -1 with a small exponent: 1 + c r = (1 + c) + c (r - 1),
-    # both addends free of cancellation.  r may be a float or an array.
+    # both addends free of cancellation.  r may be a float or an array; c a
+    # float, or an array (a column of phis in a sweep) whose elements each
+    # take the branch a float c would, with its bits.
+    if isinstance(c, np.ndarray):
+        return np.where(c < 0.0, (1.0 + c) + c * r_minus_1, 1.0 + c * r)
     if c < 0.0:
         return (1.0 + c) + c * r_minus_1
     return 1.0 + c * r

@@ -15,10 +15,12 @@ The Mandel parameter comes from the recursion <N>(pi - phi, M + 1) - <N>(phi, M)
 rearranged so that the two means of size M x / (1 - x) never cancel.
 
 Each closed form is split in two: the transcendentals, which depend on eta
-but not on phi (``_overlap_terms``), and an arithmetic kernel that takes
-them as floats or as float64 arrays over an eta grid (``_q_kernel``,
-``_mean_kernel``).  numpy rounds + - * / elementwise as Python does, so a
-kernel gives a whole column of a sweep the bits each eta gets alone.
+but not on phi (``_overlap_terms``, or ``_overlap_columns`` over a grid),
+and an arithmetic kernel that takes them as floats or as float64 arrays
+(``_q_kernel``, ``_mean_kernel``).  The kernels take c = cos(phi) as a
+float, or as a (phis, 1) column that broadcasts against the eta grid, so
+one call fills a whole (phi, eta) sweep.  numpy rounds + - * / elementwise
+as Python does, so each entry gets the bits its (phi, eta) pair gets alone.
 
 <a> and <a^2> are ratios of sums over one weight series, and those sums do
 not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
@@ -29,8 +31,8 @@ summed once; only a pair that the term budget cuts short checks its last
 term.  A block of etas is summed as 2-D arrays, one ``where=``-masked
 reduction per parity, with the bits each eta gets alone.  A single (M, eta)
 is the one-row grid, and ``_SeriesSums`` turns the sums into <a^k> and the
-quadrature variances with the same kind of kernel, one phi for the whole
-grid.
+quadrature variances with the same kind of kernel, at one phi or at a
+column of phis for the whole grid.
 """
 from __future__ import annotations
 
@@ -101,11 +103,16 @@ def generating_function(lam: float, phi: float, params: NBSParams) -> float:
 
 
 def _overlap_columns(M: int, xs: Sequence[float]) -> np.ndarray:
-    # _overlap_terms of each x as five float64 rows, for the column kernels
-    return np.array([_overlap_terms(M, x) for x in xs]).T
+    # _overlap_terms of each x as five float64 rows, for the column kernels:
+    # the same libm calls and exponents, one map per transcendental
+    us = list(map(math.atanh, xs))
+    s0 = [-(2.0 * M * u) for u in us]
+    s1 = [-(2.0 * (M + 1) * u) for u in us]
+    return np.array([xs, list(map(math.exp, s0)), list(map(math.expm1, s0)),
+                     list(map(math.exp, s1)), list(map(math.expm1, s1))])
 
 
-def _mean_kernel(c: float, M: int, x, r0, d0, r1, d1):
+def _mean_kernel(c, M: int, x, r0, d0, r1, d1):
     # <N> at cos(phi) = c from _overlap_terms, floats or arrays of them
     return M * x * _one_plus_c_r(-c, r1, d1) / ((1.0 - x) * _one_plus_c_r(c, r0, d0))
 
@@ -126,9 +133,10 @@ def second_moment_closed(phi: float, params: NBSParams) -> float:
     return _mean_kernel(c, M, *terms) + extra
 
 
-def _q_kernel(c: float, M: int, x, r0, d0, r1, d1):
+def _q_kernel(c, M: int, x, r0, d0, r1, d1):
     # Q at cos(phi) = c from _overlap_terms, floats or arrays of them: the
-    # arithmetic of q_closed, one phi for a whole eta grid in a sweep
+    # arithmetic of q_closed, every phi of a sweep (c a column) over its eta
+    # grid in one call
     pair = (M + 1) * r1 / _one_plus_c_r(-c, r1, d1) + M * r0 / _one_plus_c_r(c, r0, d0)
     return x / (1.0 - x) * (1.0 + 2.0 * c / (1.0 + x) * pair)
 
@@ -238,9 +246,11 @@ class _SeriesSums:
     summed over 0..n_hi of that power; ``terms`` is
     ``_overlap_terms`` (x first) for ``_mean_kernel``; ``rotation[k]`` is
     e^{ik theta}.  A grid holds one float64 entry per eta in each of these,
-    and ``sums[i]`` holds the i-th eta's entries as floats.  The methods are
-    kernels that do only + - * / and squares on them, elementwise, so a grid
-    and each of its one-eta rows give the same bits at every phi.
+    and ``sums[i]`` holds the i-th eta's entries as floats.  The kernels
+    ``_a_pow`` and ``_quadratures`` do only + - * / and squares on them,
+    elementwise, at a phase factor c + i s given as floats or as
+    (phis, 1) columns, which broadcast to one (phi, eta) entry each; so a
+    grid and each of its one-eta rows give the same bits at every phi.
     """
 
     M: int
@@ -253,7 +263,7 @@ class _SeriesSums:
                            {k: tuple(sums[:, i].tolist()) for k, sums in self.by_power.items()},
                            self.rotation)
 
-    def _a_pow(self, k: int, c: float, s: float):
+    def _a_pow(self, k: int, c, s):
         # (Re, Im) of <a^k> at the phase factor c + i s = e^{i phi}: the ratio
         # times e^{ik theta}, a complex product written out in CPython's order
         w_even, w_odd, t_even, t_odd = self.by_power[k]
@@ -273,7 +283,10 @@ class _SeriesSums:
     def quadratures(self, phi: float):
         """(Var X1, Var X2) at a checked phi from the sums of powers 1 and 2, one entry per eta."""
         unit = _phase_factor(phi)
-        c, s = unit.real, unit.imag
+        return self._quadratures(unit.real, unit.imag)
+
+    def _quadratures(self, c, s):
+        # (Var X1, Var X2) at the phase factor c + i s from the sums of powers 1 and 2
         mean = _mean_kernel(c, self.M, *self.terms)
         a_re, a_im = self._a_pow(1, c, s)
         a2_re = self._a_pow(2, c, s)[0]

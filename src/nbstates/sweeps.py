@@ -7,14 +7,16 @@ byte-identical files.  Grid points are generated as start + i*step (never a
 running sum), which keeps the grid deterministic and free of accumulated
 drift.
 
-A figure sweep is a ``SweepTable``: the eta grid, the phis, and one
-float64 column of values per phi.  What does not depend on phi (the
+A figure sweep is a ``SweepTable``: the eta grid, the phis, and a
+(phis x etas) float64 array of values.  What does not depend on phi (the
 transcendentals of Q for ``fig1``, the <a^k> series sums for ``fig2``) is
-computed once for the whole eta grid, and each column is one call of an
-arithmetic kernel from ``statistics`` at that phi.  The CSV is rendered
-column by column, each eta formatted once per grid and each phi once per
-column.  The values are bit for bit those of one ``q_closed`` or
-``quadrature_variances`` call per row.
+computed once for the whole eta grid, and the array is one call of an
+arithmetic kernel from ``statistics``, with the phase factors of the phis as
+a column that broadcasts against the grid.  The CSV is rendered one block
+of rows per phi, each eta formatted once per grid, and each block one
+printf-style ``%`` operation on a row template repeated once per eta.  The
+values are bit for bit those of one ``q_closed`` or ``quadrature_variances``
+call per row, and the text that of one ``.17g`` format per field.
 """
 from __future__ import annotations
 
@@ -92,11 +94,16 @@ def fig2_config(**overrides) -> SweepConfig:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """A figure sweep by column: ``values[j][i]`` is the quantity at ``etas[i]`` and ``phis[j]``."""
+    """A figure sweep: ``values[j][i]`` is the quantity at ``etas[i]`` and ``phis[j]``.
+
+    The sweeps build ``values`` as one (len(phis), len(etas)) float64 array;
+    a sequence of float64 arrays, one of len(etas) values per phi, renders
+    the same.
+    """
 
     etas: List[float]
     phis: Tuple[float, ...]
-    values: List[np.ndarray]
+    values: np.ndarray
     M: int
     quantity: str
 
@@ -109,31 +116,43 @@ def _checked_grid(cfg: SweepConfig) -> List[float]:
     return etas
 
 
+def _phase_column(phis: Tuple[float, ...]) -> np.ndarray:
+    # e^{i phi} of each phi as a (len(phis), 1) column, which broadcasts
+    # against an eta grid; its .real and .imag are float64 columns
+    return np.array([_phase_factor(phi) for phi in phis])[:, None]
+
+
 def fig1_records(cfg: SweepConfig) -> SweepTable:
-    """Mandel Q against eta, one column per phi."""
+    """Mandel Q against eta at every phi, one kernel call per grid."""
     etas = _checked_grid(cfg)
     terms = _overlap_columns(cfg.M, [eta * eta for eta in etas])
-    return SweepTable(etas, cfg.phis,
-                      [_q_kernel(_phase_factor(phi).real, cfg.M, *terms) for phi in cfg.phis],
+    return SweepTable(etas, cfg.phis, _q_kernel(_phase_column(cfg.phis).real, cfg.M, *terms),
                       cfg.M, "mandel_q")
 
 
 def fig2_records(cfg: SweepConfig) -> SweepTable:
-    """Variance of X2 against eta, one column per phi; one series pass per grid."""
+    """Variance of X2 against eta at every phi; one series pass and one kernel call per grid."""
     etas = _checked_grid(cfg)
     sums = _series_sums(cfg.M, etas, cfg.theta)
-    return SweepTable(etas, cfg.phis, [sums.quadratures(phi)[1] for phi in cfg.phis],
+    unit = _phase_column(cfg.phis)
+    return SweepTable(etas, cfg.phis, sums._quadratures(unit.real, unit.imag)[1],
                       cfg.M, "var_x2")
 
 
 def render_sweep_csv(table: SweepTable) -> str:
     """The table as CSV rows, one block of rows per phi in grid order."""
-    etas = [f"{eta:.17g}" for eta in table.etas]
-    lines = ["eta,phi,M,quantity,value"]
+    n = len(table.etas)
+    # (eta, value, eta, value, ...) for one block: the etas formatted once,
+    # each block's values written into the odd slots
+    fields = [None] * (2 * n)
+    fields[::2] = [f"{eta:.17g}" for eta in table.etas]
+    parts = ["eta,phi,M,quantity,value\n"]
     for phi, column in zip(table.phis, table.values):
-        middle = f",{phi:.17g},{table.M},{table.quantity},"
-        lines.extend(f"{eta}{middle}{value:.17g}" for eta, value in zip(etas, column.tolist()))
-    return "\n".join(lines) + "\n"
+        # the row's literal part, with a caller's "%" escaped for the template
+        middle = f",{phi:.17g},{table.M},{table.quantity},".replace("%", "%%")
+        fields[1::2] = column.tolist()
+        parts.append(f"%s{middle}%.17g\n" * n % tuple(fields))
+    return "".join(parts)
 
 
 def pn_table(phi: float, params: NBSParams) -> np.ndarray:

@@ -585,31 +585,53 @@ _KERNEL_THETAS = st.one_of(
     st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 
 
+# c = 1, 0, -1/sqrt(2), -1 and cos(0.4) > 0 in one column
+_MIXED_PHIS = [0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi, 0.4]
+
+
+def _phase_columns(phis):
+    # (cos, sin) of each phi as (len(phis), 1) float64 columns, the shape a
+    # sweep hands the kernels
+    units = [phase_factor(phi) for phi in phis]
+    return (np.array([[u.real] for u in units]), np.array([[u.imag] for u in units]))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(M=st.integers(1, 2 ** 53), etas=st.lists(st.floats(ETA_MIN, 0.95), min_size=1, max_size=6),
-       phi=_KERNEL_PHIS)
-def test_q_column_kernel_matches_q_closed_bit_for_bit(M, etas, phi):
+       phis=st.lists(_KERNEL_PHIS, min_size=1, max_size=5))
+@example(M=30, etas=[1e-3, 0.02, 0.5, 0.95], phis=_MIXED_PHIS)
+def test_q_column_kernel_matches_q_closed_bit_for_bit(M, etas, phis):
+    # every phi of the column in one kernel call, each row the bits of
+    # q_closed at that phi
     terms = statistics._overlap_columns(M, [eta * eta for eta in etas])
-    column = statistics._q_kernel(phase_factor(phi).real, M, *terms)
-    assert _bits(column) == _bits(q_closed(phi, NBSParams(M=M, eta=eta)) for eta in etas)
+    table = statistics._q_kernel(_phase_columns(phis)[0], M, *terms)
+    assert table.shape == (len(phis), len(etas))
+    for phi, row in zip(phis, table):
+        assert _bits(row) == _bits(q_closed(phi, NBSParams(M=M, eta=eta)) for eta in etas), phi
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(M=st.integers(1, 1000), etas=st.lists(st.floats(ETA_MIN, 0.95), min_size=1, max_size=6),
-       theta=_KERNEL_THETAS, phi=_KERNEL_PHIS)
-def test_series_column_kernels_match_the_one_eta_calls_bit_for_bit(M, etas, theta, phi):
+       theta=_KERNEL_THETAS, phis=st.lists(_KERNEL_PHIS, min_size=1, max_size=5))
+@example(M=30, etas=[1e-3, 0.02, 0.5, 0.95], theta=0.7, phis=_MIXED_PHIS)
+def test_series_column_kernels_match_the_one_eta_calls_bit_for_bit(M, etas, theta, phis):
+    # every phi of the column in one kernel call, each row the bits of the
+    # one-eta calls at that phi
     sums = statistics._series_sums(M, etas, theta)
-    unit = phase_factor(phi)
+    c, s = _phase_columns(phis)
     params = [NBSParams(M=M, eta=eta, theta=theta) for eta in etas]
     for k in (1, 2):
-        re, im = sums._a_pow(k, unit.real, unit.imag)
-        one = [a_pow_expectation(k, phi, p) for p in params]
-        assert _bits(re) == _bits(a.real for a in one)
-        assert _bits(im) == _bits(a.imag for a in one)
-    var_x1, var_x2 = sums.quadratures(phi)
-    one = [quadrature_variances(phi, p) for p in params]
-    assert _bits(var_x1) == _bits(v for v, _ in one)
-    assert _bits(var_x2) == _bits(v for _, v in one)
+        re, im = sums._a_pow(k, c, s)
+        for phi, re_row, im_row in zip(phis, re, im):
+            one = [a_pow_expectation(k, phi, p) for p in params]
+            assert _bits(re_row) == _bits(a.real for a in one), (phi, k)
+            assert _bits(im_row) == _bits(a.imag for a in one), (phi, k)
+    var_x1, var_x2 = sums._quadratures(c, s)
+    assert var_x1.shape == var_x2.shape == (len(phis), len(etas))
+    for phi, x1_row, x2_row in zip(phis, var_x1, var_x2):
+        one = [quadrature_variances(phi, p) for p in params]
+        assert _bits(x1_row) == _bits(v for v, _ in one), phi
+        assert _bits(x2_row) == _bits(v for _, v in one), phi
 
 
 def _row_q(c, M, x):

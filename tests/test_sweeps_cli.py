@@ -56,6 +56,36 @@ def test_csv_floats_round_trip():
     assert fields[len(etas) - 1][0] == "0"
 
 
+def _render_by_row(table):
+    # the row-by-row renderer that render_sweep_csv replaced: one f-string per row
+    etas = [f"{eta:.17g}" for eta in table.etas]
+    lines = ["eta,phi,M,quantity,value"]
+    for phi, column in zip(table.phis, table.values):
+        middle = f",{phi:.17g},{table.M},{table.quantity},"
+        lines.extend(f"{eta}{middle}{value:.17g}" for eta, value in zip(etas, column.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+_SIGNED_ROW = [-1.5, 0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3.0, -1e300]
+_RENDER_TABLES = {
+    "signed-zeros-and-subnormals": SweepTable(
+        [0.02, 0.5, 0.95, 1e-5, 0.1, 0.3], (0.0, -0.0, math.pi),
+        np.array([_SIGNED_ROW, _SIGNED_ROW[::-1], [-v for v in _SIGNED_ROW]]), 30, "mandel_q"),
+    "percent-in-quantity": SweepTable(
+        [0.02, 0.03], (0.5, 1.5), np.array([[0.25, -0.0], [1e-310, 2.0]]), 7, "100% %s %d %%"),
+    "one-eta": SweepTable([0.3], FIG1_PHIS, np.array([[-0.0], [0.0], [-2.5], [5e-324]]), 1, "q"),
+    "one-phi": SweepTable([0.02, 0.5, 0.9], (2.0,), np.array([_SIGNED_ROW[:3]]), 2 ** 40, "var_x2"),
+}
+
+
+@pytest.mark.parametrize("name", _RENDER_TABLES)
+def test_render_matches_the_row_by_row_renderer(name):
+    # one printf-style operation per block writes what one f-string per row
+    # wrote, signs of zeros, subnormals and a literal % in the quantity included
+    table = _RENDER_TABLES[name]
+    assert render_sweep_csv(table) == _render_by_row(table)
+
+
 def test_fig1_records_layout():
     cfg = fig1_config(eta_start=0.1, eta_stop=0.2, grid_step=0.05)
     table = fig1_records(cfg)
