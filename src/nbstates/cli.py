@@ -8,14 +8,20 @@ names the options each subcommand takes; eta_start and eta_stop have no
 flag, so only a config file sets them.
 
 Exit codes: 0 success, 1 domain or config error, 2 numerical-contract
-failure, 3 I/O error.  Every error path prints one diagnostic line to
-stderr.
+failure, 3 I/O error (a closed stdout among them).  Every error path prints
+one diagnostic line to stderr.
+
+``main`` returns the exit code and never exits, so in-process callers keep
+their interpreter.  ``entry``, behind the console script and ``python -m
+nbstates.cli``, flushes stdout and stderr after ``main`` and ends the process
+with ``os._exit``: the interpreter's teardown (its last garbage collections
+and module cleanup) is skipped, and no ``atexit`` handler runs.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
 from typing import Collection, List, Optional
 
@@ -122,6 +128,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def _json_text(obj, sort_keys: bool = False) -> str:
     """Strict JSON: a NaN or infinity in a report is a numerical failure, not output."""
+    import json  # only generate and verify write JSON; the figures skip loading it
     try:
         return json.dumps(obj, indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -207,7 +214,11 @@ def cmd_verify(args) -> int:
     else:
         text = verification.render_report(results)
     _write_text(opts.get("out"), text)
-    return 0 if all(r.passed for r in results) else 2
+    failed = sum(1 for r in results if not r.passed)
+    if failed:
+        print(f"numerical failure: {failed} of {len(results)} checks failed", file=sys.stderr)
+        return 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +278,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run ``main`` and end the process at its last flush, without the teardown."""
+    code = main()
+    try:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if code != 3:  # a write that failed inside main() is reported already
+                code = 3
+                print(f"i/o error: {exc}", file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:  # stderr is closed too: nowhere left to report
+        code = 3
+    os._exit(code)
 
 
 if __name__ == "__main__":

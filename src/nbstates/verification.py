@@ -299,8 +299,9 @@ def _oracle_moments(phi: float, params: NBSParams):
     # <a> and <a^2> take the same normalization oracle_stats gives the moments:
     # at theta = 0 the X2 variance cancels <a^2> against the mean
     norm2 = v.norm() ** 2
-    ea = inner(v, apply_annihilate(v)) / norm2
-    ea2 = inner(v, apply_annihilate(apply_annihilate(v))) / norm2
+    av = apply_annihilate(v)
+    ea = inner(v, av) / norm2
+    ea2 = inner(v, apply_annihilate(av)) / norm2
     return (ref.mean, ref.second_moment, ref.mandel_q,
             0.25 + 0.5 * (ref.mean + ea2.real - 2.0 * ea.real ** 2),
             0.25 + 0.5 * (ref.mean - ea2.real - 2.0 * ea.imag ** 2))

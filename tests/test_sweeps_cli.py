@@ -2,6 +2,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -536,6 +537,14 @@ def test_cli_import_leaves_verification_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_json_out():
+    # only generate and verify write JSON; the figures and pn never load it
+    code = "import sys, nbstates.cli; print('json' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -578,11 +587,13 @@ def test_verify_json_mode(capsys):
     assert all(entry["passed"] for entry in report)
 
 
-def test_verify_negative_control(tmp_path):
+def test_verify_negative_control(tmp_path, capsys):
     out = tmp_path / "report.txt"
     rc = main(["verify", "--corrupt-tolerances", "--out", str(out)])
     assert rc == 2
     assert "FAIL" in out.read_text()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical failure: ") and line.endswith(" checks failed")
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +655,77 @@ def test_config_accepts_exactly_the_contract_keys(command, tmp_path, capsys):
     err = capsys.readouterr().err
     allowed = err[err.index("(allowed: ") + len("(allowed: "):err.rindex(")")]
     assert set(allowed.split(", ")) == CLI_CONTRACT[command][1]
+
+
+# ---------------------------------------------------------------------------
+# the process path: entry() in a fresh interpreter, stdout buffered or not
+# ---------------------------------------------------------------------------
+
+def _child_env(unbuffered: bool) -> dict:
+    # left buffered, stdout is written only at entry()'s flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _run_child(argv, unbuffered: bool = False) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "nbstates.cli", *argv], capture_output=True,
+                          env=_child_env(unbuffered), timeout=120)
+
+
+_PROCESS_OUTPUTS = [
+    ["fig1"],
+    ["fig2"],
+    # 114,795 bytes: more than a pipe holds, so the child blocks mid-write
+    ["pn", "--M", "300", "--eta", "0.95", "--phi", "1"],
+    ["generate", "--protocol", "kerr", "--M", "4", "--eta", "0.5"],
+    ["generate", "--protocol", "dispersive", "--M", "3", "--eta", "0.5", "--phi", "1.3"],
+    ["verify", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", _PROCESS_OUTPUTS, ids=["fig1", "fig2", "pn-M300", "generate-kerr",
+                                                 "generate-dispersive", "verify-json"])
+def test_process_output_matches_main(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    for unbuffered in (False, True):
+        proc = _run_child(argv, unbuffered)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == expected, f"unbuffered={unbuffered}"
+    out = tmp_path / "out.txt"
+    proc = _run_child([*argv, "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["pn", "--M", "3", "--eta", "1e-200"], 1, "domain error: "),
+    (["verify", "--corrupt-tolerances"], 2, "numerical failure: "),
+    (["fig1", "--out"], 3, "i/o error: "),
+], ids=["exit-1", "exit-2", "exit-3"])
+def test_process_error_exit_prints_one_line(argv, code, prefix, tmp_path):
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "no" / "such" / "dir" / "x.csv")]
+    proc = _run_child(argv)
+    assert proc.returncode == code
+    (line,) = proc.stderr.decode().splitlines()
+    assert line.startswith(prefix)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["pn", "--M", "3", "--eta", "0.4", "--phi", "0"], ["fig1"]],
+                         ids=["short", "long"])
+def test_closed_stdout_is_one_io_error(argv, unbuffered):
+    # a short output sits in the buffer until entry()'s flush meets the
+    # closed pipe; a long one fails inside main()'s write.  Either way: exit 3
+    # and one line, never the interpreter's "Exception ignored" message
+    proc = subprocess.Popen([sys.executable, "-m", "nbstates.cli", *argv],
+                            env=_child_env(unbuffered), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the child has imported numpy
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 3
+    (line,) = err.decode().splitlines()
+    assert line.startswith("i/o error: ")
