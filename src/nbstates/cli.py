@@ -9,7 +9,8 @@ flag, so only a config file sets them.
 
 Exit codes: 0 success, 1 domain or config error, 2 numerical-contract
 failure, 3 I/O error (a closed stdout among them).  Every error path prints
-one diagnostic line to stderr.
+one diagnostic line to stderr; a stderr that cannot take it makes the exit
+code 3.
 
 ``main`` returns the exit code and never exits, so in-process callers keep
 their interpreter.  ``entry``, behind the console script and ``python -m
@@ -258,23 +259,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _diagnose(code: int, line: str) -> int:
+    # code, once line is on stderr; 3 if stderr cannot take it
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        return 3
+    return code
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return _diagnose(1, f"config error: {exc}")
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 1
+        return _diagnose(1, f"domain error: {exc}")
     except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        return _diagnose(2, f"numerical failure: {exc}")
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        return _diagnose(3, f"i/o error: {exc}")
 
 
 def entry() -> None:

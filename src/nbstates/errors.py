@@ -57,6 +57,8 @@ class ZeroNormError(NumericsError):
 
 def check_integer(name: str, value, minimum: int) -> int:
     """``value`` as an int, or DomainError unless it is an integer in [minimum, 2**53]."""
+    if type(value) is int and minimum <= value <= INT_MAX:
+        return value
     try:
         # int() of a complex number warns or raises, so it is refused first
         ok = (not (isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real))

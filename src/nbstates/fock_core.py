@@ -46,8 +46,11 @@ class FockVector:
     def __post_init__(self):
         try:
             raw = np.asarray(self.amplitudes)
-            with np.errstate(over="raise"):  # a longdouble past the float range
+            if np.can_cast(raw.dtype, np.complex128):
                 arr = raw.astype(np.complex128)
+            else:
+                with np.errstate(over="raise"):  # a longdouble past the float range
+                    arr = raw.astype(np.complex128)
         except (TypeError, ValueError, OverflowError, FloatingPointError):
             raw = None
         # the cast also takes a str or bytes amplitude, and None as nan
@@ -56,7 +59,7 @@ class FockVector:
             raise DomainError("amplitudes must be numbers in the float range")
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("amplitudes must be a non-empty 1-D array")
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr)):
             raise DomainError("amplitudes must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
@@ -102,9 +105,9 @@ def inner(u: FockVector, v: FockVector) -> complex:
 def apply_annihilate(v: FockVector) -> FockVector:
     """a|v>: component n becomes sqrt(n+1) c_{n+1}; the top component is 0."""
     c = v.amplitudes
-    out = np.zeros_like(c)
+    out = np.zeros(c.size, dtype=np.complex128)
     n = np.arange(1, c.size, dtype=np.float64)
-    out[:-1] = np.sqrt(n) * c[1:]
+    np.multiply(np.sqrt(n), c[1:], out=out[:-1])
     return FockVector(out)
 
 
@@ -115,9 +118,9 @@ def apply_create(v: FockVector) -> FockVector:
     row only, so consumers that check commutators must exclude it.
     """
     c = v.amplitudes
-    out = np.zeros_like(c)
+    out = np.zeros(c.size, dtype=np.complex128)
     n = np.arange(1, c.size, dtype=np.float64)
-    out[1:] = np.sqrt(n) * c[:-1]
+    np.multiply(np.sqrt(n), c[:-1], out=out[1:])
     return FockVector(out)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError, ZeroNormError, check_integer, check_real
 from .fock_core import FockVector, inner
-from .nbs_states import (NBSParams, _check_phi, _label_phases, _phase_factor, nbs,
-                         partner_phase, required_dimension)
+from .nbs_states import (NBSParams, _check_phi, _label_phases, _nbs_base, _nbs_dimension,
+                         _partner_phase, _phase_factor, _truncated, nbs)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def kerr_generate(params: NBSParams, n_max: Optional[int] = None) -> FockVector:
     """
     if n_max is None:
         # size for the superposition the protocol lands on, not the bare NBS
-        n_max = required_dimension(params, math.pi / 2.0)
+        n_max = _nbs_dimension(params, math.pi / 2.0, None)
     return kerr_evolve(nbs(params, n_max=n_max), math.pi / 2.0)
 
 
@@ -90,14 +90,14 @@ def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
     if n_max is None:
         # the conditional states are parity superpositions; size for the
         # widest of the two so either projection is representable
-        n_max = max(required_dimension(params, phi),
-                    required_dimension(params, partner_phase(phi)))
+        n_max = max(_nbs_dimension(params, phi, None),
+                    _nbs_dimension(params, _partner_phase(phi), None))
     else:
         n_max = check_integer("n_max", n_max, 0)
     g2t = _check_phase("g2t", g2t, n_max, "n_max")
     # the truncated NBS keeps norm^2 = 1 - tail; renormalize so that
     # prob_g + prob_e = 1 whatever the tail tolerance or forced n_max
-    start = nbs(params, n_max=n_max)
+    start = _truncated(_nbs_base(params, n_max))
     base = start.amplitudes / start.norm()
     rotated = base * _label_phases(-g2t, np.arange(n_max + 1))
 

@@ -25,17 +25,16 @@ M >= 50 and to 2.2e-15 of it below, up to M = 2**53.  Truncation dimensions
 are chosen from a geometric tail bound on the same Stirling-form weight,
 evaluated one n at a time with scalar math functions, rather than from a
 floating cumulative sum, which stalls at large M; the bound is monotone past
-the mode, so the dimension is found by bisection in O(log hard_cap) steps
-instead of a scan from n = 0.
+the mode, so Newton steps from the weights' mean plus a few sd bracket the
+dimension in about 3 evaluations (``_grown_n_max``).
 """
 from __future__ import annotations
 
 import cmath
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -116,7 +115,11 @@ def _cos_phi(phi: float) -> float:
 
 def partner_phase(phi: float) -> float:
     """phi + pi wrapped back into [0, 2*pi]: the phase of the opposite-parity partner."""
-    phi = _check_phi(phi)
+    return _partner_phase(_check_phi(phi))
+
+
+def _partner_phase(phi: float) -> float:
+    # partner_phase of a checked phi
     return phi + math.pi if phi <= math.pi else phi - math.pi
 
 
@@ -166,7 +169,7 @@ def _parity_norm(phi: float, r: float, r_minus_1: float) -> float:
 
 def _truncated(amps: np.ndarray) -> FockVector:
     """The vector of ``amps``; TruncationError if no amplitude survived the cut."""
-    if not amps.any():
+    if not np.count_nonzero(amps):
         raise TruncationError(f"n_max={amps.size - 1} keeps no nonzero amplitude: every "
                               "retained component underflows or is parity-forbidden")
     return FockVector(amps)
@@ -174,9 +177,13 @@ def _truncated(amps: np.ndarray) -> FockVector:
 
 def _parity_superposition(base: np.ndarray, phi: float, r: float, r_minus_1: float) -> FockVector:
     """Normalized amplitudes of |b> + e^{i phi} |b'>, where b'_n = (-1)^n b_n and <b'|b> = r."""
-    sign = np.where(np.arange(base.size) % 2 == 0, 1.0, -1.0)
-    factor = 1.0 + _phase_factor(phi) * sign
-    return _truncated(_parity_norm(phi, r, r_minus_1) * base * factor)
+    unit = _phase_factor(phi)
+    # 1 + e^{i phi} (-1)^n, each entry with the bits of that complex sum
+    factor = np.full(base.size, 1.0 + unit)
+    factor[1::2] = 1.0 - unit
+    amps = _parity_norm(phi, r, r_minus_1) * base
+    amps *= factor
+    return _truncated(amps)
 
 
 def normalization_constant(phi: float, params: NBSParams) -> float:
@@ -188,15 +195,23 @@ def normalization_constant(phi: float, params: NBSParams) -> float:
 # truncation sizing
 # ---------------------------------------------------------------------------
 
-def _nb_log_weight(M: int, n: int, x: float) -> float:
-    # log of the negative binomial pmf C(M+n-1, n) x^n (1-x)^M, with log C in
-    # the Stirling form of _log_binomial on math's scalar functions: the
-    # lgamma difference loses about M ln M * 1e-16, +-40 at M = 2**53
-    log_c = 0.0 if n == 0 else (
-        0.5 * math.log(M / (TWO_PI * n * (M + n))) + M * math.log1p(n / M)
-        + n * math.log1p(M / n)
-        + _scalar_stirlerr(M + n) - _scalar_stirlerr(n) - _scalar_stirlerr(M))
-    return log_c + n * math.log(x) + M * math.log1p(-x)
+def _nb_log_weight(M: int, x: float) -> Callable[[int], float]:
+    # n -> log of the negative binomial pmf C(M+n-1, n) x^n (1-x)^M, with
+    # log C in the Stirling form of _log_binomial on math's scalar functions:
+    # the lgamma difference loses about M ln M * 1e-16, +-40 at M = 2**53
+    log_x, log_q, stirlerr_m = math.log(x), M * math.log1p(-x), _scalar_stirlerr(M)
+
+    def weight_log(n: int) -> float:
+        log_c = 0.0 if n == 0 else (
+            0.5 * math.log(M / (TWO_PI * n * (M + n))) + M * math.log1p(n / M)
+            + n * math.log1p(M / n)
+            + _scalar_stirlerr(M + n) - _scalar_stirlerr(n) - stirlerr_m)
+        return log_c + n * log_x + log_q
+    return weight_log
+
+
+# how many sd past the weights' mean the sizing search makes its first probe
+_START_SDS = 10.0
 
 
 def _grown_n_max(weight_log, ratio, boost: float, policy: Optional[TruncationPolicy]) -> int:
@@ -207,38 +222,89 @@ def _grown_n_max(weight_log, ratio, boost: float, policy: Optional[TruncationPol
     sum_{k>n} w(k) <= w(n) * rho / (1 - rho).  Past the mode both w(n) and
     rho shrink, so this bound is monotone too.  "Past the mode and the bound
     below tolerance" is then False up to one index and True from it on, and
-    one bisection over [0, hard_cap] finds that index: O(log hard_cap)
-    evaluations of ``ratio`` and ``weight_log``, and the same index a scan
-    from n = 0 would stop at.  ``policy`` None is ``TruncationPolicy()``.
+    a search brackets that index in about 3 evaluations of ``ratio`` and
+    ``weight_log``, where a bisection over [0, hard_cap] took 15:
+
+    * the first probe lies ``_START_SDS`` sd past the mean a/(1-b), sd
+      sqrt(a)/(1-b), of weights with ratio (a + b n)/(n + 1), the form of the
+      negative binomial (a = M x, b = x) and the Poisson (a = |alpha|^2, b = 0);
+    * two Newton steps follow on log(w(n) rho/(1 - rho)/tol), with slope
+      log rho(n) = log w(n+1) - log w(n); log w is concave past the mode, so a
+      step lands at or just past the index;
+    * from the last probe it gallops (steps 1, 2, 4, ...) until the index is
+      bracketed, and bisects the bracket.
+
+    Every decision reads the predicate itself, so for any non-increasing
+    ``ratio`` this is the index bisect_left finds, wherever the predicate is
+    monotone in floats: below about 1e10.  Past that, the rounding of log w,
+    about (M + n) * 1e-16, outgrows its step, the predicate flickers over a
+    few 1e-9 of n, and any search stops inside that window.  ``policy`` None
+    is ``TruncationPolicy()``.
     """
     policy = policy or _DEFAULT_POLICY
     tol = policy.tail_tolerance / boost
+    log_tol = math.log(tol) if tol > 0.0 else -math.inf
 
-    def done(n: int) -> bool:
+    def probe(n: int) -> Tuple[bool, float]:
+        # (the predicate at n, the Newton step from n, or nan before the mode)
         rho = ratio(n)
-        return rho < 1.0 and math.exp(weight_log(n)) * rho / (1.0 - rho) < tol
+        if not rho < 1.0:
+            return False, math.nan
+        lw = weight_log(n)
+        done = math.exp(lw) * rho / (1.0 - rho) < tol
+        if rho == 0.0:
+            return done, math.nan
+        return done, (lw + math.log(rho / (1.0 - rho)) - log_tol) / -math.log(rho)
 
-    n = bisect_left(range(policy.hard_cap + 1), True, key=done)
-    if n > policy.hard_cap:
+    # done(lo) is False and done(hi) True, as bisect_left reads the ends
+    lo, hi = -1, policy.hard_cap + 1
+    a = ratio(0)
+    b = 2.0 * ratio(1) - a
+    n = int(min((a + _START_SDS * math.sqrt(a)) / (1.0 - b) + 1.0, hi - 1)) if b < 1.0 else 0
+    for newton in range(3):
+        ok, step = probe(n)
+        if ok:
+            hi = n
+        else:
+            lo = n
+        if hi - lo == 1 or newton == 2 or not math.isfinite(step):
+            break
+        n = min(max(math.ceil(n + step), lo + 1), hi - 1)
+    gallop, width = True, 1
+    while hi - lo > 1:
+        if gallop:
+            n = max(hi - width, lo + 1) if ok else min(lo + width, hi - 1)
+            width *= 2
+        else:
+            n = (lo + hi) // 2
+        done = probe(n)[0]
+        gallop = gallop and done == ok
+        if done:
+            hi = n
+        else:
+            lo = n
+    if hi > policy.hard_cap:
         raise TruncationError(
             f"needed more than hard_cap={policy.hard_cap} components to reach tail {policy.tail_tolerance}"
         )
-    return min(n + 2, policy.hard_cap)
+    return min(hi + 2, policy.hard_cap)
 
 
 def required_dimension(params: NBSParams, phi: Optional[float] = None,
                        policy: Optional[TruncationPolicy] = None) -> int:
     """n_max for an NBS (phi=None) or a parity superposition; policy=None is TruncationPolicy()."""
+    return _nbs_dimension(params, None if phi is None else _check_phi(phi), policy)
+
+
+def _nbs_dimension(params: NBSParams, phi: Optional[float],
+                   policy: Optional[TruncationPolicy]) -> int:
+    # required_dimension at a checked phi
     x = params.eta * params.eta
     M = params.M
     # |parity factor|^2 <= 4 and the norm divides by 2(1+c r)
-    boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_cos_phi(phi), *_overlap_terms(M, x)[1:3])
-    return _grown_n_max(
-        lambda n: _nb_log_weight(M, n, x),
-        lambda n: (M + n) * x / (n + 1),
-        boost,
-        policy,
-    )
+    boost = 1.0 if phi is None else \
+        2.0 / _one_plus_c_r(_phase_factor(phi).real, *_overlap_terms(M, x)[1:3])
+    return _grown_n_max(_nb_log_weight(M, x), lambda n: (M + n) * x / (n + 1), boost, policy)
 
 
 def _check_label(alpha) -> Tuple[complex, float]:
@@ -254,9 +320,14 @@ def required_dimension_cat(alpha: complex, phi: Optional[float] = None,
                            policy: Optional[TruncationPolicy] = None) -> int:
     """n_max for a coherent state (phi=None) or a two-component cat, as ``required_dimension``."""
     aa = _check_label(alpha)[1]
+    return _cat_dimension(aa, None if phi is None else _check_phi(phi), policy)
+
+
+def _cat_dimension(aa: float, phi: Optional[float], policy: Optional[TruncationPolicy]) -> int:
+    # required_dimension_cat of a label with |alpha|^2 = aa, at a checked phi
     if aa == 0.0:
         return 2
-    boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_cos_phi(phi), *_overlap(2.0 * aa))
+    boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_phase_factor(phi).real, *_overlap(2.0 * aa))
     log_poisson = lambda n: n * math.log(aa) - aa - math.lgamma(n + 1)
     return _grown_n_max(log_poisson, lambda n: aa / (n + 1), boost, policy)
 
@@ -289,9 +360,11 @@ _SMALL_STIRLERR = _small_stirlerr()
 
 def _stirlerr(z):
     """log z! - log(sqrt(2 pi z) (z/e)^z) for integer-valued floats z >= 1 (Loader's stirlerr)."""
+    # the series is finite for any z >= 1; the table replaces it up to 15
+    out = _stirling_series(z)
     small = z <= 15.0
-    return np.where(small, _SMALL_STIRLERR[np.where(small, z, 0.0).astype(np.intp)],
-                    _stirling_series(np.where(small, 16.0, z)))
+    out[small] = _SMALL_STIRLERR[z[small].astype(np.intp)]
+    return out
 
 
 def _scalar_stirlerr(k: int) -> float:
@@ -317,12 +390,16 @@ def _log_binomial(M: int, n: np.ndarray) -> np.ndarray:
     Loader, "Fast and Accurate Computation of Binomial Probabilities",
     2000).
     """
-    k = np.maximum(n, 1).astype(np.float64)
+    k = np.maximum(n, 1.0)
     m = float(M)
-    big_n = m + k
+    # stirlerr of N = M + k and of k in one call
+    big_n_and_k = np.concatenate((m + k, k))
+    err = _stirlerr(big_n_and_k)
+    big_n, size = big_n_and_k[:k.size], k.size
     log_c = (0.5 * np.log(m / (TWO_PI * k * big_n)) + m * np.log1p(k / m) + k * np.log1p(m / k)
-             + _stirlerr(big_n) - _stirlerr(k) - _scalar_stirlerr(M))
-    return np.where(n == 0, 0.0, log_c)
+             + err[:size] - err[size:] - _scalar_stirlerr(M))
+    log_c[n == 0] = 0.0
+    return log_c
 
 
 _AXIS_UNITS = (1, 1j, -1, -1j)
@@ -348,8 +425,12 @@ def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
     M, eta = params.M, params.eta
     x = eta * eta
     n = np.arange(n_max + 1)
-    logmag = 0.5 * _log_binomial(M, n) + n * math.log(eta) + 0.5 * M * math.log1p(-x)
-    amps = np.exp(logmag).astype(np.complex128)
+    # 0.5 log C + n log(eta) + M/2 log(1 - x), in place
+    logmag = _log_binomial(M, n)
+    logmag *= 0.5
+    logmag += n * math.log(eta)
+    logmag += 0.5 * M * math.log1p(-x)
+    amps = np.exp(logmag, out=logmag).astype(np.complex128)
     if params.theta != 0.0:
         amps *= _label_phases(params.theta, n)
     return amps
@@ -357,7 +438,8 @@ def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
 
 def nbs(params: NBSParams, n_max: Optional[int] = None) -> FockVector:
     """Negative binomial state on 0..n_max; n_max=None sizes it by ``required_dimension``."""
-    n_max = required_dimension(params) if n_max is None else check_integer("n_max", n_max, 0)
+    n_max = _nbs_dimension(params, None, None) if n_max is None else \
+        check_integer("n_max", n_max, 0)
     return _truncated(_nbs_base(params, n_max))
 
 
@@ -368,7 +450,8 @@ def superposition(phi: float, params: NBSParams, n_max: Optional[int] = None) ->
     keeps only odd n; phi = pi/2 reproduces the bare NBS photon distribution.
     """
     phi = _check_phi(phi)
-    n_max = required_dimension(params, phi) if n_max is None else check_integer("n_max", n_max, 0)
+    n_max = _nbs_dimension(params, phi, None) if n_max is None else \
+        check_integer("n_max", n_max, 0)
     return _parity_superposition(_nbs_base(params, n_max), phi,
                                  *_overlap_terms(params.M, params.eta * params.eta)[1:3])
 
@@ -397,7 +480,7 @@ def _coherent_base(alpha: complex, aa: float, n_max: int) -> np.ndarray:
 
 def coherent(alpha: complex, n_max: Optional[int] = None) -> FockVector:
     alpha, aa = _check_label(alpha)
-    n_max = required_dimension_cat(alpha) if n_max is None else check_integer("n_max", n_max, 0)
+    n_max = _cat_dimension(aa, None, None) if n_max is None else check_integer("n_max", n_max, 0)
     return _truncated(_coherent_base(alpha, aa, n_max))
 
 
@@ -407,8 +490,7 @@ def cat_state(alpha: complex, phi: float, n_max: Optional[int] = None) -> FockVe
     alpha, aa = _check_label(alpha)
     if alpha == 0:
         raise DomainError("cat state requires alpha != 0")
-    n_max = required_dimension_cat(alpha, phi) if n_max is None else \
-        check_integer("n_max", n_max, 0)
+    n_max = _cat_dimension(aa, phi, None) if n_max is None else check_integer("n_max", n_max, 0)
     return _parity_superposition(_coherent_base(alpha, aa, n_max), phi, *_overlap(2.0 * aa))
 
 

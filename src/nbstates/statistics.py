@@ -55,12 +55,17 @@ def q_limit(phi: float) -> float:
     return c if abs(c) == 1.0 else 0.0
 
 
-def _pn_kernel(n: np.ndarray, c: float, params: NBSParams) -> np.ndarray:
-    # P(n) at each integer-valued float of n, at cos(phi) = c; +0.0 where parity forbids n
+def _pn_kernel(first: int, size: int, c: float, params: NBSParams) -> np.ndarray:
+    # P(n) for n = first, ..., first + size - 1 at cos(phi) = c; +0.0 where
+    # parity forbids n
     M = params.M
     x, r0, d0 = _overlap_terms(M, params.eta * params.eta)[:3]
+    n = np.arange(first, first + size, dtype=np.float64)
     weight = np.exp(_log_binomial(M, n) + n * math.log(x) + M * math.log1p(-x))
-    return weight * np.where(n % 2 == 0, 1.0 + c, 1.0 - c) / _one_plus_c_r(c, r0, d0)
+    # 1 + c at even n, 1 - c at odd n
+    parity = np.full(size, 1.0 + c)
+    parity[1 - first % 2::2] = 1.0 - c
+    return weight * parity / _one_plus_c_r(c, r0, d0)
 
 
 def pn_closed(n: int, phi: float, params: NBSParams) -> float:
@@ -69,7 +74,7 @@ def pn_closed(n: int, phi: float, params: NBSParams) -> float:
     n is at most 2**53, where the float64 n the kernel reads is still exact.
     """
     n = check_integer("photon number", n, 0)
-    return float(_pn_kernel(np.array([n], dtype=np.float64), _cos_phi(phi), params)[0])
+    return _pn_kernel(n, 1, _cos_phi(phi), params).item()
 
 
 def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
@@ -79,8 +84,7 @@ def pn_closed_upto(n_max: int, phi: float, params: NBSParams) -> np.ndarray:
     [n], with the weight from ``nbs_states._log_binomial``.  Parity-forbidden
     entries are exactly 0.
     """
-    size = check_integer("n_max", n_max, 0) + 1
-    return _pn_kernel(np.arange(size, dtype=np.float64), _cos_phi(phi), params)
+    return _pn_kernel(0, check_integer("n_max", n_max, 0) + 1, _cos_phi(phi), params)
 
 
 def generating_function(lam: float, phi: float, params: NBSParams) -> float:
@@ -122,15 +126,17 @@ def mean_closed(phi: float, params: NBSParams) -> float:
     return _mean_kernel(_cos_phi(phi), params.M, *_overlap_terms(params.M, params.eta * params.eta))
 
 
-def second_moment_closed(phi: float, params: NBSParams) -> float:
-    """<N^2> = <N> + M(M+1) x^2 (1 + c exp(-2(M+2)u)) / ((1-x)^2 (1 + c exp(-2Mu)))."""
-    c = _cos_phi(phi)
-    M = params.M
-    terms = _overlap_terms(M, params.eta * params.eta)
-    x, r0, d0 = terms[:3]
+def _second_moment_kernel(c: float, M: int, x, r0, d0, r1, d1) -> float:
+    # <N^2> at cos(phi) = c from _overlap_terms, as floats
     num = _one_plus_c_r(c, *_overlap(2.0 * (M + 2) * math.atanh(x)))
     extra = M * (M + 1) * x * x * num / ((1.0 - x) ** 2 * _one_plus_c_r(c, r0, d0))
-    return _mean_kernel(c, M, *terms) + extra
+    return _mean_kernel(c, M, x, r0, d0, r1, d1) + extra
+
+
+def second_moment_closed(phi: float, params: NBSParams) -> float:
+    """<N^2> = <N> + M(M+1) x^2 (1 + c exp(-2(M+2)u)) / ((1-x)^2 (1 + c exp(-2Mu)))."""
+    return _second_moment_kernel(_cos_phi(phi), params.M,
+                                 *_overlap_terms(params.M, params.eta * params.eta))
 
 
 def _q_kernel(c, M: int, x, r0, d0, r1, d1):
@@ -158,9 +164,11 @@ def q_closed(phi: float, params: NBSParams) -> float:
 
 def closed_stats(phi: float, params: NBSParams) -> PhotonStats:
     """Mean, second moment, variance, and Mandel Q from the closed forms only."""
-    mean = mean_closed(phi, params)
-    second = second_moment_closed(phi, params)
-    q = q_closed(phi, params)
+    c, M = _cos_phi(phi), params.M
+    terms = _overlap_terms(M, params.eta * params.eta)
+    mean = _mean_kernel(c, M, *terms)
+    second = _second_moment_kernel(c, M, *terms)
+    q = _q_kernel(c, M, *terms)
     return PhotonStats(mean=mean, second_moment=second,
                        variance=mean * (q + 1.0), mandel_q=q)
 
@@ -173,10 +181,12 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
     The two routes share no formula, so a fault in either shows up here.
     A <N> below the normal floats (phi near 0 at tiny eta) raises NumericsError.
     """
-    mean = mean_closed(phi, params)
+    c, M = _cos_phi(phi), params.M
+    terms = _overlap_terms(M, params.eta * params.eta)
+    mean = _mean_kernel(c, M, *terms)
     if mean < sys.float_info.min:
-        raise NumericsError(f"<N> = {mean!r} underflows at eta={params.eta}, M={params.M}")
-    return abs(q_closed(phi, params) - (second_moment_closed(phi, params) / mean - mean - 1.0))
+        raise NumericsError(f"<N> = {mean!r} underflows at eta={params.eta}, M={M}")
+    return abs(_q_kernel(c, M, *terms) - (_second_moment_kernel(c, M, *terms) / mean - mean - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +219,12 @@ def _series_n_hi(M: int, x: np.ndarray, powers: Tuple[int, ...], hard_cap: int) 
     # n_hi is n1 plus the steps at rate rho(n1) that bring both t_{n_hi} and
     # the geometric tail past it, t_{n_hi} rho/(1-rho), to at most 1e-16 S.
     half_k = np.array(powers, dtype=np.float64)[:, None] / 2.0
-    n1 = np.floor((M * x + np.maximum(9.0 * np.sqrt(M * x), half_k * x)) / (1.0 - x)) + 1.0
-    rho = x * (M + n1 + half_k) / (n1 + 1.0)
+    mx = M * x
+    n1 = np.floor((mx + np.maximum(9.0 * np.sqrt(mx), half_k * x)) / (1.0 - x)) + 1.0
+    m1 = M + n1
+    rho = x * (m1 + half_k) / (n1 + 1.0)
     log_t1 = (M * np.log1p(-x) + (M + half_k) * np.log1p(n1 / M)
-              + n1 * np.log(x * (M + n1) / n1) + 1.0)
+              + n1 * np.log(x * m1 / n1) + 1.0)
     # NaN where rho(n1) rounds to 1 or more, and those pairs get hard_cap;
     # capped as a float, since near eta = 1 the bound passes the range of intp
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -310,13 +322,14 @@ def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarr
     # w and t share one buffer, so that a block's (w, t) rows are one view
     w, t = wt = np.empty((2, len(x), length))
     # padding moves no sum: a row's largest weight lies before its n_hi
-    np.exp(log_w - log_w.max(axis=1, keepdims=True), out=w)
+    np.exp(log_w - np.maximum.reduce(log_w, axis=1, keepdims=True), out=w)
     # t_n = w_n F_n, one factor eta sqrt(M+n+j) at a time: no partial product
     # overflows before the result would, which the caller checks; power j+1
     # reads the one root column shifted by j, as M + n + j is exact
     root = np.sqrt(x * (n + M))
     np.multiply(w, root[:, :length], out=t)
     open_pairs = n_hi == hard_cap
+    any_open = np.logical_or.reduce(open_pairs, axis=None)
     with np.errstate(over="ignore"):
         for k in range(1, max(powers) + 1):
             if k > 1:
@@ -327,7 +340,7 @@ def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarr
             keep = n[:length] <= n_hi[slot][:, None]
             for p in (0, 1):
                 np.add.reduce(wt[:, :, p::2], axis=2, where=keep[:, p::2], out=out[slot, :, p])
-            if open_pairs[slot].any():
+            if any_open and open_pairs[slot].any():
                 last = t[np.arange(len(x)), n_hi[slot]]
                 open_pairs[slot] &= last > _SERIES_RTOL * out[slot, 1].sum(axis=0)
     return open_pairs
@@ -367,18 +380,19 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
     # [power, (w, t), parity, eta] and [power, eta]
     sums = np.empty((len(powers), 2, 2, len(xs)))
     n_hi = _series_n_hi(M, x, powers, _SERIES_TERMS)
-    row = _log_binomial(M, np.arange(n_hi.max(initial=0) + 1, dtype=np.float64))
-    for start, stop in _blocks(n_hi.max(axis=0).tolist()):
-        block_n_hi = n_hi[:, start:stop]
+    # each eta's largest n_hi over the powers
+    row_n_hi = np.maximum.reduce(n_hi).tolist()
+    row = _log_binomial(M, np.arange(max(row_n_hi, default=0) + 1, dtype=np.float64))
+    for start, stop in _blocks(row_n_hi):
         open_pairs = _block_sums(M, x[start:stop, None], log_x[start:stop, None],
-                                 row[:block_n_hi.max() + 1], block_n_hi, _SERIES_TERMS,
-                                 powers, sums[..., start:stop])
-        overflow = ~np.isfinite(sums[:, 1, :, start:stop]).all(axis=1)
-        if overflow.any():
-            i, k = _first_failure(overflow, powers)
+                                 row[:max(row_n_hi[start:stop]) + 1], n_hi[:, start:stop],
+                                 _SERIES_TERMS, powers, sums[..., start:stop])
+        finite = np.isfinite(sums[:, 1, :, start:stop])
+        if not np.logical_and.reduce(finite, axis=None):
+            i, k = _first_failure(~finite.all(axis=1), powers)
             raise NumericsError(
                 f"<a^{k}> series terms exceed the float range at eta={etas[start + i]}, M={M}")
-        if open_pairs.any():
+        if np.logical_or.reduce(open_pairs, axis=None):
             i, k = _first_failure(open_pairs, powers)
             raise ConvergenceError(f"<a^{k}> series needed more than {_SERIES_TERMS} terms "
                                    f"at eta={etas[start + i]}, M={M}")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nbstates import algebra, errors, fock_core, generation, nbs_states, statistics, sweeps
 from nbstates.algebra import ParitySequence
 from nbstates.errors import DomainError
 from nbstates.fock_core import FockVector, TruncationPolicy, number_state, oracle_stats
@@ -11,8 +12,9 @@ from nbstates.generation import dispersive_protocol, fidelity, kerr_evolve, kerr
 from nbstates.nbs_states import (NBSParams, cat_state, coherent, nbs, nbs_inner_closed,
                                  partner_phase, phase_factor, required_dimension,
                                  required_dimension_cat, superposition)
-from nbstates.statistics import (a_pow_expectation, generating_function, pn_closed,
-                                 pn_closed_upto, q_closed, quadrature_variances)
+from nbstates.statistics import (a_pow_expectation, closed_stats, generating_function,
+                                 pn_closed, pn_closed_upto, q_closed, q_recursion_residual,
+                                 quadrature_variances)
 from nbstates.sweeps import SweepConfig
 
 P = NBSParams(M=2, eta=0.3)
@@ -146,3 +148,43 @@ _SIZED = {
 def test_oversized_integers_raise_domain_error(entry, size):
     with pytest.raises(DomainError, match=r"at most 2\*\*53"):
         _SIZED[entry](size)
+
+
+_CHECKERS = ("check_integer", "check_real", "check_complex")
+_CALLER_MODULES = (errors, nbs_states, fock_core, statistics, generation, sweeps, algebra)
+Q = NBSParams(M=3, eta=0.4, theta=0.3)
+
+
+@pytest.mark.parametrize("call, expected", [
+    # superposition checked phi twice, cat_state alpha and phi twice each,
+    # dispersive_protocol phi four times (and its n_max twice), and
+    # closed_stats and q_recursion_residual phi once per closed form
+    (lambda: superposition(0.7, Q), {"check_real": 1}),
+    (lambda: superposition(0.7, Q, 12), {"check_real": 1, "check_integer": 1}),
+    (lambda: nbs(Q), {}),
+    (lambda: required_dimension(Q, 0.7), {"check_real": 1}),
+    (lambda: coherent(0.5), {"check_complex": 1}),
+    (lambda: cat_state(0.5, 0.7), {"check_complex": 1, "check_real": 1}),
+    (lambda: required_dimension_cat(0.5, 0.7), {"check_complex": 1, "check_real": 1}),
+    (lambda: dispersive_protocol(Q, 0.7), {"check_real": 2}),
+    (lambda: dispersive_protocol(Q, 0.7, 1.0, 12), {"check_real": 2, "check_integer": 1}),
+    (lambda: closed_stats(0.7, Q), {"check_real": 1}),
+    (lambda: q_recursion_residual(0.7, Q), {"check_real": 1}),
+], ids=["superposition", "superposition-n_max", "nbs", "required_dimension", "coherent",
+        "cat_state", "required_dimension_cat", "dispersive_protocol",
+        "dispersive_protocol-n_max", "closed_stats", "q_recursion_residual"])
+def test_each_argument_is_checked_once(monkeypatch, call, expected):
+    # every checker call the entry point makes, through each module's own
+    # reference to the checker: one per scalar argument it was passed
+    counts = dict.fromkeys(_CHECKERS, 0)
+    for name in _CHECKERS:
+        checker = getattr(errors, name)
+
+        def counted(*args, _name=name, _checker=checker):
+            counts[_name] += 1
+            return _checker(*args)
+        for module in _CALLER_MODULES:
+            if getattr(module, name, None) is checker:
+                monkeypatch.setattr(module, name, counted)
+    call()
+    assert {name: n for name, n in counts.items() if n} == expected

@@ -1,5 +1,6 @@
 """State constructors: normalization, parity structure, overlaps, sizing."""
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nbstates import nbs_states
 from nbstates.errors import DomainError, TruncationError, ZeroNormError
 from nbstates.fock_core import TruncationPolicy, inner, oracle_stats
 from nbstates.statistics import mean_closed, quadrature_variances
+from nbstates.verification import ORACLE_POLICY
 from nbstates.nbs_states import (
     ETA_MIN,
     NBSParams,
@@ -271,6 +273,93 @@ def test_bisected_sizing_matches_linear_scan(monkeypatch):
     capped = nbs_cases.index((NBSParams(M=1000, eta=0.9), 0.0)) * len(policies) + 2
     geometric = nbs_cases.index((NBSParams(M=1, eta=0.99), 0.0)) * len(policies) + 2
     assert bisected[0][capped] == bisected[0][geometric] == "TruncationError"
+
+
+def _bisect_n_max(weight_log, ratio, boost, policy):
+    # reference: the bisection over [0, hard_cap] that the bracketed search in
+    # nbs_states._grown_n_max replaced
+    policy = policy or TruncationPolicy()
+    tol = policy.tail_tolerance / boost
+
+    def done(n):
+        rho = ratio(n)
+        return rho < 1.0 and math.exp(weight_log(n)) * rho / (1.0 - rho) < tol
+
+    n = bisect_left(range(policy.hard_cap + 1), True, key=done)
+    if n > policy.hard_cap:
+        raise TruncationError(f"hard_cap={policy.hard_cap} reached")
+    return min(n + 2, policy.hard_cap)
+
+
+_SIZING_POLICIES = (None, ORACLE_POLICY, TruncationPolicy(tail_tolerance=1e-6),
+                    TruncationPolicy(tail_tolerance=0.5), TruncationPolicy(hard_cap=2),
+                    TruncationPolicy(hard_cap=300), TruncationPolicy(hard_cap=2 ** 53))
+
+
+def _sizing_draws(rng):
+    # (sizer, args, policy): NBS labels with M log-uniform up to 1e4 or up to
+    # 2**53, eta log-uniform from ETA_MIN, uniform, or 1 - 10^-u down to
+    # 1 - 1e-8; cat labels through required_dimension_cat; each at None, an
+    # axis phi or a random one, under a fixed policy or a hard_cap within a
+    # few indices of the uncapped answer
+    phis = (None, None, 0.0, math.pi / 2.0, math.pi, 2.0 * math.pi)
+    for i in range(6000):
+        phi = phis[i % len(phis)] if i % 7 else rng.uniform(0.0, 2.0 * math.pi)
+        if i % 5:
+            M = int(10.0 ** rng.uniform(0.0, 4.0)) if i % 4 else int(2.0 ** rng.uniform(0.0, 53.0))
+            kind = i % 3
+            if kind == 0:
+                eta = 10.0 ** rng.uniform(math.log10(ETA_MIN), -1.0)
+            elif kind == 1:
+                eta = rng.uniform(1e-3, 0.999)
+            else:
+                eta = 1.0 - 10.0 ** rng.uniform(-8.0, -1.0)
+            sizer, args = required_dimension, (NBSParams(M=M, eta=eta), phi)
+        else:
+            alpha = complex(10.0 ** rng.uniform(-160.0, 2.0)) * nbs_states.phase_factor(
+                rng.uniform(0.0, 2.0 * math.pi))
+            sizer, args = required_dimension_cat, (alpha, phi)
+        policy = _SIZING_POLICIES[i % len(_SIZING_POLICIES)]
+        if i % 11 == 0:
+            try:
+                uncapped = sizer(*args, ORACLE_POLICY)
+            except TruncationError:
+                uncapped = 20000
+            policy = TruncationPolicy(tail_tolerance=1e-14,
+                                      hard_cap=max(2, uncapped + int(rng.integers(-4, 3))))
+        yield sizer, args, policy
+    # the ends of the eta range
+    for M in (1, 30, 2 ** 53):
+        for eta in (ETA_MIN, 1.0 - 1e-8):
+            for policy in _SIZING_POLICIES:
+                yield required_dimension, (NBSParams(M=M, eta=eta), 0.0), policy
+
+
+def test_bracketed_sizing_matches_bisection(monkeypatch):
+    draws = list(_sizing_draws(np.random.default_rng(30)))
+    assert len(draws) >= 5000
+
+    def sized():
+        out = []
+        for sizer, args, policy in draws:
+            try:
+                out.append(sizer(*args, policy))
+            except TruncationError:
+                out.append("TruncationError")
+        return out
+
+    bracketed = sized()
+    monkeypatch.setattr(nbs_states, "_grown_n_max", _bisect_n_max)
+    bisected = sized()
+    assert bracketed.count("TruncationError") > 100
+    assert len(set(bracketed)) > 500
+    # Past ~1e10 components (hard_cap 2**53 only) the rounding of the log
+    # weight, about (M + n) * 1e-16, outgrows its step from n to n + 1: the
+    # float predicate flickers over a window of a few 1e-9 n, and each search
+    # stops at some index inside it.  Below that the answers are equal.
+    noisy = [(a, b) for a, b in zip(bracketed, bisected) if a != b]
+    assert all(b >= 10 ** 10 and abs(a - b) <= 1e-8 * b for a, b in noisy), noisy
+    assert len(noisy) < 50
 
 
 def test_label_phase_has_unit_modulus_and_exact_axes():

@@ -729,3 +729,32 @@ def test_closed_stdout_is_one_io_error(argv, unbuffered):
     assert proc.returncode == 3
     (line,) = err.decode().splitlines()
     assert line.startswith("i/o error: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["pn", "--M", "3", "--eta", "1e-200"],
+                                  ["verify", "--corrupt-tolerances"],
+                                  ["pn", "--M", "3", "--eta", "0.4", "--phi", "0"]],
+                         ids=["exit-1", "exit-2", "exit-0"])
+def test_closed_stdout_and_stderr_exit_3(argv, unbuffered):
+    # with both readers gone, the diagnostic line cannot be written either:
+    # exit 3, whatever the code the run would have had, and no traceback
+    # (an uncaught BrokenPipeError exited 120 buffered and 1 unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "nbstates.cli", *argv],
+                            env=_child_env(unbuffered), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 3
+
+
+def test_main_returns_3_when_stderr_fails(monkeypatch):
+    class ClosedStream:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stderr", ClosedStream())
+    assert main(["pn", "--M", "3", "--eta", "1e-200"]) == 3
