@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, ZeroNormError, check_integer, check_real
 from .fock_core import FockVector, inner
 from .nbs_states import (NBSParams, _check_phi, _label_phases, _nbs_base, _nbs_dimension,
-                         _partner_phase, _phase_factor, _truncated, nbs)
+                         _partner_phase, _phase_factor, _truncated)
 
 
 @dataclass(frozen=True)
@@ -59,23 +59,26 @@ def _check_phase(name: str, phase, multiple: int, multiple_name: str) -> float:
 
 def kerr_evolve(v: FockVector, g1t: float) -> FockVector:
     """Apply exp(-i g1t N^2) componentwise; DomainError unless g1t n_max^2 is finite."""
-    g1t = _check_phase("g1t", g1t, v.n_max * v.n_max, "n_max^2")
+    return _kerr_evolve(v, _check_phase("g1t", g1t, v.n_max * v.n_max, "n_max^2"))
+
+
+def _kerr_evolve(v: FockVector, g1t: float) -> FockVector:
+    # kerr_evolve at a checked g1t
     n = np.arange(len(v), dtype=np.float64)
     return FockVector(v.amplitudes * np.exp(-1j * g1t * n * n))
 
 
 def kerr_generate(params: NBSParams, n_max: Optional[int] = None) -> FockVector:
-    """Evolve a bare NBS for the quarter period g1t = pi/2.
+    """Evolve a bare NBS for the quarter period g1t = pi/2; n_max=None sizes the pi/2 target.
 
     In exact arithmetic the result is exp(-i pi/4) * superposition(pi/2,
     params).  In floats the phase g1t n^2 is rounded before its exp, so the
     overlap with that target drifts as n_max grows: 3e-14 at n_max = 27, and
     1.1e-9 at M = 1000, eta = 0.9, theta = 0.3 (n_max = 5414).
     """
-    if n_max is None:
-        # size for the superposition the protocol lands on, not the bare NBS
-        n_max = _nbs_dimension(params, math.pi / 2.0, None)
-    return kerr_evolve(nbs(params, n_max=n_max), math.pi / 2.0)
+    n_max = _nbs_dimension(params, math.pi / 2.0, None) if n_max is None else \
+        check_integer("n_max", n_max, 0)
+    return _kerr_evolve(_truncated(_nbs_base(params, n_max)), math.pi / 2.0)
 
 
 def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
@@ -87,13 +90,10 @@ def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
     and DomainError unless the phase g2t n_max is a finite float.
     """
     phi = _check_phi(phi)
-    if n_max is None:
-        # the conditional states are parity superpositions; size for the
-        # widest of the two so either projection is representable
-        n_max = max(_nbs_dimension(params, phi, None),
-                    _nbs_dimension(params, _partner_phase(phi), None))
-    else:
-        n_max = check_integer("n_max", n_max, 0)
+    # the conditional states are parity superpositions; size for the
+    # widest of the two so either projection is representable
+    n_max = check_integer("n_max", n_max, 0) if n_max is not None else max(
+        _nbs_dimension(params, phi, None), _nbs_dimension(params, _partner_phase(phi), None))
     g2t = _check_phase("g2t", g2t, n_max, "n_max")
     # the truncated NBS keeps norm^2 = 1 - tail; renormalize so that
     # prob_g + prob_e = 1 whatever the tail tolerance or forced n_max

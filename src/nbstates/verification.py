@@ -28,7 +28,7 @@ import functools
 import inspect
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -193,14 +193,30 @@ def check_coherent_poissonian():
 _NORM_POINTS = ((1, 0.3), (5, 0.6), (30, 0.2), (30, 0.9), (200, 0.5))
 
 
+def _sliced_states(params: NBSParams, phis,
+                   policy: Optional[TruncationPolicy]) -> Iterator[FockVector]:
+    """The state of each phi (None: the bare NBS), sized by ``policy``, all from one base.
+
+    Each phi gets the n_max ``required_dimension`` gives it, and its state
+    is built on a prefix of one ``_nbs_base`` at the largest of them, which
+    has the bits of a base built at that n_max: the base is elementwise in n.
+    The states are built one at a time, as the caller takes them, so that
+    only one of them is held at once.
+    """
+    sizes = [nbs_states._nbs_dimension(params, phi, policy) for phi in phis]
+    base = nbs_states._nbs_base(params, max(sizes))
+    overlap = nbs_states._overlap_terms(params.M, params.eta * params.eta)[1:3]
+    for phi, n_max in zip(phis, sizes):
+        yield nbs_states._truncated(base[:n_max + 1]) if phi is None else \
+            nbs_states._parity_superposition(base[:n_max + 1], phi, *overlap)
+
+
 @check("constructed-state-norms", 1e-10)
 def check_state_norms():
     worst = 0.0
     for M, eta in _NORM_POINTS:
-        params = NBSParams(M=M, eta=eta, theta=0.4)
-        worst = max(worst, abs(nbs_states.nbs(params).norm() - 1.0))
-        for phi in GRID_PHIS:
-            worst = max(worst, abs(nbs_states.superposition(phi, params).norm() - 1.0))
+        for v in _sliced_states(NBSParams(M=M, eta=eta, theta=0.4), (None,) + GRID_PHIS, None):
+            worst = max(worst, abs(v.norm() - 1.0))
     return worst
 
 
@@ -291,10 +307,8 @@ def check_cat_limit():
 _ORACLE_QUANTITIES = ("mean", "second", "q", "var_x1", "var_x2")
 
 
-def _oracle_moments(phi: float, params: NBSParams):
-    """The ``_ORACLE_QUANTITIES`` summed over the built state; no closed form enters."""
-    v = nbs_states.superposition(
-        phi, params, n_max=nbs_states.required_dimension(params, phi, ORACLE_POLICY))
+def _oracle_moments(v: FockVector):
+    """The ``_ORACLE_QUANTITIES`` summed over the built state ``v``; no closed form enters."""
     ref = oracle_stats(v)
     # <a> and <a^2> take the same normalization oracle_stats gives the moments:
     # at theta = 0 the X2 variance cancels <a^2> against the mean
@@ -309,24 +323,27 @@ def _oracle_moments(phi: float, params: NBSParams):
 
 @check("closed-stats-vs-oracle-grid", 1e-9)
 def check_oracle_grid():
-    points = [(M, eta, GRID_THETA) for M in GRID_MS for eta in GRID_ETAS] + list(GRID_CORNERS)
+    # one series call per (M, theta) grid; a grid row has the bits of its one-eta call
+    grids = [(M, GRID_ETAS, GRID_THETA) for M in GRID_MS] + \
+        [(M, (eta,), theta) for M, eta, theta in GRID_CORNERS]
     worst = 0.0
     where = ""
-    for M, eta, theta in points:
-        params = NBSParams(M=M, eta=eta, theta=theta)
-        sums = statistics._series_sums(M, (eta,), theta)[0]
-        for phi in GRID_PHIS:
-            closed = (statistics.mean_closed(phi, params),
-                      statistics.second_moment_closed(phi, params),
-                      statistics.q_closed(phi, params),
-                      *sums.quadratures(phi))
-            for name, got_ref, got_closed in zip(_ORACLE_QUANTITIES,
-                                                 _oracle_moments(phi, params), closed):
-                rel = abs(got_ref - got_closed) / max(1.0, abs(got_closed))
-                if rel > worst:
-                    worst = rel
-                    where = (f"worst at {name}, M={M}, phi={phi:.3f}, eta={eta:.2f}, "
-                             f"theta={theta:.2f}")
+    for M, etas, theta in grids:
+        series = statistics._series_sums(M, etas, theta)
+        for i, eta in enumerate(etas):
+            params = NBSParams(M=M, eta=eta, theta=theta)
+            for phi, v in zip(GRID_PHIS, _sliced_states(params, GRID_PHIS, ORACLE_POLICY)):
+                closed = (statistics.mean_closed(phi, params),
+                          statistics.second_moment_closed(phi, params),
+                          statistics.q_closed(phi, params),
+                          *series[i].quadratures(phi))
+                for name, got_ref, got_closed in zip(_ORACLE_QUANTITIES, _oracle_moments(v),
+                                                     closed):
+                    rel = abs(got_ref - got_closed) / max(1.0, abs(got_closed))
+                    if rel > worst:
+                        worst = rel
+                        where = (f"worst at {name}, M={M}, phi={phi:.3f}, eta={eta:.2f}, "
+                                 f"theta={theta:.2f}")
     return worst, where
 
 

@@ -157,8 +157,9 @@ Q = NBSParams(M=3, eta=0.4, theta=0.3)
 
 @pytest.mark.parametrize("call, expected", [
     # superposition checked phi twice, cat_state alpha and phi twice each,
-    # dispersive_protocol phi four times (and its n_max twice), and
-    # closed_stats and q_recursion_residual phi once per closed form
+    # dispersive_protocol phi four times (and its n_max twice),
+    # closed_stats and q_recursion_residual phi once per closed form, and
+    # kerr_generate its own computed n_max and the constant pi/2
     (lambda: superposition(0.7, Q), {"check_real": 1}),
     (lambda: superposition(0.7, Q, 12), {"check_real": 1, "check_integer": 1}),
     (lambda: nbs(Q), {}),
@@ -170,9 +171,12 @@ Q = NBSParams(M=3, eta=0.4, theta=0.3)
     (lambda: dispersive_protocol(Q, 0.7, 1.0, 12), {"check_real": 2, "check_integer": 1}),
     (lambda: closed_stats(0.7, Q), {"check_real": 1}),
     (lambda: q_recursion_residual(0.7, Q), {"check_real": 1}),
+    (lambda: kerr_generate(Q), {}),
+    (lambda: kerr_generate(Q, 12), {"check_integer": 1}),
 ], ids=["superposition", "superposition-n_max", "nbs", "required_dimension", "coherent",
         "cat_state", "required_dimension_cat", "dispersive_protocol",
-        "dispersive_protocol-n_max", "closed_stats", "q_recursion_residual"])
+        "dispersive_protocol-n_max", "closed_stats", "q_recursion_residual", "kerr_generate",
+        "kerr_generate-n_max"])
 def test_each_argument_is_checked_once(monkeypatch, call, expected):
     # every checker call the entry point makes, through each module's own
     # reference to the checker: one per scalar argument it was passed

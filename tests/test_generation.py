@@ -95,6 +95,16 @@ def test_kerr_quarter_period_hits_half_pi_superposition():
         assert cmath.phase(inner(target, made)) == pytest.approx(-math.pi / 4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_max", [None, 0, 40])
+def test_kerr_generate_is_kerr_evolve_of_the_bare_nbs(n_max):
+    # bit for bit: the unchecked path keeps the public composition's output
+    p = NBSParams(M=6, eta=0.55, theta=1.2)
+    made = kerr_generate(p, n_max=n_max)
+    dim = required_dimension(p, math.pi / 2.0) if n_max is None else n_max
+    want = kerr_evolve(nbs(p, n_max=dim), math.pi / 2.0)
+    assert made.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
 def test_kerr_preserves_photon_distribution():
     p = NBSParams(M=3, eta=0.7)
     bare = nbs(p, n_max=120)

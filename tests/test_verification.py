@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from nbstates import verification
-from nbstates.nbs_states import NBSParams
+from nbstates import statistics, verification
+from nbstates.nbs_states import NBSParams, nbs, required_dimension, superposition
+from nbstates.verification import GRID_PHIS, ORACLE_POLICY
 
 
 # Checks that still pass with every bound scaled by 1e-12: the exact checks,
@@ -70,7 +71,69 @@ def test_oracle_grid_reference_at_theta_zero_corners(M, eta):
     # (M = 1e4) off, past the grid's 1e-9 bound
     assert (M, eta, 0.0) in verification.GRID_CORNERS
     mp = pytest.importorskip("mpmath").mp
-    for phi, want in _mpmath_quadratures(M, eta, mp).items():
-        got = verification._oracle_moments(phi, NBSParams(M=M, eta=eta, theta=0.0))[3:]
-        for g, w in zip(got, want):
+    want = _mpmath_quadratures(M, eta, mp)
+    states = verification._sliced_states(NBSParams(M=M, eta=eta, theta=0.0), tuple(want),
+                                         ORACLE_POLICY)
+    for v, w_pair in zip(states, want.values(), strict=True):
+        for g, w in zip(verification._oracle_moments(v)[3:], w_pair):
             assert abs(g - w) <= 1e-10 * max(1.0, abs(w))
+
+
+# the (M, eta, theta) points of closed-stats-vs-oracle-grid, in its order
+_GRID_POINTS = [(M, eta, verification.GRID_THETA) for M in verification.GRID_MS
+                for eta in verification.GRID_ETAS] + list(verification.GRID_CORNERS)
+
+
+def _same_bits(u, v):
+    return u.amplitudes.tobytes() == v.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("M, eta, theta", _GRID_POINTS)
+def test_sliced_states_have_the_bits_of_states_sized_alone(M, eta, theta):
+    params = NBSParams(M=M, eta=eta, theta=theta)
+    states = verification._sliced_states(params, GRID_PHIS, ORACLE_POLICY)
+    for phi, v in zip(GRID_PHIS, states, strict=True):
+        assert _same_bits(v, superposition(
+            phi, params, n_max=required_dimension(params, phi, ORACLE_POLICY)))
+
+
+@pytest.mark.parametrize("M, eta", verification._NORM_POINTS)
+def test_sliced_states_at_the_default_policy_are_nbs_and_superposition(M, eta):
+    params = NBSParams(M=M, eta=eta, theta=0.4)
+    bare, *sups = verification._sliced_states(params, (None,) + GRID_PHIS, None)
+    assert _same_bits(bare, nbs(params))
+    for phi, v in zip(GRID_PHIS, sups, strict=True):
+        assert _same_bits(v, superposition(phi, params))
+
+
+def test_oracle_grid_check_matches_a_build_per_point_and_phi():
+    # the reference: one one-eta series call per point and one sized build
+    # per (point, phi)
+    worst, where = 0.0, ""
+    for M, eta, theta in _GRID_POINTS:
+        params = NBSParams(M=M, eta=eta, theta=theta)
+        sums = statistics._series_sums(M, (eta,), theta)[0]
+        for phi in GRID_PHIS:
+            v = superposition(phi, params, n_max=required_dimension(params, phi, ORACLE_POLICY))
+            closed = (statistics.mean_closed(phi, params),
+                      statistics.second_moment_closed(phi, params),
+                      statistics.q_closed(phi, params), *sums.quadratures(phi))
+            for name, got_ref, got_closed in zip(verification._ORACLE_QUANTITIES,
+                                                 verification._oracle_moments(v), closed):
+                rel = abs(got_ref - got_closed) / max(1.0, abs(got_closed))
+                if rel > worst:
+                    worst = rel
+                    where = (f"worst at {name}, M={M}, phi={phi:.3f}, eta={eta:.2f}, "
+                             f"theta={theta:.2f}")
+    result = verification.check_oracle_grid()
+    assert (result.measured, result.detail) == (worst, where)
+
+
+def test_state_norms_check_matches_a_build_per_state():
+    worst = 0.0
+    for M, eta in verification._NORM_POINTS:
+        params = NBSParams(M=M, eta=eta, theta=0.4)
+        worst = max(worst, abs(nbs(params).norm() - 1.0))
+        for phi in GRID_PHIS:
+            worst = max(worst, abs(superposition(phi, params).norm() - 1.0))
+    assert verification.check_state_norms().measured == worst
