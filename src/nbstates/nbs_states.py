@@ -100,6 +100,12 @@ def _phase_factor(angle: float) -> complex:
     return complex(c, s)
 
 
+def _phase_column(phis: Tuple[float, ...]) -> np.ndarray:
+    # _phase_factor of each checked phi as a (len(phis), 1) column, which
+    # broadcasts against an eta grid; its .real and .imag are float64 columns
+    return np.array([_phase_factor(phi) for phi in phis])[:, None]
+
+
 def _check_phi(phi: float) -> float:
     """phi as a Python float, or DomainError unless it lies in [0, 2*pi]."""
     phi = check_real("phi", phi)
@@ -223,7 +229,7 @@ def _grown_n_max(weight_log, ratio, boost: float, policy: Optional[TruncationPol
     rho shrink, so this bound is monotone too.  "Past the mode and the bound
     below tolerance" is then False up to one index and True from it on, and
     a search brackets that index in about 3 evaluations of ``ratio`` and
-    ``weight_log``, where a bisection over [0, hard_cap] took 15:
+    ``weight_log``:
 
     * the first probe lies ``_START_SDS`` sd past the mean a/(1-b), sd
       sqrt(a)/(1-b), of weights with ratio (a + b n)/(n + 1), the form of the

@@ -23,16 +23,11 @@ one call fills a whole (phi, eta) sweep.  numpy rounds + - * / elementwise
 as Python does, so each entry gets the bits its (phi, eta) pair gets alone.
 
 <a> and <a^2> are ratios of sums over one weight series, and those sums do
-not depend on phi or theta.  One pass over an eta grid at fixed (M, theta)
-serves both powers and every phi.  Each (power, eta) pair sums its terms up
-to n_hi, a proved a-priori bound past which the last term and the whole tail
-are at most 1e-16 of the sum (``_series_n_hi``), so each block of etas is
-summed once; only a pair that the term budget cuts short checks its last
-term.  A block of etas is summed as 2-D arrays, one ``where=``-masked
-reduction per parity, with the bits each eta gets alone.  A single (M, eta)
-is the one-row grid, and ``_SeriesSums`` turns the sums into <a^k> and the
-quadrature variances with the same kind of kernel, at one phi or at a
-column of phis for the whole grid.
+not depend on phi or theta.  ``_series_sums`` sums them once per eta grid at
+fixed (M, theta), for both powers and every phi: each (power, eta) pair up
+to the bound ``_series_n_hi`` proves, each block of etas as ``_block_sums``
+says.  ``_SeriesSums`` turns the sums into <a^k> and the quadrature
+variances with the same kind of kernel as above.
 """
 from __future__ import annotations
 
@@ -205,9 +200,9 @@ _SERIES_TERMS = HARD_CAP_DEFAULT
 _BLOCK_TERMS = 1 << 13
 
 
-def _series_n_hi(M: int, x: np.ndarray, powers: Tuple[int, ...], hard_cap: int) -> np.ndarray:
+def _series_n_hi(M: int, x: np.ndarray, powers: Tuple[int, ...]) -> np.ndarray:
     # a proved [power, eta] bound on the last index each sum needs, at most
-    # hard_cap.  With m = M + n, the terms t_n = w_n F_n of power k step by
+    # _SERIES_TERMS.  With m = M + n, the terms t_n = w_n F_n of power k step by
     # t_{n+1}/t_n = x m/(n+1) sqrt(1 + k/m) <= rho(n) = x (m + k/2)/(n+1),
     # which does not grow with n.  The weights w are a negative binomial pmf
     # p_n up to a constant, with mean M x/(1-x) and sd sqrt(M x)/(1-x); from
@@ -225,13 +220,13 @@ def _series_n_hi(M: int, x: np.ndarray, powers: Tuple[int, ...], hard_cap: int) 
     rho = x * (m1 + half_k) / (n1 + 1.0)
     log_t1 = (M * np.log1p(-x) + (M + half_k) * np.log1p(n1 / M)
               + n1 * np.log(x * m1 / n1) + 1.0)
-    # NaN where rho(n1) rounds to 1 or more, and those pairs get hard_cap;
+    # NaN where rho(n1) rounds to 1 or more, and those pairs get the cap;
     # capped as a float, since near eta = 1 the bound passes the range of intp
     with np.errstate(divide="ignore", invalid="ignore"):
         log_tail = np.maximum(np.log(rho / (1.0 - rho)), 0.0)
         steps = (math.log(_SERIES_RTOL) - log_t1 - log_tail) / np.log(rho)
-    n_hi = np.where(rho < 1.0, n1 + np.ceil(np.maximum(steps, 0.0)), hard_cap)
-    return np.minimum(n_hi, hard_cap).astype(np.intp)
+    n_hi = np.where(rho < 1.0, n1 + np.ceil(np.maximum(steps, 0.0)), _SERIES_TERMS)
+    return np.minimum(n_hi, _SERIES_TERMS).astype(np.intp)
 
 
 def _blocks(n_his: Sequence[int]) -> Iterator[Tuple[int, int]]:
@@ -255,67 +250,66 @@ class _SeriesSums:
     """The phi-free parts of <a^k> and the quadratures over an eta grid at fixed (M, theta).
 
     ``by_power[k]`` is (E[w], O[w], E[t], O[t]) for t = w F of power k, each
-    summed over 0..n_hi of that power; ``terms`` is
-    ``_overlap_terms`` (x first) for ``_mean_kernel``; ``rotation[k]`` is
-    e^{ik theta}.  A grid holds one float64 entry per eta in each of these,
-    and ``sums[i]`` holds the i-th eta's entries as floats.  The kernels
-    ``_a_pow`` and ``_quadratures`` do only + - * / and squares on them,
-    elementwise, at a phase factor c + i s given as floats or as
-    (phis, 1) columns, which broadcast to one (phi, eta) entry each; so a
-    grid and each of its one-eta rows give the same bits at every phi.
+    summed over 0..n_hi of that power; ``terms`` is ``_overlap_terms`` (x
+    first) for ``_mean_kernel``; ``rotation`` is e^{i theta}.  A grid holds
+    one float64 entry per eta in each of these.
+
+    The one way in is the two kernels, ``a_pow(k, c, s)`` and
+    ``quadratures(c, s)``, at a phase factor c + i s = e^{i phi} from
+    ``_phase_factor``.  They do only + - * / and squares, elementwise, so
+    (phis, 1) columns of c and s (``_phase_column``) broadcast to one
+    (phi, eta) entry each, with the bits that pair gets alone.  ``sums[i]``
+    is the i-th eta's entries as Python floats, for the one-point calls: on
+    it a ``quadrature_variances`` call took 107-122 us, and 136-139 us with
+    the kernels on one-element arrays (2 vCPUs, Python 3.11, numpy 2.4).
     """
 
     M: int
     terms: Sequence
     by_power: Dict[int, Sequence]
-    rotation: Dict[int, complex]
+    rotation: complex
 
     def __getitem__(self, i: int) -> "_SeriesSums":
         return _SeriesSums(self.M, tuple(self.terms[:, i].tolist()),
                            {k: tuple(sums[:, i].tolist()) for k, sums in self.by_power.items()},
                            self.rotation)
 
-    def _a_pow(self, k: int, c, s):
-        # (Re, Im) of <a^k> at the phase factor c + i s = e^{i phi}: the ratio
-        # times e^{ik theta}, a complex product written out in CPython's order
+    def a_pow(self, k: int, c, s):
+        # (Re, Im) of <a^k> at the phase factor c + i s: the ratio times
+        # e^{ik theta}, a complex product written out in CPython's order
         w_even, w_odd, t_even, t_odd = self.by_power[k]
         denom = (1.0 + c) * w_even + (1.0 - c) * w_odd
         if k % 2 == 0:
             re, im = ((1.0 + c) * t_even + (1.0 - c) * t_odd) / denom, 0.0
         else:
             re, im = 0.0, -s * (t_even - t_odd) / denom
-        rot = self.rotation[k]
+        rot = self.rotation ** k
         return re * rot.real - im * rot.imag, re * rot.imag + im * rot.real
 
-    def a_pow(self, k: int, phi: float) -> complex:
-        """<a^k> at a checked phi from the sums of power k of one eta."""
-        unit = _phase_factor(phi)
-        return complex(*self._a_pow(k, unit.real, unit.imag))
-
-    def quadratures(self, phi: float):
-        """(Var X1, Var X2) at a checked phi from the sums of powers 1 and 2, one entry per eta."""
-        unit = _phase_factor(phi)
-        return self._quadratures(unit.real, unit.imag)
-
-    def _quadratures(self, c, s):
+    def quadratures(self, c, s):
         # (Var X1, Var X2) at the phase factor c + i s from the sums of powers 1 and 2
         mean = _mean_kernel(c, self.M, *self.terms)
-        a_re, a_im = self._a_pow(1, c, s)
-        a2_re = self._a_pow(2, c, s)[0]
+        a_re, a_im = self.a_pow(1, c, s)
+        a2_re = self.a_pow(2, c, s)[0]
         var_x1 = 0.25 + 0.5 * (mean + a2_re - 2.0 * (a_re * a_re))
         var_x2 = 0.25 + 0.5 * (mean - a2_re - 2.0 * (a_im * a_im))
         return var_x1, var_x2
 
 
 def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarray,
-                n_hi: np.ndarray, hard_cap: int, powers: Tuple[int, ...],
-                out: np.ndarray) -> np.ndarray:
+                n_hi: np.ndarray, powers: Tuple[int, ...], out: np.ndarray) -> np.ndarray:
     # the sums of every power at a block of rows (x, log x as columns), each
     # (power, row) pair over 0..n_hi[power, row] of the block's _log_binomial
     # prefix, written into out, the block's [power, (w, t), parity, row]
-    # slice; returns the [power, row] mask of the pairs cut short at hard_cap
-    # whose last term t_{n_hi} is more than 1e-16 of their t sums, the only
-    # pairs whose bound does not prove them converged
+    # slice; returns the [power, row] mask of the pairs cut short at
+    # _SERIES_TERMS whose last term t_{n_hi} is more than 1e-16 of their t
+    # sums, the only pairs whose bound does not prove them converged.  Each
+    # row's w is scaled by its largest term, so no term exceeds 1 and the
+    # terms near the peak do not underflow at large M, however small the
+    # early ones get.  The block is padded to its longest n_hi, and a power's
+    # parity sums are one reduction per parity of the (w, t) view, each row
+    # masked with where= to 0..n_hi, which numpy sums as the pairwise sum of
+    # that 1-D slice: each row gets the bits its eta gets alone
     length = len(log_binomial)
     n = np.arange(length + max(powers) - 1, dtype=np.float64)
     log_w = log_binomial + n[:length] * log_x
@@ -328,7 +322,7 @@ def _block_sums(M: int, x: np.ndarray, log_x: np.ndarray, log_binomial: np.ndarr
     # reads the one root column shifted by j, as M + n + j is exact
     root = np.sqrt(x * (n + M))
     np.multiply(w, root[:, :length], out=t)
-    open_pairs = n_hi == hard_cap
+    open_pairs = n_hi == _SERIES_TERMS
     any_open = np.logical_or.reduce(open_pairs, axis=None)
     with np.errstate(over="ignore"):
         for k in range(1, max(powers) + 1):
@@ -358,35 +352,30 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
 
     The caller has checked that (M, eta, theta) are valid ``NBSParams`` for
     every eta.  w_n = C(M+n-1, n) x^n comes from one ``_log_binomial`` row,
-    scaled by each eta's largest term; t = w sqrt(x m), then t sqrt(x (m+1)),
-    ... (m = M + n) gives the terms of powers 1, 2, ... in turn.  Each
-    (power, eta) pair sums its terms 0..n_hi, n_hi from ``_series_n_hi``,
-    which proves that t_{n_hi} and the tail past it are at most 1e-16 of the
-    sum.  The etas are taken in grid order, once each, in blocks
-    (``_blocks``) padded to the block's longest n_hi; a power's parity sums
-    are one reduction per parity of the block's (w, t) view, each row masked
-    with ``where=`` to 0..n_hi, which numpy sums as the pairwise sum of that
-    1-D slice.  So each eta gets the bits it gets alone, and each power the
-    bits it gets summed alone.
+    and t = w sqrt(x m), then t sqrt(x (m+1)), ... (m = M + n) gives the
+    terms of powers 1, 2, ... in turn.  Each (power, eta) pair sums its terms
+    0..n_hi of ``_series_n_hi``.  The etas are taken in grid order, once
+    each, in the blocks of ``_blocks``, each summed by ``_block_sums``; so
+    each eta gets the bits it gets alone, and each power the bits it gets
+    summed alone.
 
-    A pair whose bound passes _SERIES_TERMS is summed to that cap, and has
-    converged only if t_{cap} <= 1e-16 (E[t] + O[t]); if not,
-    ConvergenceError names the first such eta and its lowest unconverged
-    power.  Terms past the float range raise NumericsError at the first
-    block that meets them.
+    A pair whose bound reaches _SERIES_TERMS is summed to that cap, and
+    ConvergenceError names the first eta that ``_block_sums`` cannot prove
+    converged, with its lowest such power.  Terms past the float range raise
+    NumericsError at the first block that meets them.
     """
     xs = [eta * eta for eta in etas]
     x, log_x = np.array(xs), np.array([math.log(x) for x in xs])
     # [power, (w, t), parity, eta] and [power, eta]
     sums = np.empty((len(powers), 2, 2, len(xs)))
-    n_hi = _series_n_hi(M, x, powers, _SERIES_TERMS)
+    n_hi = _series_n_hi(M, x, powers)
     # each eta's largest n_hi over the powers
     row_n_hi = np.maximum.reduce(n_hi).tolist()
     row = _log_binomial(M, np.arange(max(row_n_hi, default=0) + 1, dtype=np.float64))
     for start, stop in _blocks(row_n_hi):
         open_pairs = _block_sums(M, x[start:stop, None], log_x[start:stop, None],
                                  row[:max(row_n_hi[start:stop]) + 1], n_hi[:, start:stop],
-                                 _SERIES_TERMS, powers, sums[..., start:stop])
+                                 powers, sums[..., start:stop])
         finite = np.isfinite(sums[:, 1, :, start:stop])
         if not np.logical_and.reduce(finite, axis=None):
             i, k = _first_failure(~finite.all(axis=1), powers)
@@ -397,8 +386,7 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
             raise ConvergenceError(f"<a^{k}> series needed more than {_SERIES_TERMS} terms "
                                    f"at eta={etas[start + i]}, M={M}")
     by_power = {k: sums[slot].reshape(4, len(xs)) for slot, k in enumerate(powers)}
-    return _SeriesSums(M, _overlap_columns(M, xs), by_power,
-                       {k: _phase_factor(theta) ** k for k in powers})
+    return _SeriesSums(M, _overlap_columns(M, xs), by_power, _phase_factor(theta))
 
 
 def a_pow_expectation(k: int, phi: float, params: NBSParams) -> complex:
@@ -415,26 +403,19 @@ def a_pow_expectation(k: int, phi: float, params: NBSParams) -> complex:
     c + i s = e^{i phi}. Dividing by D summed from the same terms cancels the
     constant, its rounding and the truncation.
 
-    The sums do not depend on phi or theta, and one weight pass
-    (``_series_sums``) yields them for any set of powers.  All terms up to
-    n_hi are evaluated at once from one ``_log_binomial`` row, with w
-    scaled by its largest term: no term exceeds 1, and the terms near the
-    peak cannot underflow at large M, however small the early ones get.
-    n_hi is a proved a-priori bound (``_series_n_hi``): past the weights'
-    mean plus 9 sd, a Chernoff bound on the negative binomial tail and the
-    terms' ratio bound put the last term t_{n_hi} = w F and the geometric
-    tail past it at most 1e-16 of the sums, and the terms are summed once.
-    A bound past the term budget ``_SERIES_TERMS`` is cut to it, and ConvergenceError
-    is raised unless the last term is at most 1e-16 of the sums (the ratio
-    test guarantees convergence for any eta < 1, but the budget is finite).
-    A power k past that budget raises DomainError before any term is built;
-    terms past the float range, at large k, raise NumericsError.
+    The sums do not depend on phi or theta; they come from one
+    ``_series_sums`` pass, summed as far as ``_series_n_hi`` proves enough.
+    A power k past the term budget ``_SERIES_TERMS`` raises DomainError
+    before any term is built, a sum the budget cuts short raises
+    ConvergenceError unless it has converged, and terms past the float
+    range, at large k, raise NumericsError.
     """
     k = check_integer("power k", k, 1)
     if k > _SERIES_TERMS:
         raise DomainError(f"power k must be at most {_SERIES_TERMS}, got {k}")
-    phi = _check_phi(phi)
-    return _series_sums(params.M, (params.eta,), params.theta, (k,))[0].a_pow(k, phi)
+    unit = _phase_factor(_check_phi(phi))
+    sums = _series_sums(params.M, (params.eta,), params.theta, (k,))[0]
+    return complex(*sums.a_pow(k, unit.real, unit.imag))
 
 
 def quadrature_variances(phi: float, params: NBSParams) -> Tuple[float, float]:
@@ -443,6 +424,6 @@ def quadrature_variances(phi: float, params: NBSParams) -> Tuple[float, float]:
     <a> and <a^2> come from one weight pass, each power summed to its own
     n_hi, bit for bit what two ``a_pow_expectation`` calls give.
     """
-    phi = _check_phi(phi)
+    unit = _phase_factor(_check_phi(phi))
     sums = _series_sums(params.M, (params.eta,), params.theta, (1, 2))[0]
-    return tuple(map(float, sums.quadratures(phi)))
+    return tuple(map(float, sums.quadratures(unit.real, unit.imag)))

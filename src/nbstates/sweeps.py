@@ -27,7 +27,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, check_integer, check_real
-from .nbs_states import NBSParams, _check_phi, _phase_factor, required_dimension
+from .nbs_states import NBSParams, _check_phi, _phase_column, required_dimension
 from .statistics import _overlap_columns, _q_kernel, _series_sums, pn_closed_upto
 
 FIG1_PHIS = (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
@@ -116,12 +116,6 @@ def _checked_grid(cfg: SweepConfig) -> List[float]:
     return etas
 
 
-def _phase_column(phis: Tuple[float, ...]) -> np.ndarray:
-    # e^{i phi} of each phi as a (len(phis), 1) column, which broadcasts
-    # against an eta grid; its .real and .imag are float64 columns
-    return np.array([_phase_factor(phi) for phi in phis])[:, None]
-
-
 def fig1_records(cfg: SweepConfig) -> SweepTable:
     """Mandel Q against eta at every phi, one kernel call per grid."""
     etas = _checked_grid(cfg)
@@ -135,7 +129,7 @@ def fig2_records(cfg: SweepConfig) -> SweepTable:
     etas = _checked_grid(cfg)
     sums = _series_sums(cfg.M, etas, cfg.theta)
     unit = _phase_column(cfg.phis)
-    return SweepTable(etas, cfg.phis, sums._quadratures(unit.real, unit.imag)[1],
+    return SweepTable(etas, cfg.phis, sums.quadratures(unit.real, unit.imag)[1],
                       cfg.M, "var_x2")
 
 

@@ -323,20 +323,25 @@ def _oracle_moments(v: FockVector):
 
 @check("closed-stats-vs-oracle-grid", 1e-9)
 def check_oracle_grid():
-    # one series call per (M, theta) grid; a grid row has the bits of its one-eta call
+    # the variances of a (M, theta) grid are one series call and one column
+    # kernel call, as fig2 makes them: each entry has the bits of its
+    # one-point call
     grids = [(M, GRID_ETAS, GRID_THETA) for M in GRID_MS] + \
         [(M, (eta,), theta) for M, eta, theta in GRID_CORNERS]
+    unit = nbs_states._phase_column(GRID_PHIS)
     worst = 0.0
     where = ""
     for M, etas, theta in grids:
-        series = statistics._series_sums(M, etas, theta)
-        for i, eta in enumerate(etas):
+        variances = statistics._series_sums(M, etas, theta).quadratures(unit.real, unit.imag)
+        # [eta][phi] lists of floats
+        var_x1, var_x2 = (v.T.tolist() for v in variances)
+        for eta, x1s, x2s in zip(etas, var_x1, var_x2):
             params = NBSParams(M=M, eta=eta, theta=theta)
-            for phi, v in zip(GRID_PHIS, _sliced_states(params, GRID_PHIS, ORACLE_POLICY)):
+            states = _sliced_states(params, GRID_PHIS, ORACLE_POLICY)
+            for phi, v, x1, x2 in zip(GRID_PHIS, states, x1s, x2s):
                 closed = (statistics.mean_closed(phi, params),
                           statistics.second_moment_closed(phi, params),
-                          statistics.q_closed(phi, params),
-                          *series[i].quadratures(phi))
+                          statistics.q_closed(phi, params), x1, x2)
                 for name, got_ref, got_closed in zip(_ORACLE_QUANTITIES, _oracle_moments(v),
                                                      closed):
                     rel = abs(got_ref - got_closed) / max(1.0, abs(got_closed))

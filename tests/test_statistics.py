@@ -384,9 +384,11 @@ def test_series_sums_reproduce_a_pow_and_quadratures_bit_for_bit(M, eta, theta):
         # each power keeps the stop index it has when summed alone
         assert sums.by_power[k] == _one_eta_sums(params, (k,)).by_power[k]
     for phi in _SUMS_PHIS:
+        unit = phase_factor(phi)
         for k in (1, 2, 3):
-            assert sums.a_pow(k, phi) == a_pow_expectation(k, phi, params)
-        assert sums.quadratures(phi) == quadrature_variances(phi, params)
+            got = complex(*sums.a_pow(k, unit.real, unit.imag))
+            assert got == a_pow_expectation(k, phi, params)
+        assert sums.quadratures(unit.real, unit.imag) == quadrature_variances(phi, params)
 
 
 def _one_pair_terms(M, x, k, n_hi):
@@ -401,15 +403,16 @@ def _one_pair_terms(M, x, k, n_hi):
     return w, t
 
 
-def _per_eta_loop(M, eta, powers, cap=statistics._SERIES_TERMS):
+def _per_eta_loop(M, eta, powers):
     # the series of one eta on 1-D arrays: each power sums its terms 0..n_hi,
     # n_hi the a-priori bound of that eta and power alone, and a power cut
-    # short at cap must have its last term at most 1e-16 of its sum; the
-    # reference the grid pass must match bit for bit
+    # short at the term budget must have its last term at most 1e-16 of its
+    # sum; the reference the grid pass must match bit for bit
     x = eta * eta
+    cap = statistics._SERIES_TERMS
     by_power = {}
     for k in powers:
-        n_hi = int(statistics._series_n_hi(M, np.array([x]), (k,), cap)[0, 0])
+        n_hi = int(statistics._series_n_hi(M, np.array([x]), (k,))[0, 0])
         w, t = _one_pair_terms(M, x, k, n_hi)
         sums = tuple(float(np.add.reduce(a[p::2])) for a in (w, t) for p in (0, 1))
         if n_hi == cap and t[-1] > 1e-16 * (sums[2] + sums[3]):
@@ -481,7 +484,7 @@ def test_series_n_hi_is_a_proved_bound(monkeypatch):
     checked = 0
     for M, etas in _bound_grids():
         x = np.array([eta * eta for eta in etas])
-        n_hi = statistics._series_n_hi(M, x, _BOUND_POWERS, cap)
+        n_hi = statistics._series_n_hi(M, x, _BOUND_POWERS)
         for slot, k in enumerate(_BOUND_POWERS):
             for xi, stop in zip(x.tolist(), n_hi[slot].tolist()):
                 if stop >= cap:
@@ -621,12 +624,12 @@ def test_series_column_kernels_match_the_one_eta_calls_bit_for_bit(M, etas, thet
     c, s = _phase_columns(phis)
     params = [NBSParams(M=M, eta=eta, theta=theta) for eta in etas]
     for k in (1, 2):
-        re, im = sums._a_pow(k, c, s)
+        re, im = sums.a_pow(k, c, s)
         for phi, re_row, im_row in zip(phis, re, im):
             one = [a_pow_expectation(k, phi, p) for p in params]
             assert _bits(re_row) == _bits(a.real for a in one), (phi, k)
             assert _bits(im_row) == _bits(a.imag for a in one), (phi, k)
-    var_x1, var_x2 = sums._quadratures(c, s)
+    var_x1, var_x2 = sums.quadratures(c, s)
     assert var_x1.shape == var_x2.shape == (len(phis), len(etas))
     for phi, x1_row, x2_row in zip(phis, var_x1, var_x2):
         one = [quadrature_variances(phi, p) for p in params]
@@ -688,10 +691,10 @@ def test_series_kernels_match_the_per_row_complex_arithmetic(M, theta):
         unit = phase_factor(phi)
         want = [_row_quadratures(row, phi, params) for row, params in rows]
         for k, index in ((1, 0), (2, 1)):
-            re, im = sums._a_pow(k, unit.real, unit.imag)
+            re, im = sums.a_pow(k, unit.real, unit.imag)
             assert _bits(re) == _bits(w[index].real for w in want), (phi, k)
             assert _bits(im) == _bits(w[index].imag for w in want), (phi, k)
-        var_x1, var_x2 = sums.quadratures(phi)
+        var_x1, var_x2 = sums.quadratures(unit.real, unit.imag)
         assert _bits(var_x1) == _bits(w[2] for w in want), phi
         assert _bits(var_x2) == _bits(w[3] for w in want), phi
 

@@ -456,6 +456,49 @@ def test_hostile_config_values_fail_with_one_line(tmp_path, capsys, command, val
         assert "Traceback" not in err, key
 
 
+# test_boundary.HOSTILE by the text a config line holds for each value (a
+# numpy scalar by its str, so np.True_ is "True" too), and an empty value
+_HOSTILE_TEXTS = {
+    "True": "True", "float16": "0.3", "float32-3e38": "3e+38", "longdouble-1e400": "1e+400",
+    "int8-min": "-128", "uint64-max": str(2 ** 64 - 1), "0.0": "0.0", "-0.0": "-0.0",
+    "5e-324": "5e-324", "1e308": "1e308", "nan": "nan", "inf": "inf", "-inf": "-inf",
+    "2**53": str(2 ** 53), "10**5000": "1" + "0" * 5000, "-10**5000": "-1" + "0" * 5000,
+    "str": "1", "bytes": "b'1'", "None": "None", "complex": "1+1j", "complex64": "(3.7+0j)",
+    "list": "[0.5]", "0-d-array": "0.5", "Fraction": "1/3", "Decimal": "0.1", "empty": "",
+}
+
+# a valid config per command holding every key the command takes
+_FULL_CONFIGS = {command: {**config, "out": "o"} for command, config in {
+    **_VALID_CONFIGS,
+    "fig1": dict(M="5", phi="0", eta_start="0.1", eta_stop="0.2", grid_step="0.05"),
+    "verify": dict(tolerance="1", seed="0")}.items()}
+
+
+@pytest.mark.parametrize("command", sorted(_FULL_CONFIGS))
+def test_every_hostile_config_value_exits_cleanly(tmp_path, monkeypatch, capsys, command):
+    # each hostile text in each key: the run succeeds, or fails with exit 1
+    # or 2 and one stderr line.  out is a path, so any text names a file
+    # (here under tmp_path), and one that cannot be written is exit 3
+    from test_boundary import HOSTILE
+    assert set(_HOSTILE_TEXTS) | {"np.True_"} == set(HOSTILE) | {"empty"}
+    assert set(_FULL_CONFIGS[command]) == CLI_CONTRACT[command][1]
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    for key in _FULL_CONFIGS[command]:
+        codes = (0, 3) if key == "out" else (0, 1, 2)
+        for name, value in _HOSTILE_TEXTS.items():
+            text = {**_FULL_CONFIGS[command], key: value}
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+            code = main([command, "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert code in codes, (key, name, code, err)
+            if code:
+                assert err.count("\n") == 1 and err.endswith("\n"), (key, name, err)
+                assert "Traceback" not in err, (key, name)
+            else:
+                assert err == "", (key, name)
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["pn", "--M", "0", "--eta", "0.4"]) == 1
     assert "domain error" in capsys.readouterr().err

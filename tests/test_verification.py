@@ -107,17 +107,17 @@ def test_sliced_states_at_the_default_policy_are_nbs_and_superposition(M, eta):
 
 
 def test_oracle_grid_check_matches_a_build_per_point_and_phi():
-    # the reference: one one-eta series call per point and one sized build
-    # per (point, phi)
+    # the reference: one public call per (point, phi) for the variances and
+    # one sized build per (point, phi)
     worst, where = 0.0, ""
     for M, eta, theta in _GRID_POINTS:
         params = NBSParams(M=M, eta=eta, theta=theta)
-        sums = statistics._series_sums(M, (eta,), theta)[0]
         for phi in GRID_PHIS:
             v = superposition(phi, params, n_max=required_dimension(params, phi, ORACLE_POLICY))
             closed = (statistics.mean_closed(phi, params),
                       statistics.second_moment_closed(phi, params),
-                      statistics.q_closed(phi, params), *sums.quadratures(phi))
+                      statistics.q_closed(phi, params),
+                      *statistics.quadrature_variances(phi, params))
             for name, got_ref, got_closed in zip(verification._ORACLE_QUANTITIES,
                                                  verification._oracle_moments(v), closed):
                 rel = abs(got_ref - got_closed) / max(1.0, abs(got_closed))
@@ -137,3 +137,23 @@ def test_state_norms_check_matches_a_build_per_state():
         for phi in GRID_PHIS:
             worst = max(worst, abs(superposition(phi, params).norm() - 1.0))
     assert verification.check_state_norms().measured == worst
+
+
+def test_oracle_grid_check_makes_one_column_call_per_grid(monkeypatch):
+    # 3 grids of 18 etas and the 3 corners: one series call and one column
+    # kernel call each, as fig2 makes, and no one-eta row view
+    counts = dict.fromkeys(("_series_sums", "quadratures", "__getitem__"), 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(statistics, "_series_sums")
+    count(statistics._SeriesSums, "quadratures")
+    count(statistics._SeriesSums, "__getitem__")
+    verification.check_oracle_grid()
+    assert counts == {"_series_sums": 6, "quadratures": 6, "__getitem__": 0}
