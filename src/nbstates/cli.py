@@ -102,6 +102,8 @@ def _merge(args: argparse.Namespace) -> dict:
     merged = load_config(args.config, args.keys) if args.config else {}
     merged.update((key, value) for key, value in vars(args).items()
                   if key in args.keys and value is not None)
+    if merged.get("out") == "":
+        raise ConfigError("out must name a file; leave it out to write to stdout")
     return merged
 
 
@@ -196,9 +198,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    opts = _merge(args)
     # imported here so the other subcommands skip loading the suite and algebra
     from . import verification
-    opts = _merge(args)
     scale = opts.get("tolerance", 1.0)
     if args.corrupt_tolerances:
         # negative control: bounds tightened far beyond attainability, the

@@ -12,10 +12,10 @@ and thermal-like statistics.  The two-component superposition
 
 keeps only even photon numbers at phi = 0 and only odd ones at phi = pi.
 Its norm divides by 1 + cos(phi) r, where r = ((1 - eta^2)/(1 + eta^2))^M is
-the overlap of the two components.  ``_overlap_terms`` is the one place that
-forms r_j = exp(-2 (M + j) atanh(eta^2)) and r_j - 1 for j = 0, 1, which the
-norm, the sizing boost and every closed form in ``statistics`` read;
-``_one_plus_c_r`` turns such a pair into 1 + c r without cancellation.
+the overlap of the two components.  ``NBSParams`` is the one place that
+forms x, atanh x, r_j and r_j - 1 (j = 0, 1) and the logs at a point, and
+``statistics._overlap_columns`` the one place that forms x and the r_j over
+a grid; ``_one_plus_c_r`` turns (r, r - 1) into 1 + c r without cancellation.
 
 All amplitudes are assembled in log space from one row of log C(M+n-1, n),
 ``_log_binomial``, which P(n) and the <a^k> series in ``statistics`` use too.
@@ -57,6 +57,11 @@ class NBSParams:
     that it loses precision and then underflows to 0, where log(eta**2) and
     the parity normalization are undefined, so such an eta raises
     DomainError too.
+
+    Past its checks it forms, once, each function of eta a point consumer
+    reads: ``_terms`` = (x, r0, r0 - 1, r1, r1 - 1), with r_j = exp(-2 (M + j) u)
+    the overlap of |eta_c, M + j> with |-eta_c, M + j>; ``_u`` = u = atanh x;
+    ``_logs`` = (log eta, log x, log(1 - x)).  These are attributes, not fields.
     """
 
     M: int
@@ -69,10 +74,16 @@ class NBSParams:
         object.__setattr__(self, "theta", check_real("theta", self.theta))
         if not (0.0 < self.eta < 1.0):
             raise DomainError(f"eta must lie strictly inside (0, 1), got {self.eta}")
-        if self.eta * self.eta < sys.float_info.min:
+        x = self.eta * self.eta
+        if x < sys.float_info.min:
             raise DomainError(f"eta**2 underflows for eta = {self.eta}; need eta >= {ETA_MIN!r}")
         if not (0.0 <= self.theta < TWO_PI):
             raise DomainError(f"theta must lie in [0, 2*pi), got {self.theta}")
+        u = math.atanh(x)
+        s0, s1 = 2.0 * self.M * u, 2.0 * (self.M + 1) * u
+        self.__dict__.update(
+            _terms=(x, math.exp(-s0), math.expm1(-s0), math.exp(-s1), math.expm1(-s1)),
+            _u=u, _logs=(math.log(self.eta), math.log(x), math.log1p(-x)))
 
     @property
     def eta_c(self) -> complex:
@@ -134,17 +145,6 @@ def _overlap(s: float) -> Tuple[float, float]:
     return math.exp(-s), math.expm1(-s)
 
 
-def _overlap_terms(M: int, x: float) -> Tuple[float, float, float, float, float]:
-    # (x, r0, r0 - 1, r1, r1 - 1) for the overlaps r_j = exp(-2 (M + j) atanh x)
-    # of |eta_c, M + j> with |-eta_c, M + j>: every transcendental of the
-    # parity norm, P(n), <N> and Q at one eta.  statistics._overlap_columns
-    # forms the same five over an eta grid.
-    u = math.atanh(x)
-    s0 = 2.0 * M * u
-    s1 = 2.0 * (M + 1) * u
-    return x, math.exp(-s0), math.expm1(-s0), math.exp(-s1), math.expm1(-s1)
-
-
 def _one_plus_c_r(c, r, r_minus_1):
     # 1 + c r for an overlap r = e^{-s} given with r - 1 = expm1(-s), written to
     # survive c near -1 with a small exponent: 1 + c r = (1 + c) + c (r - 1),
@@ -160,7 +160,7 @@ def _one_plus_c_r(c, r, r_minus_1):
 
 def nbs_parity_overlap(params: NBSParams) -> float:
     """Overlap <-eta_c, M | eta_c, M> = ((1-eta^2)/(1+eta^2))^M, always real in (0, 1)."""
-    return _overlap_terms(params.M, params.eta * params.eta)[1]
+    return params._terms[1]
 
 
 def _parity_norm(phi: float, r: float, r_minus_1: float) -> float:
@@ -194,18 +194,19 @@ def _parity_superposition(base: np.ndarray, phi: float, r: float, r_minus_1: flo
 
 def normalization_constant(phi: float, params: NBSParams) -> float:
     """N with |phi;eta_c,M> = N (|eta_c,M> + e^{i phi} |-eta_c,M>); N = (2(1+cos(phi) r))^{-1/2}."""
-    return _parity_norm(_check_phi(phi), *_overlap_terms(params.M, params.eta * params.eta)[1:3])
+    return _parity_norm(_check_phi(phi), *params._terms[1:3])
 
 
 # ---------------------------------------------------------------------------
 # truncation sizing
 # ---------------------------------------------------------------------------
 
-def _nb_log_weight(M: int, x: float) -> Callable[[int], float]:
-    # n -> log of the negative binomial pmf C(M+n-1, n) x^n (1-x)^M, with
-    # log C in the Stirling form of _log_binomial on math's scalar functions:
-    # the lgamma difference loses about M ln M * 1e-16, +-40 at M = 2**53
-    log_x, log_q, stirlerr_m = math.log(x), M * math.log1p(-x), _scalar_stirlerr(M)
+def _nb_log_weight(M: int, log_x: float, log_1mx: float) -> Callable[[int], float]:
+    # n -> log of the negative binomial pmf C(M+n-1, n) x^n (1-x)^M from
+    # log x and log(1 - x), with log C in the Stirling form of _log_binomial
+    # on math's scalar functions: the lgamma difference loses about
+    # M ln M * 1e-16, +-40 at M = 2**53
+    log_q, stirlerr_m = M * log_1mx, _scalar_stirlerr(M)
 
     def weight_log(n: int) -> float:
         log_c = 0.0 if n == 0 else (
@@ -305,12 +306,11 @@ def required_dimension(params: NBSParams, phi: Optional[float] = None,
 def _nbs_dimension(params: NBSParams, phi: Optional[float],
                    policy: Optional[TruncationPolicy]) -> int:
     # required_dimension at a checked phi
-    x = params.eta * params.eta
-    M = params.M
+    M, (x, r0, d0) = params.M, params._terms[:3]
     # |parity factor|^2 <= 4 and the norm divides by 2(1+c r)
-    boost = 1.0 if phi is None else \
-        2.0 / _one_plus_c_r(_phase_factor(phi).real, *_overlap_terms(M, x)[1:3])
-    return _grown_n_max(_nb_log_weight(M, x), lambda n: (M + n) * x / (n + 1), boost, policy)
+    boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_phase_factor(phi).real, r0, d0)
+    return _grown_n_max(_nb_log_weight(M, *params._logs[1:]), lambda n: (M + n) * x / (n + 1),
+                        boost, policy)
 
 
 def _check_label(alpha) -> Tuple[complex, float]:
@@ -428,14 +428,13 @@ def _label_phases(theta: float, n: np.ndarray) -> np.ndarray:
 
 def _nbs_base(params: NBSParams, n_max: int) -> np.ndarray:
     """Amplitudes (1-x)^{M/2} C(M+n-1,n)^{1/2} eta_c^n for n = 0..n_max."""
-    M, eta = params.M, params.eta
-    x = eta * eta
+    M, (log_eta, _, log_1mx) = params.M, params._logs
     n = np.arange(n_max + 1)
     # 0.5 log C + n log(eta) + M/2 log(1 - x), in place
     logmag = _log_binomial(M, n)
     logmag *= 0.5
-    logmag += n * math.log(eta)
-    logmag += 0.5 * M * math.log1p(-x)
+    logmag += n * log_eta
+    logmag += 0.5 * M * log_1mx
     amps = np.exp(logmag, out=logmag).astype(np.complex128)
     if params.theta != 0.0:
         amps *= _label_phases(params.theta, n)
@@ -458,8 +457,7 @@ def superposition(phi: float, params: NBSParams, n_max: Optional[int] = None) ->
     phi = _check_phi(phi)
     n_max = _nbs_dimension(params, phi, None) if n_max is None else \
         check_integer("n_max", n_max, 0)
-    return _parity_superposition(_nbs_base(params, n_max), phi,
-                                 *_overlap_terms(params.M, params.eta * params.eta)[1:3])
+    return _parity_superposition(_nbs_base(params, n_max), phi, *params._terms[1:3])
 
 
 def even_nbs(params: NBSParams, n_max: Optional[int] = None) -> FockVector:

@@ -7,15 +7,16 @@ test suite holds the two within 1e-9 relative error over a parameter grid.
 Notation used throughout: x = eta^2, c = cos(phi), u = atanh(x), and
 r = exp(-2 M u) is the overlap between the two superposed components.  Every
 closed form divides by 1 + c r, and <N> and Q also read r1 = exp(-2(M+1)u);
-both come with their expm1 from ``nbs_states._overlap_terms``, so phi = pi
-stays accurate at small eta, where 1 - r is O(M x).  The one other overlap,
-exp(-2(M+2)u) in <N^2>, goes through ``nbs_states._overlap``.
+both come with their expm1, so phi = pi stays accurate at small eta, where
+1 - r is O(M x).  ``NBSParams`` forms these once per point, and
+``_overlap_columns`` once per eta grid.  <N^2> reads u from ``NBSParams``
+for its one other overlap, exp(-2(M+2)u), through ``nbs_states._overlap``.
 
 The Mandel parameter comes from the recursion <N>(pi - phi, M + 1) - <N>(phi, M),
 rearranged so that the two means of size M x / (1 - x) never cancel.
 
 Each closed form is split in two: the transcendentals, which depend on eta
-but not on phi (``_overlap_terms``, or ``_overlap_columns`` over a grid),
+but not on phi (``NBSParams._terms``, or ``_overlap_columns`` over a grid),
 and an arithmetic kernel that takes them as floats or as float64 arrays
 (``_q_kernel``, ``_mean_kernel``).  The kernels take c = cos(phi) as a
 float, or as a (phis, 1) column that broadcasts against the eta grid, so
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, NumericsError, check_integer, check_real
 from .fock_core import HARD_CAP_DEFAULT, PhotonStats
 from .nbs_states import (NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
-                         _overlap, _overlap_terms, _phase_factor)
+                         _overlap, _phase_factor)
 
 
 def q_limit(phi: float) -> float:
@@ -53,14 +54,13 @@ def q_limit(phi: float) -> float:
 def _pn_kernel(first: int, size: int, c: float, params: NBSParams) -> np.ndarray:
     # P(n) for n = first, ..., first + size - 1 at cos(phi) = c; +0.0 where
     # parity forbids n
-    M = params.M
-    x, r0, d0 = _overlap_terms(M, params.eta * params.eta)[:3]
+    M, (_, log_x, log_1mx) = params.M, params._logs
     n = np.arange(first, first + size, dtype=np.float64)
-    weight = np.exp(_log_binomial(M, n) + n * math.log(x) + M * math.log1p(-x))
+    weight = np.exp(_log_binomial(M, n) + n * log_x + M * log_1mx)
     # 1 + c at even n, 1 - c at odd n
     parity = np.full(size, 1.0 + c)
     parity[1 - first % 2::2] = 1.0 - c
-    return weight * parity / _one_plus_c_r(c, r0, d0)
+    return weight * parity / _one_plus_c_r(c, *params._terms[1:3])
 
 
 def pn_closed(n: int, phi: float, params: NBSParams) -> float:
@@ -86,11 +86,10 @@ def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     """G(lambda) = sum_n lambda^n P(n), defined for |lambda| * eta^2 < 1."""
     c = _cos_phi(phi)
     lam = check_real("lam", lam)
-    M = params.M
-    x, r0, d0 = _overlap_terms(M, params.eta * params.eta)[:3]
+    M, (x, r0, d0) = params.M, params._terms[:3]
     if abs(lam) * x >= 1.0:
         raise DomainError(f"generating function diverges: |lambda|*eta^2 = {abs(lam) * x} >= 1")
-    log_shared = M * math.log1p(-x)
+    log_shared = M * params._logs[2]
     try:
         g = (math.exp(log_shared - M * math.log1p(-lam * x))
              + c * math.exp(log_shared - M * math.log1p(lam * x))) / _one_plus_c_r(c, r0, d0)
@@ -101,9 +100,10 @@ def generating_function(lam: float, phi: float, params: NBSParams) -> float:
     return g
 
 
-def _overlap_columns(M: int, xs: Sequence[float]) -> np.ndarray:
-    # _overlap_terms of each x as five float64 rows, for the column kernels:
-    # the same libm calls and exponents, one map per transcendental
+def _overlap_columns(M: int, etas: Sequence[float]) -> np.ndarray:
+    # NBSParams._terms of each eta as five float64 rows, for the column
+    # kernels: the same libm calls and exponents, one map per transcendental
+    xs = [eta * eta for eta in etas]
     us = list(map(math.atanh, xs))
     s0 = [-(2.0 * M * u) for u in us]
     s1 = [-(2.0 * (M + 1) * u) for u in us]
@@ -112,30 +112,30 @@ def _overlap_columns(M: int, xs: Sequence[float]) -> np.ndarray:
 
 
 def _mean_kernel(c, M: int, x, r0, d0, r1, d1):
-    # <N> at cos(phi) = c from _overlap_terms, floats or arrays of them
+    # <N> at cos(phi) = c from NBSParams._terms, floats or arrays of them
     return M * x * _one_plus_c_r(-c, r1, d1) / ((1.0 - x) * _one_plus_c_r(c, r0, d0))
 
 
 def mean_closed(phi: float, params: NBSParams) -> float:
     """<N> = M x (1 - c exp(-2(M+1)u)) / ((1-x)(1 + c exp(-2Mu)))."""
-    return _mean_kernel(_cos_phi(phi), params.M, *_overlap_terms(params.M, params.eta * params.eta))
+    return _mean_kernel(_cos_phi(phi), params.M, *params._terms)
 
 
-def _second_moment_kernel(c: float, M: int, x, r0, d0, r1, d1) -> float:
-    # <N^2> at cos(phi) = c from _overlap_terms, as floats
-    num = _one_plus_c_r(c, *_overlap(2.0 * (M + 2) * math.atanh(x)))
+def _second_moment_kernel(c: float, params: NBSParams) -> float:
+    # <N^2> at cos(phi) = c, as floats
+    M, (x, r0, d0) = params.M, params._terms[:3]
+    num = _one_plus_c_r(c, *_overlap(2.0 * (M + 2) * params._u))
     extra = M * (M + 1) * x * x * num / ((1.0 - x) ** 2 * _one_plus_c_r(c, r0, d0))
-    return _mean_kernel(c, M, x, r0, d0, r1, d1) + extra
+    return _mean_kernel(c, M, *params._terms) + extra
 
 
 def second_moment_closed(phi: float, params: NBSParams) -> float:
     """<N^2> = <N> + M(M+1) x^2 (1 + c exp(-2(M+2)u)) / ((1-x)^2 (1 + c exp(-2Mu)))."""
-    return _second_moment_kernel(_cos_phi(phi), params.M,
-                                 *_overlap_terms(params.M, params.eta * params.eta))
+    return _second_moment_kernel(_cos_phi(phi), params)
 
 
 def _q_kernel(c, M: int, x, r0, d0, r1, d1):
-    # Q at cos(phi) = c from _overlap_terms, floats or arrays of them: the
+    # Q at cos(phi) = c from NBSParams._terms, floats or arrays of them: the
     # arithmetic of q_closed, every phi of a sweep (c a column) over its eta
     # grid in one call
     pair = (M + 1) * r1 / _one_plus_c_r(-c, r1, d1) + M * r0 / _one_plus_c_r(c, r0, d0)
@@ -154,15 +154,14 @@ def q_closed(phi: float, params: NBSParams) -> float:
     ``_one_plus_c_r``.  This holds Q to a few ulps for every M up to 2**53;
     no eta needs a special case.
     """
-    return _q_kernel(_cos_phi(phi), params.M, *_overlap_terms(params.M, params.eta * params.eta))
+    return _q_kernel(_cos_phi(phi), params.M, *params._terms)
 
 
 def closed_stats(phi: float, params: NBSParams) -> PhotonStats:
     """Mean, second moment, variance, and Mandel Q from the closed forms only."""
-    c, M = _cos_phi(phi), params.M
-    terms = _overlap_terms(M, params.eta * params.eta)
+    c, M, terms = _cos_phi(phi), params.M, params._terms
     mean = _mean_kernel(c, M, *terms)
-    second = _second_moment_kernel(c, M, *terms)
+    second = _second_moment_kernel(c, params)
     q = _q_kernel(c, M, *terms)
     return PhotonStats(mean=mean, second_moment=second,
                        variance=mean * (q + 1.0), mandel_q=q)
@@ -176,12 +175,11 @@ def q_recursion_residual(phi: float, params: NBSParams) -> float:
     The two routes share no formula, so a fault in either shows up here.
     A <N> below the normal floats (phi near 0 at tiny eta) raises NumericsError.
     """
-    c, M = _cos_phi(phi), params.M
-    terms = _overlap_terms(M, params.eta * params.eta)
+    c, M, terms = _cos_phi(phi), params.M, params._terms
     mean = _mean_kernel(c, M, *terms)
     if mean < sys.float_info.min:
         raise NumericsError(f"<N> = {mean!r} underflows at eta={params.eta}, M={M}")
-    return abs(_q_kernel(c, M, *terms) - (_second_moment_kernel(c, M, *terms) / mean - mean - 1.0))
+    return abs(_q_kernel(c, M, *terms) - (_second_moment_kernel(c, params) / mean - mean - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +248,8 @@ class _SeriesSums:
     """The phi-free parts of <a^k> and the quadratures over an eta grid at fixed (M, theta).
 
     ``by_power[k]`` is (E[w], O[w], E[t], O[t]) for t = w F of power k, each
-    summed over 0..n_hi of that power; ``terms`` is ``_overlap_terms`` (x
-    first) for ``_mean_kernel``; ``rotation`` is e^{i theta}.  A grid holds
+    summed over 0..n_hi of that power; ``terms`` is the ``_overlap_columns``
+    rows (x first) for ``_mean_kernel``; ``rotation`` is e^{i theta}.  A grid holds
     one float64 entry per eta in each of these.
 
     The one way in is the two kernels, ``a_pow(k, c, s)`` and
@@ -364,10 +362,11 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
     converged, with its lowest such power.  Terms past the float range raise
     NumericsError at the first block that meets them.
     """
-    xs = [eta * eta for eta in etas]
-    x, log_x = np.array(xs), np.array([math.log(x) for x in xs])
+    terms = _overlap_columns(M, etas)
+    x = terms[0]
+    log_x = np.array(list(map(math.log, x.tolist())))
     # [power, (w, t), parity, eta] and [power, eta]
-    sums = np.empty((len(powers), 2, 2, len(xs)))
+    sums = np.empty((len(powers), 2, 2, len(etas)))
     n_hi = _series_n_hi(M, x, powers)
     # each eta's largest n_hi over the powers
     row_n_hi = np.maximum.reduce(n_hi).tolist()
@@ -385,8 +384,8 @@ def _series_sums(M: int, etas: Sequence[float], theta: float = 0.0,
             i, k = _first_failure(open_pairs, powers)
             raise ConvergenceError(f"<a^{k}> series needed more than {_SERIES_TERMS} terms "
                                    f"at eta={etas[start + i]}, M={M}")
-    by_power = {k: sums[slot].reshape(4, len(xs)) for slot, k in enumerate(powers)}
-    return _SeriesSums(M, _overlap_columns(M, xs), by_power, _phase_factor(theta))
+    by_power = {k: sums[slot].reshape(4, len(etas)) for slot, k in enumerate(powers)}
+    return _SeriesSums(M, terms, by_power, _phase_factor(theta))
 
 
 def a_pow_expectation(k: int, phi: float, params: NBSParams) -> complex:

@@ -119,7 +119,7 @@ def _checked_grid(cfg: SweepConfig) -> List[float]:
 def fig1_records(cfg: SweepConfig) -> SweepTable:
     """Mandel Q against eta at every phi, one kernel call per grid."""
     etas = _checked_grid(cfg)
-    terms = _overlap_columns(cfg.M, [eta * eta for eta in etas])
+    terms = _overlap_columns(cfg.M, etas)
     return SweepTable(etas, cfg.phis, _q_kernel(_phase_column(cfg.phis).real, cfg.M, *terms),
                       cfg.M, "mandel_q")
 

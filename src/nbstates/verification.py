@@ -205,7 +205,7 @@ def _sliced_states(params: NBSParams, phis,
     """
     sizes = [nbs_states._nbs_dimension(params, phi, policy) for phi in phis]
     base = nbs_states._nbs_base(params, max(sizes))
-    overlap = nbs_states._overlap_terms(params.M, params.eta * params.eta)[1:3]
+    overlap = params._terms[1:3]
     for phi, n_max in zip(phis, sizes):
         yield nbs_states._truncated(base[:n_max + 1]) if phi is None else \
             nbs_states._parity_superposition(base[:n_max + 1], phi, *overlap)

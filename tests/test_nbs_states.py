@@ -1,4 +1,5 @@
 """State constructors: normalization, parity structure, overlaps, sizing."""
+import dataclasses
 import math
 from bisect import bisect_left
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from nbstates import nbs_states
 from nbstates.errors import DomainError, TruncationError, ZeroNormError
 from nbstates.fock_core import TruncationPolicy, inner, oracle_stats
-from nbstates.statistics import mean_closed, quadrature_variances
+from nbstates.statistics import _overlap_columns, mean_closed, quadrature_variances
 from nbstates.verification import ORACLE_POLICY
 from nbstates.nbs_states import (
     ETA_MIN,
@@ -62,6 +63,53 @@ def test_smallest_eta_stays_finite():
         assert quadrature_variances(math.pi, p) == (0.75, 0.75)
         assert quadrature_variances(0.0, p) == (0.25, 0.25)
         assert superposition(math.pi, p).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+_TERM_MS = (1, 50, 2 ** 53)
+_TERM_ETAS = (ETA_MIN, 1e-8, 0.5, 0.95, 1.0 - 2.0 ** -53)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("M", _TERM_MS)
+@pytest.mark.parametrize("eta", _TERM_ETAS)
+def test_derived_terms_are_the_inline_formulas_bit_for_bit(M, eta):
+    # each attribute NBSParams forms against the expression its consumers
+    # once wrote for themselves
+    p = NBSParams(M=M, eta=eta, theta=0.3)
+    x = eta * eta
+    u = math.atanh(eta * eta)
+    s0, s1 = 2.0 * M * u, 2.0 * (M + 1) * u
+    assert _hex([p._u]) == _hex([u])
+    assert _hex(p._terms) == _hex([x, math.exp(-s0), math.expm1(-s0),
+                                   math.exp(-s1), math.expm1(-s1)])
+    assert _hex(p._logs) == _hex([math.log(eta), math.log(x), math.log1p(-(eta * eta))])
+
+
+@pytest.mark.parametrize("M", _TERM_MS)
+def test_overlap_columns_are_the_terms_of_each_point(M):
+    columns = _overlap_columns(M, _TERM_ETAS)
+    assert columns.shape == (5, len(_TERM_ETAS))
+    for i, eta in enumerate(_TERM_ETAS):
+        assert _hex(columns[:, i]) == _hex(NBSParams(M=M, eta=eta)._terms), eta
+
+
+def test_derived_terms_leave_the_dataclass_surface_alone():
+    p = NBSParams(M=7, eta=0.6, theta=0.2)
+    q = NBSParams(M=7, eta=0.6, theta=0.2)
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == "NBSParams(M=7, eta=0.6, theta=0.2)"
+    assert dataclasses.asdict(p) == {"M": 7, "eta": 0.6, "theta": 0.2}
+    assert [f.name for f in dataclasses.fields(p)] == ["M", "eta", "theta"]
+    assert p != NBSParams(M=7, eta=0.6, theta=0.3)
+    r = dataclasses.replace(p, eta=0.9)
+    assert _hex(r._terms) == _hex(NBSParams(M=7, eta=0.9, theta=0.2)._terms)
+    assert _hex(r._logs) == _hex(NBSParams(M=7, eta=0.9)._logs)
+    assert r._u == math.atanh(0.9 * 0.9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.eta = 0.5
 
 
 def test_phase_factor_axis_exactness():

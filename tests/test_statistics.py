@@ -606,7 +606,7 @@ def _phase_columns(phis):
 def test_q_column_kernel_matches_q_closed_bit_for_bit(M, etas, phis):
     # every phi of the column in one kernel call, each row the bits of
     # q_closed at that phi
-    terms = statistics._overlap_columns(M, [eta * eta for eta in etas])
+    terms = statistics._overlap_columns(M, etas)
     table = statistics._q_kernel(_phase_columns(phis)[0], M, *terms)
     assert table.shape == (len(phis), len(etas))
     for phi, row in zip(phis, table):
@@ -674,7 +674,7 @@ _ROW_PHIS = (0.0, 0.4, math.pi / 2.0, 2.0, 3.0 * math.pi / 4.0, math.pi, 4.0, 2.
 @pytest.mark.parametrize("M", (1, 7, 50, 300, 2 ** 40))
 def test_q_kernel_matches_the_per_row_formula(M):
     etas = np.linspace(1e-3, 0.95, 200).tolist()
-    terms = statistics._overlap_columns(M, [eta * eta for eta in etas])
+    terms = statistics._overlap_columns(M, etas)
     for phi in _ROW_PHIS:
         c = phase_factor(phi).real
         assert _bits(statistics._q_kernel(c, M, *terms)) == \

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from nbstates import sweeps
 from nbstates.cli import _json_text, build_parser, load_config, main
 from nbstates.errors import ConfigError, DomainError, NumericsError
 from nbstates.fock_core import TruncationPolicy
@@ -477,20 +478,21 @@ _FULL_CONFIGS = {command: {**config, "out": "o"} for command, config in {
 @pytest.mark.parametrize("command", sorted(_FULL_CONFIGS))
 def test_every_hostile_config_value_exits_cleanly(tmp_path, monkeypatch, capsys, command):
     # each hostile text in each key: the run succeeds, or fails with exit 1
-    # or 2 and one stderr line.  out is a path, so any text names a file
-    # (here under tmp_path), and one that cannot be written is exit 3
+    # or 2 and one stderr line.  out is a path, so any nonempty text names a
+    # file (here under tmp_path), and one that cannot be written is exit 3;
+    # the empty text names none and is a config error
     from test_boundary import HOSTILE
     assert set(_HOSTILE_TEXTS) | {"np.True_"} == set(HOSTILE) | {"empty"}
     assert set(_FULL_CONFIGS[command]) == CLI_CONTRACT[command][1]
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
     for key in _FULL_CONFIGS[command]:
-        codes = (0, 3) if key == "out" else (0, 1, 2)
         for name, value in _HOSTILE_TEXTS.items():
             text = {**_FULL_CONFIGS[command], key: value}
             cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
             code = main([command, "--config", str(cfg)])
             err = capsys.readouterr().err
+            codes = ((1,) if name == "empty" else (0, 3)) if key == "out" else (0, 1, 2)
             assert code in codes, (key, name, code, err)
             if code:
                 assert err.count("\n") == 1 and err.endswith("\n"), (key, name, err)
@@ -597,6 +599,29 @@ def test_io_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["fig1", "--out", str(missing)]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def _no_fig2(monkeypatch):
+    def fail(cfg):
+        raise AssertionError("fig2_records ran")
+    monkeypatch.setattr(sweeps, "fig2_records", fail)
+
+
+def test_empty_out_flag_is_a_config_error_before_any_work(monkeypatch, capsys):
+    _no_fig2(monkeypatch)
+    assert main(["fig2", "--out", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_empty_out_config_key_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys):
+    _no_fig2(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("M = 5\nout =\n")
+    assert main(["fig2", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
