@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError, PoleError, check_integer
 from .fock_core import FockVector, apply_annihilate
 from .nbs_states import NBSParams
@@ -38,17 +38,21 @@ from .nbs_states import NBSParams
 _PARITIES = ("even", "odd")
 
 
-@dataclass(frozen=True)
-class ParitySequence:
+class ParitySequence(Frozen):
     """Coefficients C(m) of a state supported on photon numbers p0 + 2m.
 
     Build it with ``ParitySequence.of(vector)``: ``coeffs`` is the read-only
     view ``vector.amplitudes[p0::2]``, and its length fixes how many ladder
-    sites f and S cover.
+    sites f and S cover.  It holds an array, so instances compare by identity.
     """
 
-    offset: int
-    coeffs: np.ndarray
+    # the __dict__ holds the cached f_values
+    __slots__ = ("offset", "coeffs", "__dict__")
+    _fields = ("offset", "coeffs")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, offset: int, coeffs: np.ndarray):
+        self._store(offset=offset, coeffs=coeffs)
 
     @classmethod
     def of(cls, v: FockVector) -> "ParitySequence":

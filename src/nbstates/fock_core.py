@@ -9,11 +9,11 @@ reference for the analytic expressions elsewhere in the package.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DimensionMismatchError, DomainError, check_integer, check_real
 
 # Default truncation contract: discarded probability mass below 1e-12,
@@ -22,30 +22,28 @@ TAIL_TOLERANCE_DEFAULT = 1e-12
 HARD_CAP_DEFAULT = 20000
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(Frozen):
     """How large a truncated vector is allowed to grow and how much mass may be dropped."""
 
-    tail_tolerance: float = TAIL_TOLERANCE_DEFAULT
-    hard_cap: int = HARD_CAP_DEFAULT
+    __slots__ = _fields = ("tail_tolerance", "hard_cap")
 
-    def __post_init__(self):
-        tolerance = check_real("tail_tolerance", self.tail_tolerance)
-        object.__setattr__(self, "tail_tolerance", tolerance)
-        if not (0.0 < self.tail_tolerance < 1.0):
-            raise DomainError(f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance}")
-        object.__setattr__(self, "hard_cap", check_integer("hard_cap", self.hard_cap, 2))
+    def __init__(self, tail_tolerance: float = TAIL_TOLERANCE_DEFAULT,
+                 hard_cap: int = HARD_CAP_DEFAULT):
+        tail_tolerance = check_real("tail_tolerance", tail_tolerance)
+        if not (0.0 < tail_tolerance < 1.0):
+            raise DomainError(f"tail_tolerance must lie in (0, 1), got {tail_tolerance}")
+        self._store(tail_tolerance=tail_tolerance, hard_cap=check_integer("hard_cap", hard_cap, 2))
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Immutable amplitude vector over |0>, |1>, ..., |n_max>."""
+class FockVector(Frozen):
+    """Immutable amplitude vector over |0>, |1>, ..., |n_max>; compared by identity."""
 
-    amplitudes: np.ndarray
+    __slots__ = _fields = ("amplitudes",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, amplitudes: np.ndarray):
         try:
-            raw = np.asarray(self.amplitudes)
+            raw = np.asarray(amplitudes)
             if np.can_cast(raw.dtype, np.complex128):
                 arr = raw.astype(np.complex128)
             else:
@@ -75,8 +73,7 @@ class FockVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class PhotonStats:
+class PhotonStats(NamedTuple):
     """First two number moments of a state; mandel_q is None exactly for the vacuum."""
 
     mean: float

@@ -19,25 +19,30 @@ partner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError, ZeroNormError, check_integer, check_real
 from .fock_core import FockVector, inner
 from .nbs_states import (NBSParams, _check_phi, _label_phases, _nbs_base, _nbs_dimension,
                          _partner_phase, _phase_factor, _truncated)
 
 
-@dataclass(frozen=True)
-class DispersiveOutcome:
-    """Both conditional field states after the pulse and measurement, and their probabilities."""
+class DispersiveOutcome(Frozen):
+    """Both conditional field states after the pulse and measurement, and their probabilities.
 
-    projected_g: FockVector
-    projected_e: FockVector
-    prob_g: float
-    prob_e: float
+    It holds vectors, so instances compare by identity.
+    """
+
+    __slots__ = _fields = ("projected_g", "projected_e", "prob_g", "prob_e")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, projected_g: FockVector, projected_e: FockVector, prob_g: float,
+                 prob_e: float):
+        self._store(projected_g=projected_g, projected_e=projected_e, prob_g=prob_g,
+                    prob_e=prob_e)
 
 
 def fidelity(u: FockVector, v: FockVector) -> float:

@@ -33,11 +33,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import (DomainError, TruncationError, ZeroNormError, check_complex, check_integer,
                      check_real)
 from .fock_core import FockVector, TruncationPolicy
@@ -48,8 +48,7 @@ ETA_MIN = math.sqrt(sys.float_info.min)
 _DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class NBSParams:
+class NBSParams(Frozen):
     """Magnitude eta in (0,1), phase theta in [0, 2*pi), integer index 1 <= M <= 2**53.
 
     Above 2**53, M + 1 rounds to M as a float, so such an M raises
@@ -61,29 +60,34 @@ class NBSParams:
     Past its checks it forms, once, each function of eta a point consumer
     reads: ``_terms`` = (x, r0, r0 - 1, r1, r1 - 1), with r_j = exp(-2 (M + j) u)
     the overlap of |eta_c, M + j> with |-eta_c, M + j>; ``_u`` = u = atanh x;
-    ``_logs`` = (log eta, log x, log(1 - x)).  These are attributes, not fields.
+    ``_logs`` = (log eta, log x, log(1 - x)).  Equality, hash and repr read
+    M, eta and theta alone.
     """
 
-    M: int
-    eta: float
-    theta: float = 0.0
+    __slots__ = ("M", "eta", "theta", "_terms", "_u", "_logs")
+    _fields = ("M", "eta", "theta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", check_integer("M", self.M, 1))
-        object.__setattr__(self, "eta", check_real("eta", self.eta))
-        object.__setattr__(self, "theta", check_real("theta", self.theta))
-        if not (0.0 < self.eta < 1.0):
-            raise DomainError(f"eta must lie strictly inside (0, 1), got {self.eta}")
-        x = self.eta * self.eta
+    def __init__(self, M: int, eta: float, theta: float = 0.0):
+        M = check_integer("M", M, 1)
+        eta = check_real("eta", eta)
+        theta = check_real("theta", theta)
+        if not (0.0 < eta < 1.0):
+            raise DomainError(f"eta must lie strictly inside (0, 1), got {eta}")
+        x = eta * eta
         if x < sys.float_info.min:
-            raise DomainError(f"eta**2 underflows for eta = {self.eta}; need eta >= {ETA_MIN!r}")
-        if not (0.0 <= self.theta < TWO_PI):
-            raise DomainError(f"theta must lie in [0, 2*pi), got {self.theta}")
+            raise DomainError(f"eta**2 underflows for eta = {eta}; need eta >= {ETA_MIN!r}")
+        if not (0.0 <= theta < TWO_PI):
+            raise DomainError(f"theta must lie in [0, 2*pi), got {theta}")
         u = math.atanh(x)
-        s0, s1 = 2.0 * self.M * u, 2.0 * (self.M + 1) * u
-        self.__dict__.update(
-            _terms=(x, math.exp(-s0), math.expm1(-s0), math.exp(-s1), math.expm1(-s1)),
-            _u=u, _logs=(math.log(self.eta), math.log(x), math.log1p(-x)))
+        s0, s1 = 2.0 * M * u, 2.0 * (M + 1) * u
+        # one call per slot, without _store's keyword dict: every point call builds one
+        store = object.__setattr__
+        store(self, "M", M)
+        store(self, "eta", eta)
+        store(self, "theta", theta)
+        store(self, "_terms", (x, math.exp(-s0), math.expm1(-s0), math.exp(-s1), math.expm1(-s1)))
+        store(self, "_u", u)
+        store(self, "_logs", (math.log(eta), math.log(x), math.log1p(-x)))
 
     @property
     def eta_c(self) -> complex:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import ConvergenceError, DomainError, NumericsError, check_integer, check_real
 from .fock_core import HARD_CAP_DEFAULT, PhotonStats
 from .nbs_states import (NBSParams, _check_phi, _cos_phi, _log_binomial, _one_plus_c_r,
@@ -243,14 +243,14 @@ def _blocks(n_his: Sequence[int]) -> Iterator[Tuple[int, int]]:
         start = stop
 
 
-@dataclass(frozen=True)
-class _SeriesSums:
+class _SeriesSums(Frozen):
     """The phi-free parts of <a^k> and the quadratures over an eta grid at fixed (M, theta).
 
     ``by_power[k]`` is (E[w], O[w], E[t], O[t]) for t = w F of power k, each
     summed over 0..n_hi of that power; ``terms`` is the ``_overlap_columns``
     rows (x first) for ``_mean_kernel``; ``rotation`` is e^{i theta}.  A grid holds
-    one float64 entry per eta in each of these.
+    one float64 entry per eta in each of ``terms`` and the sums, so instances
+    compare by identity.
 
     The one way in is the two kernels, ``a_pow(k, c, s)`` and
     ``quadratures(c, s)``, at a phase factor c + i s = e^{i phi} from
@@ -262,10 +262,11 @@ class _SeriesSums:
     the kernels on one-element arrays (2 vCPUs, Python 3.11, numpy 2.4).
     """
 
-    M: int
-    terms: Sequence
-    by_power: Dict[int, Sequence]
-    rotation: complex
+    __slots__ = _fields = ("M", "terms", "by_power", "rotation")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, M: int, terms: Sequence, by_power: Dict[int, Sequence], rotation: complex):
+        self._store(M=M, terms=terms, by_power=by_power, rotation=rotation)
 
     def __getitem__(self, i: int) -> "_SeriesSums":
         return _SeriesSums(self.M, tuple(self.terms[:, i].tolist()),

@@ -21,11 +21,11 @@ call per row, and the text that of one ``.17g`` format per field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError, check_integer, check_real
 from .nbs_states import NBSParams, _check_phi, _phase_column, required_dimension
 from .statistics import _overlap_columns, _q_kernel, _series_sums, pn_closed_upto
@@ -38,36 +38,35 @@ DEFAULT_GRID_STEP = 0.01
 MAX_GRID_POINTS = 10 ** 5
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Frozen):
     """Grid description for the figure sweeps."""
 
-    M: int
-    theta: float = 0.0
-    phis: Tuple[float, ...] = FIG1_PHIS
-    eta_start: float = DEFAULT_ETA_START
-    eta_stop: float = DEFAULT_ETA_STOP
-    grid_step: float = DEFAULT_GRID_STEP
+    __slots__ = _fields = ("M", "theta", "phis", "eta_start", "eta_stop", "grid_step")
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", check_integer("M", self.M, 1))
-        for name in ("theta", "eta_start", "eta_stop", "grid_step"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+    def __init__(self, M: int, theta: float = 0.0, phis: Tuple[float, ...] = FIG1_PHIS,
+                 eta_start: float = DEFAULT_ETA_START, eta_stop: float = DEFAULT_ETA_STOP,
+                 grid_step: float = DEFAULT_GRID_STEP):
+        M = check_integer("M", M, 1)
+        theta = check_real("theta", theta)
+        eta_start = check_real("eta_start", eta_start)
+        eta_stop = check_real("eta_stop", eta_stop)
+        grid_step = check_real("grid_step", grid_step)
         try:
-            phis = tuple(self.phis)
+            phis = tuple(phis)
         except TypeError:
-            raise DomainError(f"phis must be a sequence, not {type(self.phis).__name__}") from None
-        object.__setattr__(self, "phis", tuple(_check_phi(phi) for phi in phis))
-        if self.grid_step <= 0.0:
-            raise DomainError(f"grid_step must be > 0, got {self.grid_step}")
-        if not (0.0 < self.eta_start <= self.eta_stop < 1.0):
+            raise DomainError(f"phis must be a sequence, not {type(phis).__name__}") from None
+        phis = tuple(_check_phi(phi) for phi in phis)
+        if grid_step <= 0.0:
+            raise DomainError(f"grid_step must be > 0, got {grid_step}")
+        if not (0.0 < eta_start <= eta_stop < 1.0):
+            raise DomainError(f"need 0 < eta_start <= eta_stop < 1, got [{eta_start}, {eta_stop}]")
+        if (eta_stop - eta_start) / grid_step >= MAX_GRID_POINTS:
             raise DomainError(
-                f"need 0 < eta_start <= eta_stop < 1, got [{self.eta_start}, {self.eta_stop}]")
-        if (self.eta_stop - self.eta_start) / self.grid_step >= MAX_GRID_POINTS:
-            raise DomainError(
-                f"grid_step {self.grid_step} gives more than {MAX_GRID_POINTS} eta points")
-        if len(self.phis) == 0:
+                f"grid_step {grid_step} gives more than {MAX_GRID_POINTS} eta points")
+        if len(phis) == 0:
             raise DomainError("at least one phi value is required")
+        self._store(M=M, theta=theta, phis=phis, eta_start=eta_start, eta_stop=eta_stop,
+                    grid_step=grid_step)
 
 
 def grid_etas(cfg: SweepConfig) -> List[float]:
@@ -92,20 +91,20 @@ def fig2_config(**overrides) -> SweepConfig:
     return SweepConfig(**{"M": 50, **overrides})
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(Frozen):
     """A figure sweep: ``values[j][i]`` is the quantity at ``etas[i]`` and ``phis[j]``.
 
     The sweeps build ``values`` as one (len(phis), len(etas)) float64 array;
     a sequence of float64 arrays, one of len(etas) values per phi, renders
-    the same.
+    the same.  It holds arrays, so instances compare by identity.
     """
 
-    etas: List[float]
-    phis: Tuple[float, ...]
-    values: np.ndarray
-    M: int
-    quantity: str
+    __slots__ = _fields = ("etas", "phis", "values", "M", "quantity")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, etas: List[float], phis: Tuple[float, ...], values: np.ndarray, M: int,
+                 quantity: str):
+        self._store(etas=etas, phis=phis, values=values, M=M, quantity=quantity)
 
 
 def _checked_grid(cfg: SweepConfig) -> List[float]:

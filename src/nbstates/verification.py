@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,8 +67,7 @@ DEFAULT_SEED = 20260814
 TWO_PI_OPEN = 2.0 * math.pi - 1e-9
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     # field order is the key order of ``verify --json``
     name: str
     passed: bool
@@ -551,4 +549,4 @@ def render_report(results: List[CheckResult]) -> str:
 
 
 def results_to_json(results: List[CheckResult]) -> List[dict]:
-    return [asdict(r) for r in results]
+    return [r._asdict() for r in results]

@@ -590,6 +590,16 @@ def test_cli_import_leaves_json_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_dataclasses_out():
+    # the value types are plain classes and named tuples: no method is
+    # generated at import, for the CLI path or for verify's suite
+    code = ("import sys, nbstates.cli, nbstates.verification; "
+            "print([m for m in ('dataclasses', 'copy') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -653,6 +663,19 @@ def test_verify_json_mode(capsys):
     report = json.loads(capsys.readouterr().out)
     assert isinstance(report, list) and len(report) >= 20
     assert all(entry["passed"] for entry in report)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--json"],
+                                  ["verify", "--json", "--corrupt-tolerances"]],
+                         ids=["passing", "failing"])
+def test_verify_json_entry_layout(argv, capsys):
+    main(argv)
+    for entry in json.loads(capsys.readouterr().out):
+        assert list(entry) == ["name", "passed", "measured", "bound", "detail"]
+        assert type(entry["name"]) is str and type(entry["detail"]) is str
+        assert type(entry["passed"]) is bool
+        for key in ("measured", "bound"):
+            assert entry[key] is None or type(entry[key]) is float
 
 
 def test_verify_negative_control(tmp_path, capsys):
