@@ -52,7 +52,7 @@ class PoleError(NumericsError):
 
 
 class ZeroNormError(NumericsError):
-    """A conditional projection produced a numerically zero branch."""
+    """A projection or a parity superposition came out with a numerically zero norm."""
 
 
 def check_integer(name: str, value, minimum: int) -> int:

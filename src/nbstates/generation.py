@@ -27,7 +27,7 @@ from ._frozen import Frozen
 from .errors import DomainError, ZeroNormError, check_integer, check_real
 from .fock_core import FockVector, inner
 from .nbs_states import (NBSParams, _check_phi, _label_phases, _nbs_base, _nbs_dimension,
-                         _partner_phase, _phase_factor, _truncated)
+                         _pair_denominator, _partner_phase, _phase_factor, _truncated)
 
 
 class DispersiveOutcome(Frozen):
@@ -95,10 +95,11 @@ def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
     and DomainError unless the phase g2t n_max is a finite float.
     """
     phi = _check_phi(phi)
-    # the conditional states are parity superpositions; size for the
-    # widest of the two so either projection is representable
-    n_max = check_integer("n_max", n_max, 0) if n_max is not None else max(
-        _nbs_dimension(params, phi, None), _nbs_dimension(params, _partner_phase(phi), None))
+    # the branches are the phi and partner superpositions; a size grows with
+    # the boost 4 / D, so the size at the smaller D fits both
+    terms = params._terms[1:3]
+    n_max = check_integer("n_max", n_max, 0) if n_max is not None else _nbs_dimension(
+        params, min(phi, _partner_phase(phi), key=lambda p: _pair_denominator(p, *terms)), None)
     g2t = _check_phase("g2t", g2t, n_max, "n_max")
     # the truncated NBS keeps norm^2 = 1 - tail; renormalize so that
     # prob_g + prob_e = 1 whatever the tail tolerance or forced n_max
@@ -118,9 +119,6 @@ def dispersive_protocol(params: NBSParams, phi: float, g2t: float = math.pi,
     if prob_g < floor or prob_e < floor:
         raise ZeroNormError(
             f"measurement branch has vanishing probability (p_g={prob_g}, p_e={prob_e})")
-    return DispersiveOutcome(
-        projected_g=FockVector(g_row / math.sqrt(prob_g)),
-        projected_e=FockVector(e_row / math.sqrt(prob_e)),
-        prob_g=prob_g,
-        prob_e=prob_e,
-    )
+    return DispersiveOutcome(projected_g=FockVector(g_row / math.sqrt(prob_g)),
+                             projected_e=FockVector(e_row / math.sqrt(prob_e)),
+                             prob_g=prob_g, prob_e=prob_e)

@@ -15,7 +15,8 @@ Its norm divides by 1 + cos(phi) r, where r = ((1 - eta^2)/(1 + eta^2))^M is
 the overlap of the two components.  ``NBSParams`` is the one place that
 forms x, atanh x, r_j and r_j - 1 (j = 0, 1) and the logs at a point, and
 ``statistics._overlap_columns`` the one place that forms x and the r_j over
-a grid; ``_one_plus_c_r`` turns (r, r - 1) into 1 + c r without cancellation.
+a grid; ``_one_plus_c_r`` turns (r, r - 1) into 1 + c r without cancellation,
+and ``_pair_denominator`` is the one place a pair's norm and sizing read it.
 
 All amplitudes are assembled in log space from one row of log C(M+n-1, n),
 ``_log_binomial``, which P(n) and the <a^k> series in ``statistics`` use too.
@@ -167,14 +168,14 @@ def nbs_parity_overlap(params: NBSParams) -> float:
     return params._terms[1]
 
 
-def _parity_norm(phi: float, r: float, r_minus_1: float) -> float:
-    # (2 (1 + cos(phi) r))^{-1/2} for two components with overlap r, at a checked phi
+def _pair_denominator(phi: float, r: float, r_minus_1: float) -> float:
+    # D = 2 (1 + cos(phi) r) of two components with overlap r, at a checked phi; ZeroNormError
+    # unless D is above the normal floats, where the norm sqrt(1 / D) and the boost 4 / D are
+    # finite.  sqrt(1 / D) is correctly rounded where 1/sqrt is an ulp off (2**-0.5 at pi/2)
     denom = 2.0 * _one_plus_c_r(_phase_factor(phi).real, r, r_minus_1)
-    if denom <= 0.0:
+    if not denom > sys.float_info.min:
         raise ZeroNormError(f"superposition norm vanished at phi={phi}, component overlap {r!r}")
-    # sqrt of the reciprocal is correctly rounded where 1/sqrt is an ulp off
-    # (phi = pi/2 must give exactly 2**-0.5)
-    return math.sqrt(1.0 / denom)
+    return denom
 
 
 def _truncated(amps: np.ndarray) -> FockVector:
@@ -191,14 +192,14 @@ def _parity_superposition(base: np.ndarray, phi: float, r: float, r_minus_1: flo
     # 1 + e^{i phi} (-1)^n, each entry with the bits of that complex sum
     factor = np.full(base.size, 1.0 + unit)
     factor[1::2] = 1.0 - unit
-    amps = _parity_norm(phi, r, r_minus_1) * base
+    amps = math.sqrt(1.0 / _pair_denominator(phi, r, r_minus_1)) * base
     amps *= factor
     return _truncated(amps)
 
 
 def normalization_constant(phi: float, params: NBSParams) -> float:
-    """N with |phi;eta_c,M> = N (|eta_c,M> + e^{i phi} |-eta_c,M>); N = (2(1+cos(phi) r))^{-1/2}."""
-    return _parity_norm(_check_phi(phi), *params._terms[1:3])
+    """N = (2(1+cos(phi) r))^{-1/2} in N (|eta_c,M> + e^{i phi} |-eta_c,M>); finite for any NBS."""
+    return math.sqrt(1.0 / _pair_denominator(_check_phi(phi), *params._terms[1:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +312,8 @@ def _nbs_dimension(params: NBSParams, phi: Optional[float],
                    policy: Optional[TruncationPolicy]) -> int:
     # required_dimension at a checked phi
     M, (x, r0, d0) = params.M, params._terms[:3]
-    # |parity factor|^2 <= 4 and the norm divides by 2(1+c r)
-    boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_phase_factor(phi).real, r0, d0)
+    # |parity factor|^2 <= 4 and the norm^2 divides by D
+    boost = 1.0 if phi is None else 4.0 / _pair_denominator(phi, r0, d0)
     return _grown_n_max(_nb_log_weight(M, *params._logs[1:]), lambda n: (M + n) * x / (n + 1),
                         boost, policy)
 
@@ -328,16 +329,17 @@ def _check_label(alpha) -> Tuple[complex, float]:
 
 def required_dimension_cat(alpha: complex, phi: Optional[float] = None,
                            policy: Optional[TruncationPolicy] = None) -> int:
-    """n_max for a coherent state (phi=None) or a two-component cat, as ``required_dimension``."""
+    """n_max of |alpha> (phi=None) or its cat, as ``required_dimension``; raises as cat_state."""
     aa = _check_label(alpha)[1]
     return _cat_dimension(aa, None if phi is None else _check_phi(phi), policy)
 
 
 def _cat_dimension(aa: float, phi: Optional[float], policy: Optional[TruncationPolicy]) -> int:
-    # required_dimension_cat of a label with |alpha|^2 = aa, at a checked phi
+    # required_dimension_cat of a label with |alpha|^2 = aa, at a checked phi; the boost comes
+    # before the aa == 0 shortcut, so a vanished odd cat raises here as cat_state does
+    boost = 1.0 if phi is None else 4.0 / _pair_denominator(phi, *_overlap(2.0 * aa))
     if aa == 0.0:
         return 2
-    boost = 1.0 if phi is None else 2.0 / _one_plus_c_r(_phase_factor(phi).real, *_overlap(2.0 * aa))
     log_poisson = lambda n: n * math.log(aa) - aa - math.lgamma(n + 1)
     return _grown_n_max(log_poisson, lambda n: aa / (n + 1), boost, policy)
 
@@ -478,9 +480,7 @@ def _coherent_base(alpha: complex, aa: float, n_max: int) -> np.ndarray:
     # amplitudes of |alpha> for n = 0..n_max, given |alpha|^2 = aa
     n = np.arange(n_max + 1)
     if alpha == 0:
-        amps = np.zeros(n_max + 1, dtype=np.complex128)
-        amps[0] = 1.0
-        return amps
+        return (n == 0).astype(np.complex128)
     log_factorial = np.fromiter(map(math.lgamma, range(1, n_max + 2)), np.float64, n_max + 1)
     logmag = n * math.log(abs(alpha)) - 0.5 * aa - 0.5 * log_factorial
     return np.exp(logmag) * _label_phases(math.atan2(alpha.imag, alpha.real), n)
@@ -493,7 +493,11 @@ def coherent(alpha: complex, n_max: Optional[int] = None) -> FockVector:
 
 
 def cat_state(alpha: complex, phi: float, n_max: Optional[int] = None) -> FockVector:
-    """Normalized N0 (|alpha> + e^{i phi} |-alpha>)."""
+    """Normalized N0 (|alpha> + e^{i phi} |-alpha>).
+
+    ZeroNormError unless 2(1 + cos(phi) exp(-2|alpha|^2)) is above the normal
+    floats: only odd cats with |alpha|^2 below about 5.6e-309 fall short.
+    """
     phi = _check_phi(phi)
     alpha, aa = _check_label(alpha)
     if alpha == 0:

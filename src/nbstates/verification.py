@@ -337,12 +337,10 @@ def check_oracle_grid():
             params = NBSParams(M=M, eta=eta, theta=theta)
             states = _sliced_states(params, GRID_PHIS, ORACLE_POLICY)
             for phi, v, x1, x2 in zip(GRID_PHIS, states, x1s, x2s):
-                closed = (statistics.mean_closed(phi, params),
-                          statistics.second_moment_closed(phi, params),
-                          statistics.q_closed(phi, params), x1, x2)
-                for name, got_ref, got_closed in zip(_ORACLE_QUANTITIES, _oracle_moments(v),
-                                                     closed):
-                    rel = abs(got_ref - got_closed) / max(1.0, abs(got_closed))
+                s = statistics.closed_stats(phi, params)
+                closed = (s.mean, s.second_moment, s.mandel_q, x1, x2)
+                for name, ref, got in zip(_ORACLE_QUANTITIES, _oracle_moments(v), closed):
+                    rel = abs(ref - got) / max(1.0, abs(got))
                     if rel > worst:
                         worst = rel
                         where = (f"worst at {name}, M={M}, phi={phi:.3f}, eta={eta:.2f}, "

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nbstates import nbs_states
 from nbstates.errors import DimensionMismatchError, DomainError, ZeroNormError
 from nbstates.fock_core import TruncationPolicy, inner, number_state
 from nbstates.generation import dispersive_protocol, fidelity, kerr_evolve, kerr_generate
@@ -123,6 +124,25 @@ def test_dispersive_projections_are_the_superpositions():
         want_e = superposition(phi_opp, p, n_max=dim)
         assert fidelity(out.projected_g, want_g) == pytest.approx(1.0, abs=1e-12)
         assert fidelity(out.projected_e, want_e) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dispersive_default_size_is_the_wider_branch():
+    # sized once, at whichever of phi and its partner has the smaller pair
+    # denominator: the larger of the two branches' own sizes
+    rng = np.random.default_rng(35)
+    phis = [0.0, math.pi / 2.0, math.pi, 2.0 * math.pi] + list(rng.uniform(0.0, 2.0 * math.pi, 28))
+    for i, phi in enumerate(phis):
+        p = NBSParams(M=int(10.0 ** rng.uniform(0.0, 2.5)), eta=float(rng.uniform(0.01, 0.97)),
+                      theta=float(rng.uniform(0.0, 2.0 * math.pi)))
+        want = max(required_dimension(p, phi), required_dimension(p, partner_phase(phi)))
+        assert dispersive_protocol(p, float(phi)).projected_g.n_max == want, (i, phi, p)
+
+
+def test_dispersive_default_size_is_one_search(monkeypatch):
+    calls, search = [], nbs_states._grown_n_max
+    monkeypatch.setattr(nbs_states, "_grown_n_max", lambda *a: calls.append(a) or search(*a))
+    dispersive_protocol(NBSParams(M=4, eta=0.5), 1.3)
+    assert len(calls) == 1
 
 
 def test_dispersive_branches_keep_exact_parity_zeros():

@@ -23,6 +23,7 @@ from nbstates.nbs_states import (
     nbs_inner_closed,
     nbs_parity_overlap,
     normalization_constant,
+    odd_coherent,
     odd_nbs,
     partner_phase,
     phase_factor,
@@ -394,6 +395,8 @@ def test_bracketed_sizing_matches_bisection(monkeypatch):
                 out.append(sizer(*args, policy))
             except TruncationError:
                 out.append("TruncationError")
+            except ZeroNormError:
+                out.append("ZeroNormError")
         return out
 
     bracketed = sized()
@@ -482,10 +485,29 @@ def test_partner_phase_wraps_into_range():
         partner_phase(-0.1)
 
 
-def test_cat_state_vanishing_norm_raises():
-    # |alpha|^2 underflows to 0, so the odd cat's two components cancel exactly
+@pytest.mark.parametrize("alpha", [1e-200, 1e-170, 1e-160, 1e-155, 7e-155])
+@pytest.mark.parametrize("call", [
+    lambda a: cat_state(a, math.pi),
+    lambda a: cat_state(a, math.pi, n_max=5),
+    odd_coherent,
+    lambda a: required_dimension_cat(a, math.pi),
+], ids=["cat_state", "cat_state-n_max", "odd_coherent", "required_dimension_cat"])
+def test_cat_state_vanishing_norm_raises(call, alpha):
+    # |alpha|^2 is subnormal or 0, so the odd cat's pair denominator
+    # 2(1 + cos(phi) r) = 4|alpha|^2 is not a normal float: building and
+    # sizing both raise, with no NaN, no overflow and no false truncation
     with pytest.raises(ZeroNormError):
-        cat_state(1e-200, math.pi)
+        call(alpha)
+
+
+def test_smallest_normal_pair_still_builds():
+    # 4 |alpha|^2 just above the normal floats: the odd cat is |1> on 4 components
+    v = cat_state(7.6e-155, math.pi)
+    assert v.n_max == 3
+    assert v.amplitudes.tolist() == [0j, 0.9999999999999963 + 0j, 0j, 0j]
+    assert required_dimension_cat(7.6e-155, math.pi) == 3
+    # the smallest NBS pair, D = 8.9e-308
+    assert superposition(math.pi, NBSParams(1, ETA_MIN)).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_M_up_to_the_float_limit_is_accepted():
